@@ -1,21 +1,11 @@
 """Dynamic-replay throughput: events/second through the discrete-event core.
 
-Two measurements land in ``benchmarks/_reports/runtime.json`` under
-``dynamic_replay`` (CI uploads the report; ``benchmarks/compare.py``
-gates the ``speedup`` entry against the committed baseline):
-
-* **Replay replacement ratio** (gated) — the degenerate replay (exact
-  durations, contention off, no failures) through the event simulator vs
-  the ``ScheduleBuilder`` recommit loop it replaced as the engine behind
-  ``repro.stochastic.replay_schedule``.  Both produce bit-identical
-  schedules (asserted); the ratio is dimensionless and transfers across
-  machines.  The event simulator must not be meaningfully slower than
-  the path it superseded, else the stochastic robustness sweeps regress.
-* **Dynamic events/second** (recorded, not gated: absolute rates track
-  the machine) — full-dynamics replays (fair-share contention + uniform
-  runtime error) on the shared bench instance pool, counting every
-  simulator event (starts, finishes, transfer arrivals, link-service
-  completions) over wall-clock time.
+Full-dynamics replays (fair-share contention + uniform runtime error) on
+the shared bench instance pool, counting every simulator event (starts,
+finishes, transfer arrivals, link-service completions) over wall-clock
+time.  The figure lands in ``benchmarks/_reports/runtime.json`` under
+``dynamic_replay``; it is recorded, not gated, because absolute rates
+track the machine.
 """
 
 from __future__ import annotations
@@ -24,67 +14,21 @@ import math
 
 from repro import get_scheduler
 from repro.core.dynamic import DynamicsSpec, NoiseSpec, simulate_schedule
-from repro.core.simulator import ScheduleBuilder
 
-from benchmarks.bench_runtime import (
-    _bench_instances,
-    _interleaved_best,
-    _timed,
-    _write_timings,
-)
+from benchmarks.bench_runtime import _bench_instances, _timed, _write_timings
 
 REPLAY_INSTANCES = 20
-REPLAY_PASSES = 3
 DYNAMICS = DynamicsSpec(
     contention="fair", error=NoiseSpec(kind="uniform", low=0.7, high=1.8)
 )
 
 
-def _recommit_replay(schedule, instance):
-    """The pre-switch ``replay_schedule``: ScheduleBuilder recommit in plan order."""
-    builder = ScheduleBuilder(instance, insertion=False)
-    for entry in sorted(schedule, key=lambda e: (e.start, str(e.task))):
-        builder.commit(entry.task, entry.node)
-    return builder.schedule()
-
-
 def test_dynamic_replay_throughput(report_dir):
-    """Event-simulator replay vs the recommit loop, plus dynamic events/sec."""
+    """Dynamic events/second over HEFT plans of the bench instances."""
     instances = _bench_instances(REPLAY_INSTANCES, rng=0)
     heft = get_scheduler("HEFT")
-    plans = [heft.schedule(instance) for instance in instances]
-    pairs = list(zip(plans, instances))
+    pairs = [(heft.schedule(instance), instance) for instance in instances]
 
-    def simulator_pass():
-        return [
-            simulate_schedule(plan, instance).makespan
-            for _ in range(REPLAY_PASSES)
-            for plan, instance in pairs
-        ]
-
-    def recommit_pass():
-        return [
-            _recommit_replay(plan, instance).makespan
-            for _ in range(REPLAY_PASSES)
-            for plan, instance in pairs
-        ]
-
-    # Warm-up both sides, and pin the degenerate equivalence while at it:
-    # the two engines must agree entry-for-entry before we time them.
-    for plan, instance in pairs:
-        simulated = simulate_schedule(plan, instance)
-        recommitted = _recommit_replay(plan, instance)
-        assert {(e.task, e.start, e.end, e.node) for e in simulated.entries} == {
-            (e.task, e.start, e.end, e.node) for e in recommitted
-        }, "event simulator diverged from the recommit replay"
-
-    (sim_makespans, t_sim), (ref_makespans, t_ref) = _interleaved_best(
-        simulator_pass, recommit_pass
-    )
-    assert sim_makespans == ref_makespans, "replay engines disagree on makespans"
-    speedup = t_ref / t_sim if t_sim > 0 else math.inf
-
-    # Full-dynamics replays: count every event the simulator processes.
     def dynamic_pass():
         events = 0
         for seed, (plan, instance) in enumerate(pairs):
@@ -100,19 +44,8 @@ def test_dynamic_replay_throughput(report_dir):
         "dynamic_replay",
         {
             "instances": len(instances),
-            "passes": REPLAY_PASSES,
-            "simulator_seconds": round(t_sim, 4),
-            "recommit_seconds": round(t_ref, 4),
-            "speedup": round(speedup, 3),
             "dynamic_events": events,
             "dynamic_seconds": round(t_dynamic, 4),
             "events_per_second": round(events_per_second, 1),
         },
-    )
-    # The event queue does strictly more bookkeeping than the recommit
-    # loop; it must still stay in the same league, since it now *is* the
-    # replay engine behind every stochastic robustness evaluation.
-    assert speedup >= 0.5, (
-        f"event-simulator replay fell behind the recommit loop it replaced: "
-        f"{t_ref:.3f}s recommit vs {t_sim:.3f}s simulator ({speedup:.2f}x)"
     )

@@ -1,15 +1,15 @@
-"""Lockstep batched evaluation of K sibling candidates.
+"""Lockstep batched evaluation of K structure-identical candidates.
 
-The speculative annealer (:mod:`repro.pisa.batch`) proposes K siblings of
-the current instance per round — each differing from the parent by one
-weight (:class:`repro.pisa.perturbations.Delta`).  This module evaluates
-all K schedules *in lockstep*: the compiled tables of the siblings are
-stacked into 3-D arrays (``exec[k, t, v]``, ``strength[k, u, v]``,
-``data[k, t, s]``) and the scheduling loop runs once, performing each
-round's selection / insertion-scan / commit for every sibling with a
-handful of vectorized operations instead of ``K`` Python passes.
+The genetic finder scores whole populations whose members share one task
+graph shape and differ only in weights (:func:`repro.pisa.batch.batch_energy`).
+This module evaluates all K schedules *in lockstep*: the compiled tables
+of the members are stacked into 3-D arrays (``exec[k, t, v]``,
+``strength[k, u, v]``, ``data[k, t, s]``) and the scheduling loop runs
+once, performing each round's selection / insertion-scan / commit for
+every member with a handful of vectorized operations instead of ``K``
+Python passes.
 
-Three properties make this exact, not approximate:
+Two properties make this exact, not approximate:
 
 * **Bit-identical arithmetic.**  Every float the lockstep loop produces
   is the same IEEE-754 operation, applied to the same operands, as the
@@ -17,26 +17,19 @@ Three properties make this exact, not approximate:
   ``numpy`` arithmetic is the scalar op, and the only reductions involved
   (max-folds over predecessor arrivals, schedule ends, rank chains) are
   order-independent once NaN is excluded — which the batchability guard
-  ensures.  The trajectory tests pin lockstep makespans against the
-  serial schedulers bit-for-bit.
+  ensures.  ``tests/test_batched_annealing.py`` pins lockstep energies
+  against the serial schedulers bit-for-bit.
 * **Push-based data-ready times.**  Instead of folding a task's
   predecessor arrivals when the task is scored (the serial builder's
   pull), each commit *pushes* ``end + data/strength[v, :]`` into its
   successors' data-ready rows.  Pushes always use the committing
-  sibling's own tables, so per-sibling state never goes stale, and the
+  member's own tables, so per-member state never goes stale, and the
   max-fold's order-independence makes commit-order folding equal to the
   serial predecessor-order fold.
-* **Dirty-cone prefix replay.**  A sibling's serial trajectory provably
-  equals its parent's until the first round that *reads* the changed
-  cell (for weight deltas: the round the perturbed task enters the ready
-  set / its position in the priority order).  Below that bound the loop
-  skips selection entirely and replays the parent's recorded decisions —
-  commit bookkeeping and pushes only — which is why a one-cell delta
-  re-simulates only its dirty cone.
 
-Only schedulers with a lockstep kernel (:data:`SUPPORTED_SCHEDULERS`)
-batch; the annealer falls back to serial evaluation for other pairs, for
-structural moves, and for instances failing the finiteness guard.
+Only schedulers with a lockstep kernel (HEFT, MinMin, MaxMin; see
+:func:`pair_supported`) batch; ``batch_energy`` scores every other pair,
+and every member failing the finiteness guard, serially.
 """
 
 from __future__ import annotations
@@ -49,11 +42,9 @@ import numpy as np
 from repro.core.compiled import CompiledInstance
 
 __all__ = [
-    "SUPPORTED_SCHEDULERS",
     "pair_supported",
     "ParentContext",
     "SiblingTables",
-    "SchedTrace",
     "SchedRecord",
     "BatchEval",
     "evaluate_batch",
@@ -61,7 +52,7 @@ __all__ = [
 
 
 # --------------------------------------------------------------------- #
-# Structure artifacts (shared by a parent and all its delta clones)
+# Structure artifacts (shared by every member of one shape)
 # --------------------------------------------------------------------- #
 @dataclass(frozen=True)
 class _Structure:
@@ -126,7 +117,7 @@ class ParentContext:
     Holds the value-dependent artifacts the shared ``_batch_cache``
     cannot (delta clones share that cache but differ in weights): the
     dense ``(T, T)`` data matrix and the finiteness verdict gating
-    batchability.  Built once per annealing parent / population member.
+    batchability.  Built once per population member.
     """
 
     __slots__ = ("compiled", "structure", "data_mat", "batchable")
@@ -153,10 +144,11 @@ class ParentContext:
 
 
 # --------------------------------------------------------------------- #
-# Stacked sibling tables
+# Stacked member tables
 # --------------------------------------------------------------------- #
 class SiblingTables:
-    """The compiled tables of K candidates stacked along a batch axis."""
+    """The compiled tables of K structure-identical members, stacked
+    along a batch axis."""
 
     __slots__ = (
         "size",
@@ -167,134 +159,25 @@ class SiblingTables:
         "mean_inv_speed",
         "inv_strength_sum",
         "links_have_zero",
-        "bound_tid",
     )
 
-    def __init__(
-        self,
-        exec_tbl: np.ndarray,
-        strength: np.ndarray,
-        data: np.ndarray,
-        cost: np.ndarray,
-        mean_inv_speed: np.ndarray,
-        inv_strength_sum: np.ndarray,
-        links_have_zero: np.ndarray,
-        bound_tid: np.ndarray,
-    ) -> None:
-        self.size = exec_tbl.shape[0]
-        self.exec_tbl = exec_tbl
-        self.strength = strength
-        self.data = data
-        self.cost = cost
-        self.mean_inv_speed = mean_inv_speed
-        self.inv_strength_sum = inv_strength_sum
-        self.links_have_zero = links_have_zero
-        #: Per-candidate dirty bound: the id of the task whose first read
-        #: ends the replayable prefix (task-weight: the task itself;
-        #: dep-weight: the edge head), or -1 when any round may read the
-        #: change (node/link deltas, full members) -> prefix 0.
-        self.bound_tid = bound_tid
-
-    @classmethod
-    def from_siblings(cls, ctx: ParentContext, clones: list, deltas: list) -> "SiblingTables":
-        """Stack delta clones of one parent (the annealer's batch shape).
-
-        ``clones[k]`` must be ``parent.apply_delta(deltas[k])``; tables
-        are taken from the clones (bit-identity is inherited from
-        ``apply_delta``), except the dense data matrix which is patched
-        cell-wise from the parent's.
-        """
-        parent = ctx.compiled
-        batch = len(clones)
-        task_id = parent.task_id
-        dep_ks = [
-            (k, d) for k, d in enumerate(deltas) if d is not None and d.kind == "dep_weight"
-        ]
-        if dep_ks:
-            data = np.repeat(ctx.data_mat[None], batch, axis=0)
-            for k, d in dep_ks:
-                sid, did = task_id[d.key[0]], task_id[d.key[1]]
-                data[k, sid, did] = clones[k].data[(sid, did)]
-        else:
-            data = np.broadcast_to(ctx.data_mat, (batch,) + ctx.data_mat.shape)
-        bound = np.full(batch, -1, dtype=np.intp)
-        for k, d in enumerate(deltas):
-            if d is None:
-                continue
-            if d.kind == "task_weight":
-                bound[k] = task_id[d.key[0]]
-            elif d.kind == "dep_weight":
-                bound[k] = task_id[d.key[1]]
-        return cls(
-            exec_tbl=np.stack([c.exec_tbl for c in clones]),
-            strength=np.stack([c.strength for c in clones]),
-            data=data,
-            cost=np.stack([c.cost for c in clones]),
-            mean_inv_speed=np.array([c._mean_inv_speed for c in clones]),
-            inv_strength_sum=np.array([c._inv_strength_sum for c in clones]),
-            links_have_zero=np.array([c._links_have_zero for c in clones], dtype=bool),
-            bound_tid=bound,
-        )
-
-    @classmethod
-    def from_group(cls, contexts: list[ParentContext]) -> "SiblingTables":
-        """Stack structure-identical full compilations (batch_energy's shape)."""
+    def __init__(self, contexts: list[ParentContext]) -> None:
         members = [ctx.compiled for ctx in contexts]
-        return cls(
-            exec_tbl=np.stack([c.exec_tbl for c in members]),
-            strength=np.stack([c.strength for c in members]),
-            data=np.stack([ctx.data_mat for ctx in contexts]),
-            cost=np.stack([c.cost for c in members]),
-            mean_inv_speed=np.array([c._mean_inv_speed for c in members]),
-            inv_strength_sum=np.array([c._inv_strength_sum for c in members]),
-            links_have_zero=np.array([c._links_have_zero for c in members], dtype=bool),
-            bound_tid=np.full(len(members), -1, dtype=np.intp),
-        )
-
-    def finite(self) -> bool:
-        """Batchability of the stacked values (same rule as the parent's)."""
-        return bool(
-            np.isfinite(self.cost).all()
-            and np.isfinite(self.data).all()
-            and np.isfinite(self.mean_inv_speed).all()
-            and np.isfinite(self.inv_strength_sum).all()
-        )
-
-
-# --------------------------------------------------------------------- #
-# Traces and records
-# --------------------------------------------------------------------- #
-@dataclass(frozen=True)
-class SchedTrace:
-    """One candidate's recorded trajectory, for next-round prefix replay."""
-
-    chosen_t: np.ndarray  # (T,) task id committed per round
-    chosen_v: np.ndarray  # (T,) node id committed per round
-    ready_round: np.ndarray | None = None  # MinMin/MaxMin: first-ready round
-    order: np.ndarray | None = None  # HEFT: priority order (== chosen_t)
-    pos: np.ndarray | None = None  # HEFT: task id -> order position
+        self.size = len(members)
+        self.exec_tbl = np.stack([c.exec_tbl for c in members])
+        self.strength = np.stack([c.strength for c in members])
+        self.data = np.stack([ctx.data_mat for ctx in contexts])
+        self.cost = np.stack([c.cost for c in members])
+        self.mean_inv_speed = np.array([c._mean_inv_speed for c in members])
+        self.inv_strength_sum = np.array([c._inv_strength_sum for c in members])
+        self.links_have_zero = np.array([c._links_have_zero for c in members], dtype=bool)
 
 
 @dataclass
 class SchedRecord:
-    """Lockstep output of one scheduler over a batch: makespans + traces."""
+    """Lockstep output of one scheduler over a batch."""
 
     makespans: np.ndarray  # (K,)
-    chosen_t: np.ndarray  # (K, T)
-    chosen_v: np.ndarray  # (K, T)
-    ready_round: np.ndarray | None = None  # (K, T) for MinMin/MaxMin
-    is_heft: bool = False
-
-    def trace_for(self, k: int) -> SchedTrace:
-        chosen_t = self.chosen_t[k].copy()
-        chosen_v = self.chosen_v[k].copy()
-        if self.is_heft:
-            pos = np.empty(len(chosen_t), dtype=np.intp)
-            pos[chosen_t] = np.arange(len(chosen_t))
-            return SchedTrace(chosen_t=chosen_t, chosen_v=chosen_v, order=chosen_t, pos=pos)
-        return SchedTrace(
-            chosen_t=chosen_t, chosen_v=chosen_v, ready_round=self.ready_round[k].copy()
-        )
 
 
 @dataclass
@@ -304,46 +187,17 @@ class BatchEval:
     target: SchedRecord
     baseline: SchedRecord
 
-    def traces_for(self, k: int) -> tuple[SchedTrace, SchedTrace]:
-        return self.target.trace_for(k), self.baseline.trace_for(k)
-
 
 # --------------------------------------------------------------------- #
 # Shared helpers
 # --------------------------------------------------------------------- #
-def _empty_record(batch: int, is_heft: bool) -> SchedRecord:
-    shape = (batch, 0)
-    return SchedRecord(
-        makespans=np.zeros(batch),
-        chosen_t=np.empty(shape, dtype=np.intp),
-        chosen_v=np.empty(shape, dtype=np.intp),
-        ready_round=None if is_heft else np.empty(shape, dtype=np.intp),
-        is_heft=is_heft,
-    )
-
-
-def _push_scalar(drt, data_mat, strength, succ_ids, tid, vid, end) -> None:
-    """Push commit ``(tid -> vid, end)`` into successor DRT rows, scalar task.
+def _push_vector(drt, data_mat, strength, st: _Structure, ar, t_k, v_k, end) -> list:
+    """Push per-member commits ``(t_k[k] -> v_k[k], end[k])``.
 
     ``end + data/strength[v, :]`` per successor — elementwise, the exact
     IEEE ops of the serial ``_drt_row`` fold; zero data short-circuits to
     ``end`` exactly as the serial ``np.maximum(row, end)`` branch.
-    """
-    if not succ_ids:
-        return
-    srow = strength[:, vid, :]  # (K, V)
-    for sid in succ_ids:
-        data = data_mat[:, tid, sid]  # (K,)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            comm = data[:, None] / srow
-        comm = np.where(data[:, None] == 0.0, 0.0, comm)
-        np.maximum(drt[:, sid, :], end[:, None] + comm, out=drt[:, sid, :])
-
-
-def _push_vector(drt, data_mat, strength, st: _Structure, ar, t_k, v_k, end) -> tuple:
-    """Push per-candidate commits ``(t_k[k] -> v_k[k], end[k])``.
-
-    Returns ``(kv, sv)`` fancy-index arrays of the pushed (candidate,
+    Returns ``(kv, sv)`` fancy-index arrays of the pushed (member,
     successor) pairs per pad slot, for callers that also maintain
     ready-set bookkeeping.
     """
@@ -368,16 +222,14 @@ def _push_vector(drt, data_mat, strength, st: _Structure, ar, t_k, v_k, end) -> 
 # --------------------------------------------------------------------- #
 # MinMin / MaxMin lockstep
 # --------------------------------------------------------------------- #
-def _minmax_lockstep(
-    ctx: ParentContext, tables: SiblingTables, trace: SchedTrace | None, take_max: bool
-) -> SchedRecord:
+def _minmax_lockstep(ctx: ParentContext, tables: SiblingTables, take_max: bool) -> SchedRecord:
     parent = ctx.compiled
     st = ctx.structure
     n_tasks = len(parent.tasks)
     n_nodes = len(parent.nodes)
     batch = tables.size
     if n_tasks == 0:
-        return _empty_record(batch, is_heft=False)
+        return SchedRecord(makespans=np.zeros(batch))
 
     exec_tbl = tables.exec_tbl  # (K, T, V)
     strength = tables.strength  # (K, V, V)
@@ -390,45 +242,11 @@ def _minmax_lockstep(
     drt = np.zeros((batch, n_tasks, n_nodes))
     remaining = np.repeat(st.pred_count[None], batch, axis=0)
     ready = remaining == 0
-    ready_round = np.where(ready, 0, -1).astype(np.intp)
     avail = np.zeros((batch, n_nodes))
     end_t = np.zeros((batch, n_tasks))
-    chosen_t = np.empty((batch, n_tasks), dtype=np.intp)
-    chosen_v = np.empty((batch, n_tasks), dtype=np.intp)
 
-    prefix = 0
-    if trace is not None:
-        bounds = np.where(tables.bound_tid >= 0, trace.ready_round[tables.bound_tid], 0)
-        prefix = int(bounds.min())
-
-    for rnd in range(n_tasks):
-        if rnd < prefix:
-            # Replay the parent's decision; only state upkeep runs.  The
-            # dirty cell is unread by selection before `prefix`, so each
-            # sibling's own choice provably equals the parent's.
-            tid = int(trace.chosen_t[rnd])
-            vid = int(trace.chosen_v[rnd])
-            est_col = np.maximum(drt[:, tid, vid], avail[:, vid])
-            end = est_col + exec_tbl[:, tid, vid]
-            chosen_t[:, rnd] = tid
-            chosen_v[:, rnd] = vid
-            end_t[:, tid] = end
-            avail[:, vid] = end
-            ready[:, tid] = False
-            srow = strength[:, vid, :]
-            for sid in parent.succ_ids[tid]:
-                data = data_mat[:, tid, sid]
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    comm = data[:, None] / srow
-                comm = np.where(data[:, None] == 0.0, 0.0, comm)
-                np.maximum(drt[:, sid, :], end[:, None] + comm, out=drt[:, sid, :])
-                remaining[:, sid] -= 1
-                newly = remaining[:, sid] == 0
-                ready[:, sid] = newly
-                ready_round[newly, sid] = rnd + 1
-            continue
-
-        # est/eft for every (candidate, task, node); non-ready tasks are
+    for _ in range(n_tasks):
+        # est/eft for every (member, task, node); non-ready tasks are
         # scored on garbage-but-finite partial DRT rows and masked below.
         est = np.maximum(drt, avail[:, None, :])
         eft = est + exec_tbl
@@ -452,8 +270,6 @@ def _minmax_lockstep(
         v_k = node_order[pos[ar, t_k]]
         end = mct[ar, t_k]  # == est + exec at the chosen cell
 
-        chosen_t[:, rnd] = t_k
-        chosen_v[:, rnd] = v_k
         end_t[ar, t_k] = end
         avail[ar, v_k] = end
         ready[ar, t_k] = False
@@ -461,25 +277,18 @@ def _minmax_lockstep(
         for kv, sv in pushed:
             remaining[kv, sv] -= 1
             newly = remaining[kv, sv] == 0
-            knew, snew = kv[newly], sv[newly]
-            ready[knew, snew] = True
-            ready_round[knew, snew] = rnd + 1
+            ready[kv[newly], sv[newly]] = True
 
-    return SchedRecord(
-        makespans=end_t.max(axis=1),
-        chosen_t=chosen_t,
-        chosen_v=chosen_v,
-        ready_round=ready_round,
-    )
+    return SchedRecord(makespans=end_t.max(axis=1))
 
 
 # --------------------------------------------------------------------- #
 # HEFT lockstep
 # --------------------------------------------------------------------- #
 def _heft_ranks(ctx: ParentContext, tables: SiblingTables) -> np.ndarray:
-    """Upward ranks for every candidate, (K, T).
+    """Upward ranks for every member, (K, T).
 
-    The reverse-topological DP over per-candidate mean execution /
+    The reverse-topological DP over per-member mean execution /
     communication times; rank values are independent of which valid
     topological order drives the DP, and the successor max-fold is
     order-independent without NaN, so every entry is bit-identical to
@@ -512,15 +321,13 @@ def _heft_ranks(ctx: ParentContext, tables: SiblingTables) -> np.ndarray:
     return ranks
 
 
-def _heft_lockstep(
-    ctx: ParentContext, tables: SiblingTables, trace: SchedTrace | None
-) -> SchedRecord:
+def _heft_lockstep(ctx: ParentContext, tables: SiblingTables) -> SchedRecord:
     parent = ctx.compiled
     st = ctx.structure
     n_tasks = len(parent.tasks)
     batch = tables.size
     if n_tasks == 0:
-        return _empty_record(batch, is_heft=True)
+        return SchedRecord(makespans=np.zeros(batch))
 
     exec_tbl = tables.exec_tbl
     strength = tables.strength
@@ -529,19 +336,12 @@ def _heft_lockstep(
     slot_idx = np.arange(n_tasks)
 
     ranks = _heft_ranks(ctx, tables)
-    # Per-candidate priority order: sorted by (-rank, topo index) — the
+    # Per-member priority order: sorted by (-rank, topo index) — the
     # stable lexsort with exact float keys matches Python's sorted().
     order = np.empty((batch, n_tasks), dtype=np.intp)
     neg = -ranks
     for k in range(batch):
         order[k] = np.lexsort((st.topo_index, neg[k]))
-
-    prefix = 0
-    if trace is not None:
-        mismatch = order != trace.order[None, :]
-        first = np.where(mismatch.any(axis=1), mismatch.argmax(axis=1), n_tasks)
-        bounds = np.where(tables.bound_tid >= 0, trace.pos[tables.bound_tid], 0)
-        prefix = int(np.minimum(first, bounds).min())
 
     drt = np.zeros((batch, n_tasks, len(parent.nodes)))
     starts = np.zeros((batch, len(parent.nodes), n_tasks))
@@ -549,46 +349,9 @@ def _heft_lockstep(
     count = np.zeros((batch, len(parent.nodes)), dtype=np.intp)
     node_max_end = np.zeros((batch, len(parent.nodes)))
     end_t = np.empty((batch, n_tasks))
-    chosen_v = np.empty((batch, n_tasks), dtype=np.intp)
 
     for step in range(n_tasks):
         lim = max(step, 1)  # committed entries per node <= step
-        if step < prefix:
-            tid = int(trace.order[step])
-            vid = int(trace.chosen_v[step])
-            ready_col = drt[:, tid, vid]  # (K,)
-            dur_col = exec_tbl[:, tid, vid]
-            ends_v = ends[:, vid, :lim]
-            pm = np.maximum.accumulate(ends_v, axis=1)
-            gap_start = np.concatenate([np.zeros((batch, 1)), pm[:, :-1]], axis=1)
-            cand = np.maximum(gap_start, ready_col[:, None])
-            feas = (cand + dur_col[:, None] <= starts[:, vid, :lim]) & (
-                slot_idx[None, :lim] < count[:, vid, None]
-            )
-            anyf = feas.any(axis=1)
-            first_slot = feas.argmax(axis=1)
-            est_slot = np.take_along_axis(cand, first_slot[:, None], axis=1)[:, 0]
-            est = np.where(anyf, est_slot, np.maximum(node_max_end[:, vid], ready_col))
-            end = est + dur_col
-            ins = np.where(anyf, first_slot, count[:, vid])[:, None]
-            srow = starts[:, vid, :]
-            erow = ends[:, vid, :]
-            s_prev = np.concatenate([np.zeros((batch, 1)), srow[:, :-1]], axis=1)
-            e_prev = np.concatenate([np.zeros((batch, 1)), erow[:, :-1]], axis=1)
-            idx = slot_idx[None, :]
-            starts[:, vid, :] = np.where(
-                idx < ins, srow, np.where(idx == ins, est[:, None], s_prev)
-            )
-            ends[:, vid, :] = np.where(
-                idx < ins, erow, np.where(idx == ins, end[:, None], e_prev)
-            )
-            count[:, vid] += 1
-            node_max_end[:, vid] = np.maximum(node_max_end[:, vid], end)
-            end_t[:, tid] = end
-            chosen_v[:, step] = vid
-            _push_scalar(drt, data_mat, strength, parent.succ_ids[tid], tid, vid, end)
-            continue
-
         t_k = order[:, step]  # (K,)
         ready_k = drt[ar, t_k, :]  # (K, V)
         dur_k = exec_tbl[ar, t_k, :]  # (K, V)
@@ -623,34 +386,19 @@ def _heft_lockstep(
         count[ar, v_k] += 1
         node_max_end[ar, v_k] = np.maximum(node_max_end[ar, v_k], end)
         end_t[ar, t_k] = end
-        chosen_v[:, step] = v_k
         _push_vector(drt, data_mat, strength, st, ar, t_k, v_k, end)
 
-    return SchedRecord(
-        makespans=end_t.max(axis=1), chosen_t=order, chosen_v=chosen_v, is_heft=True
-    )
+    return SchedRecord(makespans=end_t.max(axis=1))
 
 
 # --------------------------------------------------------------------- #
 # Registry
 # --------------------------------------------------------------------- #
-def _run_minmin(ctx, tables, trace):
-    return _minmax_lockstep(ctx, tables, trace, take_max=False)
-
-
-def _run_maxmin(ctx, tables, trace):
-    return _minmax_lockstep(ctx, tables, trace, take_max=True)
-
-
 _KERNELS = {
     "HEFT": _heft_lockstep,
-    "MinMin": _run_minmin,
-    "MaxMin": _run_maxmin,
+    "MinMin": lambda ctx, tables: _minmax_lockstep(ctx, tables, take_max=False),
+    "MaxMin": lambda ctx, tables: _minmax_lockstep(ctx, tables, take_max=True),
 }
-
-#: Schedulers with a lockstep kernel; pairs outside this set evaluate
-#: serially (the annealer's transparent fallback).
-SUPPORTED_SCHEDULERS = frozenset(_KERNELS)
 
 
 def pair_supported(target_name: str, baseline_name: str) -> bool:
@@ -659,18 +407,10 @@ def pair_supported(target_name: str, baseline_name: str) -> bool:
 
 
 def evaluate_batch(
-    ctx: ParentContext,
-    tables: SiblingTables,
-    target_name: str,
-    baseline_name: str,
-    traces: tuple[SchedTrace, SchedTrace] | None = None,
+    ctx: ParentContext, tables: SiblingTables, target_name: str, baseline_name: str
 ) -> BatchEval:
-    """Run both schedulers' lockstep kernels over one stacked batch.
-
-    ``traces``, when given, are the parent's recorded trajectories
-    (target, baseline) enabling dirty-cone prefix replay; without them
-    every round computes live (still batched).
-    """
-    target_rec = _KERNELS[target_name](ctx, tables, traces[0] if traces else None)
-    baseline_rec = _KERNELS[baseline_name](ctx, tables, traces[1] if traces else None)
-    return BatchEval(target=target_rec, baseline=baseline_rec)
+    """Run both schedulers' lockstep kernels over one stacked batch."""
+    return BatchEval(
+        target=_KERNELS[target_name](ctx, tables),
+        baseline=_KERNELS[baseline_name](ctx, tables),
+    )

@@ -41,7 +41,9 @@ Cache invalidation
 keyed by the mutation counters :attr:`TaskGraph.version` /
 :attr:`Network.version` — PISA's perturbations mutate *copies*, so in the
 steady state every candidate compiles exactly once; direct mutation of a
-compiled instance simply triggers a recompile on next use.
+compiled instance simply triggers a recompile on next use.  A weight
+move off a compiled parent skips even that: the copy is bound to
+:meth:`CompiledInstance.apply_delta` of the parent's compilation.
 """
 
 from __future__ import annotations
@@ -59,6 +61,7 @@ from repro.utils import phases
 __all__ = [
     "CompiledInstance",
     "compile_instance",
+    "current_compilation",
     "argmin_ranked",
     "compile_stats",
     "reset_compile_stats",
@@ -312,7 +315,7 @@ class CompiledInstance:
     # ------------------------------------------------------------------ #
     # Delta compilation (copy-on-write of one table cell)
     # ------------------------------------------------------------------ #
-    def apply_delta(self, delta, instance: ProblemInstance | None = None):
+    def apply_delta(self, delta, instance: ProblemInstance):
         """A sibling compilation differing from this one by one weight.
 
         ``delta`` is a :class:`repro.pisa.perturbations.Delta`; the clone
@@ -324,11 +327,8 @@ class CompiledInstance:
         :func:`compile_instance` of the perturbed instance (pinned by the
         hypothesis suite in ``tests/test_delta_compile.py``).
 
-        ``instance``, when given, must be the materialized perturbed copy;
-        the clone binds to it and installs itself as its compile cache.
-        When ``None`` the clone is *unbound* (tables only) — the
-        speculative annealer evaluates unbound siblings and binds only
-        the accepted one (:meth:`bind`).
+        ``instance`` must be the perturbed copy, already mutated; the
+        clone binds to it and installs itself as its compile cache.
 
         Returns ``None`` when the delta cannot be applied — unknown kind
         or key, or a value the inline validators would reject — in which
@@ -413,33 +413,16 @@ class CompiledInstance:
         else:
             return None
 
-        if instance is not None:
-            clone.bind(instance)
-        else:
-            clone.instance = None
-            clone._task_graph = None
-            clone._network = None
-            clone._tg_version = -1
-            clone._net_version = -1
+        clone.instance = instance
+        clone._task_graph = instance.task_graph
+        clone._network = instance.network
+        clone._tg_version = instance.task_graph.version
+        clone._net_version = instance.network.version
+        instance._compiled_cache = clone
         _STATS["delta"] += 1
         if phases.enabled:
             phases.add("compile", perf_counter() - t0)
         return clone
-
-    def bind(self, instance: ProblemInstance) -> None:
-        """Attach this compilation to ``instance`` and become its cache.
-
-        Used after :meth:`apply_delta` produced an unbound clone and the
-        candidate was accepted (its :class:`ProblemInstance` materialized
-        only then).  The caller asserts the tables reflect ``instance``'s
-        current graphs.
-        """
-        self.instance = instance
-        self._task_graph = instance.task_graph
-        self._network = instance.network
-        self._tg_version = instance.task_graph.version
-        self._net_version = instance.network.version
-        instance._compiled_cache = self
 
     # ------------------------------------------------------------------ #
     # Scalar conveniences (identical semantics to simulator.comm_time)
@@ -496,11 +479,6 @@ class CompiledInstance:
         """
         order = self._topo_order
         if order is None:
-            if self._task_graph is None:
-                raise RuntimeError(
-                    "unbound delta compilation has no task graph to sort; "
-                    "bind() it or memoize the parent's order first"
-                )
             order = self._task_graph.topological_order()
             self._topo_order = order
         return order
@@ -543,6 +521,13 @@ class CompiledInstance:
         return data * self._inv_strength_sum / self._num_links
 
 
+def current_compilation(instance: ProblemInstance) -> CompiledInstance | None:
+    """The compilation cached on ``instance`` if it is still current, else
+    ``None`` — never compiles."""
+    cached = getattr(instance, "_compiled_cache", None)
+    return cached if cached is not None and cached.matches(instance) else None
+
+
 def compile_instance(instance: ProblemInstance) -> CompiledInstance:
     """The (cached) compiled kernel of ``instance``.
 
@@ -552,8 +537,8 @@ def compile_instance(instance: ProblemInstance) -> CompiledInstance:
     population's elites — share one compilation, and any mutation through
     the public setters triggers a transparent recompile.
     """
-    cached = getattr(instance, "_compiled_cache", None)
-    if cached is not None and cached.matches(instance):
+    cached = current_compilation(instance)
+    if cached is not None:
         _STATS["cache_hits"] += 1
         return cached
     t0 = perf_counter() if phases.enabled else 0.0

@@ -47,12 +47,8 @@ __all__ = [
 def require_finite_energy(value: float, initial: bool = False) -> None:
     """Raise the canonical ``ValueError`` when ``value`` is NaN or infinite.
 
-    The single choke point for energy validation: the serial annealer
-    calls it per iteration (its batch is one candidate), the speculative
-    batched annealer (:mod:`repro.pisa.batch`) validates a whole batch
-    with one vectorized ``np.isfinite`` and only falls back to this
-    per-candidate raise — with the same message the serial path would
-    have produced — when the batch flag trips for a consumed candidate.
+    The single choke point for energy validation: the annealer calls it
+    on the initial state and on every candidate.
     """
     if math.isnan(value) or math.isinf(value):
         if initial:

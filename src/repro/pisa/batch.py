@@ -1,95 +1,29 @@
-"""Batched energy evaluation and the speculative batched annealer.
+"""Batched energy evaluation of a population.
 
 The adversarial finders all maximize the same energy — the makespan
-ratio of a target scheduler over a baseline on one candidate instance —
-and all of them evaluate it in bulk.  This module holds the two batched
-entry points over the lockstep kernels of :mod:`repro.core.batched`:
-
-* :func:`batch_energy` scores a population (the genetic finder's shape):
-  structure-identical, batchable members are stacked and swept through
-  one lockstep pass; everything else takes the serial compiled path.
-  Either way element ``i`` is bit-identical to
-  ``PISA(target, baseline).energy(instances[i])``.
-
-* :class:`SpeculativeAnnealer` is a drop-in for
-  :class:`~repro.pisa.annealing.SimulatedAnnealing` over PISA's energy.
-  Each round it speculates K sibling candidates of the current state
-  under the *all-reject* hypothesis — drawing the perturbation plan and
-  the acceptance uniform for each in exactly the serial interleaving
-  (plan_0, u_0, plan_1, u_1, ...) and snapshotting the generator state
-  before every draw — evaluates the delta-compiled siblings in one
-  lockstep pass, then replays the paper's sequential accept/reject chain
-  over the precomputed energies.  At the first acceptance the generator
-  is rewound to the state the serial annealer would hold (an
-  ``E > best`` acceptance never drew its uniform; a probabilistic one
-  consumed it) and the remaining speculation is discarded, so the
-  trajectory — every candidate, draw, temperature, history record, and
-  error — is bit-identical to the serial annealer by construction.
-
-Serial fallbacks keep the equivalence total: structural moves
-(add/remove dependency), non-batchable parents (non-finite weights), and
-deltas ``apply_delta`` rejects are materialized and scored lazily during
-replay — lazily, because a speculative candidate *past* the first
-acceptance was drawn from a state the serial annealer never visits, so
-its side effects (including validation errors) must never surface.
+ratio of a target scheduler over a baseline on one candidate instance.
+:func:`batch_energy` scores a whole population at once (the genetic
+finder's shape): structure-identical, batchable members are stacked and
+swept through one lockstep pass of :mod:`repro.core.batched`; everything
+else takes the serial compiled path.  Either way element ``i`` is
+bit-identical to ``PISA(target, baseline).energy(instances[i])``.
 """
 
 from __future__ import annotations
 
-import math
-from collections.abc import Callable, Sequence
-from time import perf_counter
-from typing import Any
+from collections.abc import Sequence
 
 import numpy as np
 
 from repro.benchmarking.metrics import makespan_ratio
-from repro.core.batched import (
-    BatchEval,
-    ParentContext,
-    SchedTrace,
-    SiblingTables,
-    evaluate_batch,
-    pair_supported,
-)
+from repro.core.batched import ParentContext, SiblingTables, evaluate_batch, pair_supported
 from repro.core.compiled import CompiledInstance, compile_instance
 from repro.core.instance import ProblemInstance
 from repro.core.scheduler import Scheduler, get_scheduler
-from repro.pisa.annealing import (
-    AnnealingConfig,
-    AnnealingResult,
-    AnnealingStep,
-    SimulatedAnnealing,
-    require_finite_energy,
-)
-from repro.pisa.perturbations import Delta, PerturbationSet, PlannedMove
-from repro.utils import phases
-from repro.utils.rng import as_generator
 
-__all__ = ["batch_energy", "SpeculativeAnnealer", "MIN_BATCH", "MAX_BATCH"]
-
-#: Adaptive speculation window: K starts at 8 and tracks twice the number
-#: of candidates the last round actually consumed, clamped into
-#: [MIN_BATCH, MAX_BATCH].  Larger K amortizes the python-level loop of
-#: the lockstep kernels (per-candidate cost keeps falling through K=64);
-#: smaller K caps the work thrown away when acceptances are frequent.
-MIN_BATCH = 4
-MAX_BATCH = 64
-_START_BATCH = 8
-
-#: Below this speculation window the lockstep pass cannot amortize its
-#: per-round python overhead over enough consumed candidates (measured
-#: crossover: ~3 consumed per pass on both the paper's chain shape and
-#: the benchmark shape), so small-window rounds — the accept-heavy high
-#: temperature phase — evaluate serially, still delta-assisted: the
-#: candidate's compilation is an ``apply_delta`` clone bound to the
-#: materialized copy, not a recompile.
-_KERNEL_MIN = 6
+__all__ = ["batch_energy"]
 
 
-# --------------------------------------------------------------------- #
-# Population scoring
-# --------------------------------------------------------------------- #
 def _structure_signature(compiled: CompiledInstance) -> tuple:
     """Hashable key equal iff two compilations share every structure
     artifact the lockstep kernels read (task/node tuples fix the id maps
@@ -139,9 +73,7 @@ def batch_energy(
             serial.extend(idxs)
             continue
         ctxs = [contexts[i] for i in idxs]
-        ev = evaluate_batch(
-            ctxs[0], SiblingTables.from_group(ctxs), target.name, baseline.name
-        )
+        ev = evaluate_batch(ctxs[0], SiblingTables(ctxs), target.name, baseline.name)
         for j, i in enumerate(idxs):
             out[i] = makespan_ratio(
                 float(ev.target.makespans[j]), float(ev.baseline.makespans[j])
@@ -154,280 +86,3 @@ def batch_energy(
             baseline.schedule(instance).makespan,
         )
     return out
-
-
-# --------------------------------------------------------------------- #
-# Speculative batched annealing
-# --------------------------------------------------------------------- #
-def _clone_batchable(clone: CompiledInstance, delta: Delta) -> bool:
-    """Does a delta clone of a *batchable* parent stay batchable?
-
-    Only the changed cell can break the parent's verdict: a weight delta
-    must be finite itself; a node/link delta can overflow the inverse
-    aggregates the rank arithmetic multiplies (0 * inf -> NaN).
-    """
-    if delta.kind in ("task_weight", "dep_weight"):
-        return math.isfinite(delta.value)
-    if delta.kind == "node_speed":
-        return math.isfinite(clone._mean_inv_speed)
-    return math.isfinite(clone._inv_strength_sum)  # link_strength
-
-
-class SpeculativeAnnealer:
-    """Batched drop-in for :class:`SimulatedAnnealing` over PISA's energy.
-
-    Produces a bit-identical :class:`AnnealingResult` — same best state
-    and energy, same per-iteration history, same generator consumption,
-    same errors — while evaluating up to :data:`MAX_BATCH` candidates
-    per numpy pass (see the module docstring for the speculation and
-    rewind protocol).  When the scheduler pair has no lockstep kernel
-    the whole run delegates to the serial annealer.
-
-    Parameters
-    ----------
-    target, baseline:
-        The scheduler pair whose makespan ratio is the energy.
-    perturbations:
-        The PERTURB mixture (already constrained by the caller).
-    energy:
-        The serial energy function (``PISA.energy``) used for the
-        initial state when it is not batchable and for per-candidate
-        fallbacks; must equal the lockstep result bit-for-bit wherever
-        both paths apply (pinned by ``tests/test_batched_annealing.py``).
-    config, keep_history:
-        As for :class:`SimulatedAnnealing`.
-    """
-
-    def __init__(
-        self,
-        target: Scheduler | str,
-        baseline: Scheduler | str,
-        perturbations: PerturbationSet,
-        energy: Callable[[ProblemInstance], float],
-        config: AnnealingConfig | None = None,
-        keep_history: bool = True,
-    ) -> None:
-        self.target = get_scheduler(target) if isinstance(target, str) else target
-        self.baseline = get_scheduler(baseline) if isinstance(baseline, str) else baseline
-        self.perturbations = perturbations
-        self.energy = energy
-        self.config = config or AnnealingConfig()
-        self.keep_history = keep_history
-        # The serial twin: whole-run fallback for unsupported pairs and
-        # the single source of the acceptance-probability arithmetic.
-        self._serial = SimulatedAnnealing(
-            energy=energy,
-            perturb=perturbations.perturb,
-            config=self.config,
-            keep_history=keep_history,
-        )
-
-    # ------------------------------------------------------------------ #
-    def run(
-        self, initial: ProblemInstance, rng: int | np.random.Generator | None = None
-    ) -> AnnealingResult:
-        if not pair_supported(self.target.name, self.baseline.name):
-            return self._serial.run(initial, rng=rng)
-        gen = as_generator(rng)
-        cfg = self.config
-
-        current = initial
-        compiled = compile_instance(current)
-        ctx = ParentContext(compiled)
-        traces: tuple[SchedTrace, SchedTrace] | None = None
-        if ctx.batchable:
-            ev = evaluate_batch(
-                ctx, SiblingTables.from_group([ctx]), self.target.name, self.baseline.name
-            )
-            current_energy = makespan_ratio(
-                float(ev.target.makespans[0]), float(ev.baseline.makespans[0])
-            )
-            traces = ev.traces_for(0)
-        else:
-            current_energy = float(self.energy(current))
-        require_finite_energy(current_energy, initial=True)
-        best, best_energy = current, current_energy
-        initial_energy = current_energy
-
-        history: list[AnnealingStep] = []
-        temperature = cfg.t_max
-        iteration = 0
-        window = _START_BATCH
-        while temperature > cfg.t_min and iteration < cfg.max_iterations:
-            rounds = self._rounds_left(temperature, iteration, window)
-
-            # -- speculate: the serial draw interleaving under all-reject
-            t0 = perf_counter() if phases.enabled else 0.0
-            pre_plan: list[dict] = []
-            pre_u: list[dict] = []
-            moves: list[PlannedMove] = []
-            draws = np.empty(rounds)
-            for i in range(rounds):
-                pre_plan.append(gen.bit_generator.state)
-                moves.append(self.perturbations.plan(current, gen))
-                pre_u.append(gen.bit_generator.state)
-                draws[i] = gen.random()
-            if phases.enabled:
-                phases.add("perturb", perf_counter() - t0)
-
-            # -- evaluate the delta-compiled siblings in one pass
-            slot = np.full(rounds, -1, dtype=np.intp)
-            clones: list[CompiledInstance] = []
-            deltas: list[Delta] = []
-            if ctx.batchable and rounds >= _KERNEL_MIN:
-                for i, move in enumerate(moves):
-                    if move.delta is None:
-                        continue  # identity / structural: resolved in replay
-                    clone = compiled.apply_delta(move.delta)
-                    if clone is not None and _clone_batchable(clone, move.delta):
-                        slot[i] = len(clones)
-                        clones.append(clone)
-                        deltas.append(move.delta)
-            evaluation: BatchEval | None = None
-            batch_energies = np.empty(0)
-            batch_finite = True
-            if clones:
-                t0 = perf_counter() if phases.enabled else 0.0
-                tables = SiblingTables.from_siblings(ctx, clones, deltas)
-                evaluation = evaluate_batch(
-                    ctx, tables, self.target.name, self.baseline.name, traces=traces
-                )
-                batch_energies = np.array(
-                    [
-                        makespan_ratio(
-                            float(evaluation.target.makespans[k]),
-                            float(evaluation.baseline.makespans[k]),
-                        )
-                        for k in range(len(clones))
-                    ]
-                )
-                # Satellite of the finiteness hoist: one vectorized check
-                # at the batch boundary; per-candidate raises only replay
-                # when this trips (and only for consumed candidates).
-                batch_finite = bool(np.isfinite(batch_energies).all())
-                if phases.enabled:
-                    phases.add("schedule", perf_counter() - t0)
-
-            # -- replay the serial accept/reject chain
-            accepted = False
-            for i in range(rounds):
-                move = moves[i]
-                cand_inst: ProblemInstance | None = None
-                if slot[i] >= 0:
-                    candidate_energy = float(batch_energies[slot[i]])
-                    if not batch_finite:
-                        require_finite_energy(candidate_energy)
-                elif move.delta is None and move.mutate is None:
-                    # Identity move: the serial annealer scores a plain
-                    # copy — same values, same (already validated) energy.
-                    candidate_energy = current_energy
-                else:
-                    # Lazy serial fallback: materialize only now, so a
-                    # candidate past the first acceptance — drawn from a
-                    # state the serial run never visits — has no effect.
-                    # Weight moves bind a delta clone to the copy first,
-                    # so the energy call skips recompilation.  (Phase
-                    # accounting happens inside apply_delta / energy.)
-                    cand_inst = move.materialize(current)
-                    if move.delta is not None:
-                        compiled.apply_delta(move.delta, instance=cand_inst)
-                    candidate_energy = float(self.energy(cand_inst))
-                    require_finite_energy(candidate_energy)
-
-                if candidate_energy > best_energy:
-                    # Serial accepts here *without* drawing its uniform.
-                    gen.bit_generator.state = pre_u[i]
-                    candidate, compiled, ctx, traces = self._accept(
-                        current, move, slot[i], clones, evaluation, cand_inst
-                    )
-                    best, best_energy = candidate, candidate_energy
-                    current, current_energy = candidate, candidate_energy
-                    accepted = True
-                else:
-                    accepted = draws[i] < self._serial._acceptance_probability(
-                        candidate_energy, current_energy, best_energy, temperature
-                    )
-                    if accepted:
-                        # Serial consumed u_i; its state is pre_plan[i+1]
-                        # (the tail past i is pure speculation).
-                        if i + 1 < rounds:
-                            gen.bit_generator.state = pre_plan[i + 1]
-                        if move.delta is None and move.mutate is None:
-                            # Keep the current objects: the serial copy
-                            # is value-identical in every future draw.
-                            candidate = current
-                        else:
-                            candidate, compiled, ctx, traces = self._accept(
-                                current, move, slot[i], clones, evaluation, cand_inst
-                            )
-                        current, current_energy = candidate, candidate_energy
-
-                if self.keep_history:
-                    history.append(
-                        AnnealingStep(
-                            iteration=iteration,
-                            temperature=temperature,
-                            candidate_energy=candidate_energy,
-                            accepted=accepted,
-                            best_energy=best_energy,
-                        )
-                    )
-                temperature *= cfg.alpha
-                iteration += 1
-                if accepted:
-                    window = min(MAX_BATCH, max(MIN_BATCH, 2 * (i + 1)))
-                    break
-            else:
-                window = min(MAX_BATCH, max(MIN_BATCH, 2 * rounds))
-
-        return AnnealingResult(
-            best_state=best,
-            best_energy=best_energy,
-            initial_energy=initial_energy,
-            iterations=iteration,
-            history=history,
-        )
-
-    # ------------------------------------------------------------------ #
-    def _accept(
-        self,
-        current: ProblemInstance,
-        move: PlannedMove,
-        slot: int,
-        clones: list[CompiledInstance],
-        evaluation: BatchEval | None,
-        cand_inst: ProblemInstance | None = None,
-    ) -> tuple[ProblemInstance, CompiledInstance, ParentContext, Any]:
-        """Materialize an accepted non-identity candidate and rebuild the
-        parent-side evaluation state (compiled tables, context, traces).
-
-        ``cand_inst`` is the copy a lazy serial evaluation already
-        materialized (with its delta clone bound as the compile cache);
-        kernel-scored candidates materialize only here, on acceptance.
-        """
-        inst = cand_inst if cand_inst is not None else move.materialize(current)
-        if slot >= 0:
-            compiled = clones[slot]
-            compiled.bind(inst)
-            ctx = ParentContext(compiled)
-            traces = evaluation.traces_for(slot) if ctx.batchable else None
-        else:
-            compiled = compile_instance(inst)
-            ctx = ParentContext(compiled)
-            traces = None
-        return inst, compiled, ctx, traces
-
-    def _rounds_left(self, temperature: float, iteration: int, cap: int) -> int:
-        """How many iterations the serial loop would still run, capped.
-
-        Simulated with the exact float recurrence (``t *= alpha``) the
-        loop itself executes — a logarithm would disagree with the float
-        sequence at the boundary.
-        """
-        cfg = self.config
-        count = 0
-        t = temperature
-        while t > cfg.t_min and iteration + count < cfg.max_iterations and count < cap:
-            count += 1
-            t *= cfg.alpha
-        return count

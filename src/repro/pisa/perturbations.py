@@ -37,13 +37,12 @@ Every operator exposes two equivalent surfaces:
   a structured :class:`Delta` when it is a single weight change) and
   materializes the perturbed instance only on demand.
 
-The split is what makes speculative batched annealing cheap: proposing a
-candidate costs only the RNG draws (~µs), the graph copy (~100s of µs)
-is paid only for candidates that are actually accepted or need a serial
-evaluation, and the :class:`Delta` feeds
-:meth:`repro.core.compiled.CompiledInstance.apply_delta` so evaluation
-reuses the parent's compiled tables.  ``apply`` is implemented as
-``plan(...).materialize(...)``, so the two paths cannot drift.
+The :class:`Delta` is what makes a candidate cheap to score: when the
+parent already holds a current compilation, :meth:`PlannedMove.materialize`
+binds :meth:`repro.core.compiled.CompiledInstance.apply_delta` of it to
+the copy, so the candidate's schedules reuse the parent's tables instead
+of recompiling.  ``apply`` is implemented as ``plan(...).materialize(...)``,
+so the two paths cannot drift.
 """
 
 from __future__ import annotations
@@ -55,6 +54,7 @@ from time import perf_counter
 
 import numpy as np
 
+from repro.core.compiled import current_compilation
 from repro.core.instance import ProblemInstance
 from repro.utils import phases
 from repro.utils.topo import is_dag_after_edge
@@ -128,6 +128,12 @@ class PlannedMove:
         out = parent.copy()
         if self.delta is not None:
             apply_delta_mutation(out, self.delta)
+            # A weight move off a compiled parent derives the copy's
+            # compilation from the parent's instead of recompiling it;
+            # an uncompiled parent is never compiled just to perturb it.
+            compiled = current_compilation(parent)
+            if compiled is not None:
+                compiled.apply_delta(self.delta, instance=out)
         elif self.mutate is not None:
             self.mutate(out)
         return out

@@ -22,7 +22,6 @@ from time import perf_counter
 import numpy as np
 
 from repro.benchmarking.metrics import makespan_ratio
-from repro.core.batched import pair_supported
 from repro.core.instance import ProblemInstance
 from repro.core.scheduler import Scheduler, get_scheduler
 from repro.pisa.annealing import AnnealingConfig, AnnealingResult, SimulatedAnnealing
@@ -49,18 +48,11 @@ class PISAConfig:
     per restart at the paper's schedule).  The ratios are unaffected, so
     runtime work units default to history-off; the Fig. 5/6 trajectory
     analyses (and ``SweepSpec`` runs that request it) switch it on.
-
-    ``batch`` routes restarts through the speculative batched annealer
-    (:class:`~repro.pisa.batch.SpeculativeAnnealer`) whenever the
-    scheduler pair has lockstep kernels — bit-identical trajectories
-    (pinned by ``tests/test_batched_annealing.py``), order-of-magnitude
-    faster.  Switch it off to force the serial reference loop.
     """
 
     annealing: AnnealingConfig = field(default_factory=AnnealingConfig)
     restarts: int = 5
     keep_history: bool = False
-    batch: bool = True
 
     def __post_init__(self) -> None:
         if self.restarts < 1:
@@ -169,24 +161,12 @@ class PISA:
         restarts into a :class:`PISAResult`.
         """
         gen = as_generator(rng)
-        if self.config.batch and pair_supported(self.target.name, self.baseline.name):
-            from repro.pisa.batch import SpeculativeAnnealer
-
-            annealer: SimulatedAnnealing | SpeculativeAnnealer = SpeculativeAnnealer(
-                target=self.target,
-                baseline=self.baseline,
-                perturbations=self.perturbations,
-                energy=self.energy,
-                config=self.config.annealing,
-                keep_history=self.config.keep_history,
-            )
-        else:
-            annealer = SimulatedAnnealing(
-                energy=self.energy,
-                perturb=self.perturbations.perturb,
-                config=self.config.annealing,
-                keep_history=self.config.keep_history,
-            )
+        annealer = SimulatedAnnealing(
+            energy=self.energy,
+            perturb=self.perturbations.perturb,
+            config=self.config.annealing,
+            keep_history=self.config.keep_history,
+        )
         initial = apply_initial_constraints(self.initial_factory(gen), self.constraints)
         return annealer.run(initial, rng=gen)
 

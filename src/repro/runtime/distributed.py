@@ -204,6 +204,14 @@ class LeaseDir:
     never compared, so arbitrary wall-clock skew cannot make a live
     lease look dead (or vice versa) — at the cost of up to one extra TTL
     of reclaim latency after a crash is first noticed.
+
+    Threads sharing one instance share its observer state, so
+    :meth:`claim` runs under a per-instance lock: a contender holding a
+    read from before a sibling's steal must not tombstone the lease that
+    sibling has just re-created.  Separate observers (one per process or
+    host) can still race that way on a stale read; the duplicate
+    execution it allows is harmless, because results are recorded
+    before release and merged first-writer-wins.
     """
 
     def __init__(self, run_dir: str | Path, ttl: float = DEFAULT_LEASE_TTL) -> None:
@@ -215,6 +223,7 @@ class LeaseDir:
         #: torn file, monotonic instant that value was first observed, the
         #: TTL the holder declared on that sighting)
         self._observed: dict[str, tuple[float | None, float, float]] = {}
+        self._claim_lock = threading.Lock()
 
     def lease_path(self, unit_key: str) -> Path:
         return self.path / f"{safe_filename(unit_key)}.json"
@@ -233,30 +242,33 @@ class LeaseDir:
         path = self.lease_path(unit_key)
         now = time.time()
         reclaimed = False
-        try:
-            fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o644)
-            # A first-try create can still be a takeover: a sibling
-            # contender may have torn down the stale lease (rename to
-            # tombstone in ``_expire``) between our last probe and this
-            # create.  If our own watch on this unit had already run past
-            # the departed holder's declared TTL, the holder was presumed
-            # dead by the time the path cleared — flag the claim reclaimed
-            # so the handover is not invisible in status/logs.
-            seen = self._observed.get(path.name)
-            if seen is not None and time.monotonic() - seen[1] > seen[2]:
-                reclaimed = True
-        except FileExistsError:
-            outcome = self._expire(path)
-            if outcome is None:
-                return None
-            # "vanished" means the holder released normally between our
-            # O_EXCL failure and now — an ordinary race, not a reclaim.
-            reclaimed = outcome == "stolen"
+        with self._claim_lock:
             try:
                 fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o644)
+                # A first-try create can still be a takeover: another
+                # observer may have torn down the stale lease (rename to
+                # tombstone in ``_expire``) between our last probe and
+                # this create.  If our own watch on this unit had already
+                # run past the departed holder's declared TTL, the holder
+                # was presumed dead by the time the path cleared — flag
+                # the claim reclaimed so the handover is not invisible in
+                # status/logs.
+                seen = self._observed.get(path.name)
+                if seen is not None and time.monotonic() - seen[1] > seen[2]:
+                    reclaimed = True
             except FileExistsError:
-                return None  # lost the re-create race after the steal
-        self._observed.pop(path.name, None)
+                outcome = self._expire(path)
+                if outcome is None:
+                    return None
+                # "vanished" means the holder released normally between
+                # our O_EXCL failure and now — an ordinary race, not a
+                # reclaim.
+                reclaimed = outcome == "stolen"
+                try:
+                    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o644)
+                except FileExistsError:
+                    return None  # lost the re-create race after the steal
+            self._observed.pop(path.name, None)
         lease = Lease(
             unit=unit_key,
             worker=worker,

@@ -251,7 +251,6 @@ def _config_to_dict(config: PISAConfig) -> dict:
     return {
         "restarts": config.restarts,
         "keep_history": config.keep_history,
-        "batch": config.batch,
         "annealing": {
             "t_max": ann.t_max,
             "t_min": ann.t_min,
@@ -271,12 +270,8 @@ def _config_from_dict(data: Any, path: str) -> PISAConfig:
     # trajectory analyses; ratios are identical either way, so sweeps
     # default to the lean history-off work units.
     keep_history = _take(data, "keep_history", path, types=bool, default=False)
-    # The speculative batched annealer is bit-identical to the serial
-    # loop, so sweeps default it on; "batch": false forces the serial
-    # reference path (e.g. for timing comparisons).
-    batch = _take(data, "batch", path, types=bool, default=True)
     ann_data = _take(data, "annealing", path, types=dict, default=None)
-    _reject_unknown(data, path, ("restarts", "keep_history", "batch", "annealing"))
+    _reject_unknown(data, path, ("restarts", "keep_history", "annealing"))
     if ann_data is None:
         annealing = AnnealingConfig()
     else:
@@ -308,9 +303,7 @@ def _config_from_dict(data: Any, path: str) -> PISAConfig:
         except ValueError as exc:
             _fail(ann_path, str(exc))
     try:
-        return PISAConfig(
-            annealing=annealing, restarts=restarts, keep_history=keep_history, batch=batch
-        )
+        return PISAConfig(annealing=annealing, restarts=restarts, keep_history=keep_history)
     except ValueError as exc:
         _fail(path, str(exc))
         raise AssertionError  # pragma: no cover - _fail always raises

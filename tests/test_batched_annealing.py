@@ -1,59 +1,93 @@
-"""Speculative batched annealer: bit-identical to the serial loop.
+"""One annealing loop: delta-compiled candidates change nothing.
 
-The golden property of `repro.pisa.batch.SpeculativeAnnealer` is that
-batching is *invisible*: for any seed, schedule, and scheduler pair, the
-trajectory — every candidate energy, acceptance decision, temperature,
-best energy, and the generator state at every point — is exactly the
-serial `SimulatedAnnealing` run.  These tests pin that across all fig4
-ordered pairs (kernel-backed pairs batch; the rest delegate serially),
-plus the NaN regression for the hoisted finiteness validation and the
-grouped `batch_energy` rework.
+PISA restarts run `SimulatedAnnealing`, and every weight move derives
+its candidate's compilation from the parent's (`PlannedMove.materialize`
+binds `CompiledInstance.apply_delta` to the copy) instead of compiling
+it from scratch.  The golden property is that this is *invisible*: for
+any seed, schedule, and scheduler pair, the trajectory — every candidate
+energy, acceptance decision, temperature, best energy — the best state
+and the generator state after the run all equal a full-compile reference
+run, which is the same loop with each candidate's compile cache dropped
+before scoring.  These tests pin that across all fig4 ordered pairs, plus
+the finiteness validation and the grouped `batch_energy` kernel path.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 
 import numpy as np
 import pytest
 
+import repro.pisa.pisa as pisa_mod
+from repro.core.compiled import compile_stats, reset_compile_stats
 from repro.pisa.annealing import (
     AnnealingConfig,
     SimulatedAnnealing,
     require_finite_energy,
 )
-from repro.pisa.batch import SpeculativeAnnealer, batch_energy
+from repro.pisa.batch import batch_energy
+from repro.pisa.constraints import apply_initial_constraints
 from repro.pisa.initial import random_chain_instance
 from repro.pisa.pisa import PISA, PISAConfig
 from repro.schedulers import PAPER_SCHEDULERS
+from repro.sweeps.spec import SpecError, SweepSpec
 from repro.utils.rng import as_generator
 
 KERNEL_TRIO = ("HEFT", "MinMin", "MaxMin")
 
 
-def _run_pair(target, baseline, cfg, seed, batch):
+def _delta_and_reference(target, baseline, cfg, seed):
+    """One restart through PISA's loop and through the full-compile
+    reference, each on its own generator seeded alike.
+
+    Returns ``(delta_run, reference_run, delta_gen, reference_gen,
+    delta_compiles)``, the last counted over the PISA run only.
+    """
     pisa = PISA(
-        target,
-        baseline,
-        config=PISAConfig(annealing=cfg, restarts=1, keep_history=True, batch=batch),
+        target, baseline, config=PISAConfig(annealing=cfg, restarts=1, keep_history=True)
     )
-    return pisa, pisa.run_restart(rng=seed)
+    gen = as_generator(seed)
+    reset_compile_stats()
+    delta_run = pisa.run_restart(rng=gen)
+    delta_compiles = compile_stats()["delta"]
+
+    def full_compile_energy(instance):
+        instance.__dict__.pop("_compiled_cache", None)
+        return pisa.energy(instance)
+
+    ref_gen = as_generator(seed)
+    initial = apply_initial_constraints(pisa.initial_factory(ref_gen), pisa.constraints)
+    reference = SimulatedAnnealing(
+        energy=full_compile_energy,
+        perturb=pisa.perturbations.perturb,
+        config=cfg,
+        keep_history=True,
+    ).run(initial, rng=ref_gen)
+    return delta_run, reference, gen, ref_gen, delta_compiles
 
 
-def _assert_same_trajectory(serial, batched):
-    assert batched.initial_energy == serial.initial_energy
-    assert batched.best_energy == serial.best_energy
-    assert batched.iterations == serial.iterations
-    assert len(batched.history) == len(serial.history)
-    for a, b in zip(serial.history, batched.history):
-        assert (a.iteration, a.temperature, a.candidate_energy, a.accepted, a.best_energy) == (
-            b.iteration,
-            b.temperature,
-            b.candidate_energy,
-            b.accepted,
-            b.best_energy,
+def _assert_same_run(delta_run, reference, gen, ref_gen):
+    assert delta_run.initial_energy == reference.initial_energy
+    assert delta_run.best_energy == reference.best_energy
+    assert delta_run.iterations == reference.iterations
+    assert delta_run.history == reference.history
+    assert delta_run.best_state.to_dict() == reference.best_state.to_dict()
+    # Same generator consumption: the next draws after the run agree.
+    assert gen.random(8).tolist() == ref_gen.random(8).tolist()
+
+
+def test_all_fig4_pairs_trajectory_identical():
+    """Every ordered pair of the 15 paper schedulers, short schedule."""
+    cfg = AnnealingConfig(alpha=0.75)  # ~16 iterations
+    delta_total = 0
+    for target, baseline in itertools.permutations(PAPER_SCHEDULERS, 2):
+        delta_run, reference, gen, ref_gen, delta = _delta_and_reference(
+            target, baseline, cfg, 3
         )
+        _assert_same_run(delta_run, reference, gen, ref_gen)
+        delta_total += delta
+    assert delta_total > 0, "no candidate took the delta-compile path"
 
 
 @pytest.mark.parametrize(
@@ -61,55 +95,48 @@ def _assert_same_trajectory(serial, batched):
     [(t, b) for t, b in itertools.permutations(KERNEL_TRIO, 2)],
 )
 def test_kernel_pairs_trajectory_identical(target, baseline):
-    """The lockstep-backed pairs, on a schedule long enough to cross the
-    accept-heavy -> reject-heavy transition (serial-mode and kernel-mode
-    rounds both execute, with several window adaptations)."""
+    """The pairs the lockstep kernels cover, on a schedule long enough to
+    cross the accept-heavy -> reject-heavy transition."""
     cfg = AnnealingConfig(alpha=0.95)
     for seed in (0, 1):
-        pisa_s, serial = _run_pair(target, baseline, cfg, seed, batch=False)
-        _, batched = _run_pair(target, baseline, cfg, seed, batch=True)
-        _assert_same_trajectory(serial, batched)
-        # The best instances are value-identical: same energy under the
-        # serial evaluation path.
-        assert pisa_s.energy(batched.best_state) == pisa_s.energy(serial.best_state)
-
-
-def test_all_fig4_pairs_trajectory_identical():
-    """Every ordered pair of the 15 paper schedulers, short schedule."""
-    cfg = AnnealingConfig(alpha=0.75)  # ~16 iterations
-    for target, baseline in itertools.permutations(PAPER_SCHEDULERS, 2):
-        _, serial = _run_pair(target, baseline, cfg, 3, batch=False)
-        _, batched = _run_pair(target, baseline, cfg, 3, batch=True)
-        _assert_same_trajectory(serial, batched)
+        delta_run, reference, gen, ref_gen, delta = _delta_and_reference(
+            target, baseline, cfg, seed
+        )
+        _assert_same_run(delta_run, reference, gen, ref_gen)
+        assert delta > 0
 
 
 def test_generator_state_identical_after_run():
-    """The rewind protocol leaves the generator exactly where the serial
-    run would have: the next draws after the run agree."""
+    """Delta compilation draws nothing: the generator ends where the
+    full-compile reference leaves it."""
     cfg = AnnealingConfig(alpha=0.9)
     for seed in range(3):
-        tails = []
-        for batch in (False, True):
-            pisa = PISA(
-                "HEFT",
-                "MinMin",
-                config=PISAConfig(annealing=cfg, restarts=1, batch=batch),
-            )
-            gen = as_generator(seed)
-            pisa.run_restart(rng=gen)
-            tails.append(gen.random(8).tolist())
-        assert tails[0] == tails[1]
+        delta_run, reference, gen, ref_gen, _ = _delta_and_reference("HEFT", "CPoP", cfg, seed)
+        _assert_same_run(delta_run, reference, gen, ref_gen)
 
 
 def test_metropolis_acceptance_identical():
     cfg = AnnealingConfig(alpha=0.9, acceptance="metropolis")
-    _, serial = _run_pair("MinMin", "MaxMin", cfg, 11, batch=False)
-    _, batched = _run_pair("MinMin", "MaxMin", cfg, 11, batch=True)
-    _assert_same_trajectory(serial, batched)
+    delta_run, reference, gen, ref_gen, delta = _delta_and_reference("MinMin", "MaxMin", cfg, 11)
+    _assert_same_run(delta_run, reference, gen, ref_gen)
+    assert delta > 0
+
+
+def test_uncompiled_parent_is_not_compiled_to_perturb():
+    """Perturbing an instance nobody scored (a genetic crossover child)
+    must not compile it: the copy simply stays uncompiled."""
+    pisa = PISA("HEFT", "MinMin")
+    gen = as_generator(5)
+    parent = random_chain_instance(gen)
+    reset_compile_stats()
+    for _ in range(20):
+        child = pisa.perturbations.perturb(parent, gen)
+        assert "_compiled_cache" not in child.__dict__
+    assert compile_stats() == {"full": 0, "delta": 0, "cache_hits": 0}
 
 
 # --------------------------------------------------------------------- #
-# Finiteness validation (hoisted to the batch boundary)
+# Finiteness validation
 # --------------------------------------------------------------------- #
 def test_require_finite_energy_messages():
     require_finite_energy(1.5)  # finite: no-op
@@ -122,7 +149,6 @@ def test_require_finite_energy_messages():
 
 
 def test_serial_annealer_still_raises_on_nan():
-    """Regression for the hoist: the serial loop must keep raising."""
     calls = {"n": 0}
 
     def energy(state):
@@ -144,12 +170,10 @@ def test_serial_annealer_raises_on_nonfinite_initial():
         annealer.run(object(), rng=0)
 
 
-def test_batched_annealer_raises_on_nan(monkeypatch):
-    """A NaN energy inside a speculative batch surfaces with the serial
-    message, via the vectorized batch-boundary check."""
-    import repro.pisa.batch as batch_mod
-
-    real_ratio = batch_mod.makespan_ratio
+def test_pisa_restart_raises_on_nan(monkeypatch):
+    """A NaN energy on a delta-compiled candidate surfaces with the
+    canonical message."""
+    real_ratio = pisa_mod.makespan_ratio
     calls = {"n": 0}
 
     def poisoned(target_ms, baseline_ms):
@@ -158,24 +182,18 @@ def test_batched_annealer_raises_on_nan(monkeypatch):
             return real_ratio(target_ms, baseline_ms)
         return float("nan")
 
-    monkeypatch.setattr(batch_mod, "makespan_ratio", poisoned)
+    monkeypatch.setattr(pisa_mod, "makespan_ratio", poisoned)
     pisa = PISA(
-        "HEFT",
-        "MinMin",
-        config=PISAConfig(annealing=AnnealingConfig(alpha=0.95), restarts=1, batch=True),
+        "HEFT", "MinMin", config=PISAConfig(annealing=AnnealingConfig(alpha=0.95), restarts=1)
     )
     with pytest.raises(ValueError, match="energy must be finite, got nan"):
         pisa.run_restart(rng=0)
 
 
-def test_batched_annealer_raises_on_nonfinite_initial(monkeypatch):
-    import repro.pisa.batch as batch_mod
-
-    monkeypatch.setattr(batch_mod, "makespan_ratio", lambda t, b: float("nan"))
+def test_pisa_restart_raises_on_nonfinite_initial(monkeypatch):
+    monkeypatch.setattr(pisa_mod, "makespan_ratio", lambda t, b: float("nan"))
     pisa = PISA(
-        "HEFT",
-        "MinMin",
-        config=PISAConfig(annealing=AnnealingConfig(alpha=0.95), restarts=1, batch=True),
+        "HEFT", "MinMin", config=PISAConfig(annealing=AnnealingConfig(alpha=0.95), restarts=1)
     )
     with pytest.raises(ValueError, match="energy of the initial state must be finite"):
         pisa.run_restart(rng=0)
@@ -210,30 +228,14 @@ def test_batch_energy_unsupported_pair_identical():
     assert got.tolist() == want.tolist()
 
 
-def test_unsupported_pair_delegates_to_serial():
-    annealer = SpeculativeAnnealer(
-        target="HEFT",
-        baseline="CPoP",
-        perturbations=PISA("HEFT", "CPoP").perturbations,
-        energy=PISA("HEFT", "CPoP").energy,
-        config=AnnealingConfig(alpha=0.8),
-    )
-    gen = as_generator(6)
-    initial = random_chain_instance(gen)
-    result = annealer.run(initial, rng=gen)
-    assert math.isfinite(result.best_energy)
-
-
 # --------------------------------------------------------------------- #
 # Config plumbing
 # --------------------------------------------------------------------- #
-def test_pisa_config_batch_round_trips_through_spec():
-    from repro.sweeps.spec import _config_from_dict, _config_to_dict
-
-    for flag in (True, False):
-        cfg = PISAConfig(batch=flag)
-        data = _config_to_dict(cfg)
-        assert data["batch"] is flag
-        assert _config_from_dict(data, "config").batch is flag
-    # Default stays on when the key is absent (older spec files).
-    assert _config_from_dict({"restarts": 2}, "config").batch is True
+def test_spec_with_config_batch_is_rejected():
+    """The annealer has no ``batch`` switch; a spec file that still sets
+    one fails loudly, naming the field's path, instead of being ignored."""
+    data = SweepSpec(name="t", mode="pisa", schedulers=("HEFT", "CPoP")).to_dict()
+    assert "batch" not in data["config"]
+    data["config"]["batch"] = True
+    with pytest.raises(SpecError, match=r"^spec\.config: unknown field\(s\): 'batch'"):
+        SweepSpec.from_dict(data)

@@ -1,8 +1,8 @@
 """Delta-compilation contract: ``apply_delta`` == a fresh compile.
 
-The speculative annealer evaluates perturbed candidates on tables built
-by :meth:`CompiledInstance.apply_delta` instead of recompiling, so the
-clone must be *bit-identical* to ``compile_instance`` of the perturbed
+The annealer scores weight-move candidates on tables built by
+:meth:`CompiledInstance.apply_delta` instead of recompiling, so the
+clone must be *bit-identical* to a fresh compile of the perturbed
 instance — every table, list mirror, and scalar aggregate — for every
 delta kind a perturbation can emit.  Hypothesis drives instances and
 deltas; equality is exact (``==``), never approximate.
@@ -10,15 +10,18 @@ deltas; equality is exact (``==``), never approximate.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.compiled import compile_instance, compile_stats, reset_compile_stats
-from repro.pisa.perturbations import MIN_NODE_SPEED, Delta, apply_delta_mutation
+from repro.core.compiled import (
+    CompiledInstance,
+    compile_instance,
+    compile_stats,
+    reset_compile_stats,
+)
+from repro.pisa.perturbations import MIN_NODE_SPEED, Delta, PlannedMove, apply_delta_mutation
 
 from tests.strategies import instances
 
@@ -44,12 +47,12 @@ _values = st.floats(min_value=0.0, max_value=2.0, allow_nan=False, allow_infinit
 
 def _assert_clone_equals_fresh(parent_inst, delta: Delta) -> None:
     parent = compile_instance(parent_inst)
-    clone = parent.apply_delta(delta)
-    assert clone is not None, f"apply_delta rejected a legal delta {delta}"
-
     perturbed = parent_inst.copy()
     apply_delta_mutation(perturbed, delta)
-    fresh = compile_instance(perturbed)
+    clone = parent.apply_delta(delta, instance=perturbed)
+    assert clone is not None, f"apply_delta rejected a legal delta {delta}"
+    assert compile_instance(perturbed) is clone  # bound as the copy's cache
+    fresh = CompiledInstance(perturbed)
 
     for name in _COMPARED:
         got, want = getattr(clone, name), getattr(fresh, name)
@@ -142,8 +145,11 @@ def _tiny_instance():
     ],
 )
 def test_apply_delta_rejects_illegal(delta):
-    compiled = compile_instance(_tiny_instance())
-    assert compiled.apply_delta(delta) is None
+    inst = _tiny_instance()
+    compiled = compile_instance(inst)
+    copy = inst.copy()
+    assert compiled.apply_delta(delta, instance=copy) is None
+    assert "_compiled_cache" not in copy.__dict__  # left to a full compile
 
 
 def test_compile_stats_counters():
@@ -151,7 +157,7 @@ def test_compile_stats_counters():
     inst = _tiny_instance()
     compiled = compile_instance(inst)  # full
     compile_instance(inst)  # cache hit
-    clone = compiled.apply_delta(Delta("task_weight", ("a",), 0.75))
+    clone = compiled.apply_delta(Delta("task_weight", ("a",), 0.75), instance=inst.copy())
     assert clone is not None
     stats = compile_stats()
     assert stats["full"] == 1
@@ -159,16 +165,25 @@ def test_compile_stats_counters():
     assert stats["delta"] == 1
 
 
-def test_unbound_clone_binds_on_accept():
+def test_delta_clone_binds_to_the_copy():
     inst = _tiny_instance()
     compiled = compile_instance(inst)
     delta = Delta("task_weight", ("a",), 0.75)
-    clone = compiled.apply_delta(delta)
-    assert clone.instance is None  # unbound: tables only
     perturbed = inst.copy()
     apply_delta_mutation(perturbed, delta)
-    clone.bind(perturbed)
+    clone = compiled.apply_delta(delta, instance=perturbed)
     assert clone.instance is perturbed
-    # bind() installs the clone as the instance's compile cache.
-    assert compile_instance(perturbed) is clone
     assert clone.matches(perturbed)
+    # The clone is the copy's compile cache; the parent keeps its own.
+    assert compile_instance(perturbed) is clone
+    assert compile_instance(inst) is compiled
+
+
+def test_materialize_delta_compiles_off_a_compiled_parent():
+    inst = _tiny_instance()
+    compile_instance(inst)
+    move = PlannedMove("change_task_weight", delta=Delta("task_weight", ("a",), 0.75))
+    reset_compile_stats()
+    out = move.materialize(inst)
+    assert compile_instance(out).cost_list == [0.75, 0.5]
+    assert compile_stats() == {"full": 0, "delta": 1, "cache_hits": 1}

@@ -18,6 +18,7 @@ Pins the subsystem's three contracts:
 
 from __future__ import annotations
 
+import itertools
 import math
 import pickle
 
@@ -37,9 +38,17 @@ from repro.core.dynamic import (
 from repro.core import Network, ProblemInstance, Schedule, TaskGraph
 from repro.core.exceptions import SchedulingError
 from repro.core.simulator import ScheduleBuilder
-from repro.pisa import AnnealingConfig, PISAConfig, RobustnessGapPISA, random_chain_instance
+from repro.pisa import (
+    AnnealingConfig,
+    PISAConfig,
+    RobustnessGapPISA,
+    SimulatedAnnealing,
+    apply_initial_constraints,
+    random_chain_instance,
+)
 from repro.sweeps import SweepSpec, run_sweep
 from repro.sweeps.spec import SpecError
+from repro.utils.rng import as_generator
 from tests.conftest import ALL_SCHEDULERS, POLY_SCHEDULERS
 from tests.strategies import instances
 
@@ -497,6 +506,41 @@ class TestRobustnessGap:
         assert dynamic > 1.0, "MinMin must lose under dynamics on the pinned instance"
         # The recorded best energy re-evaluates identically (pure energy).
         assert result.best_energy == pisa.energy(best)
+
+    @pytest.mark.parametrize(
+        "target,baseline", list(itertools.permutations(("HEFT", "MinMin", "MaxMin"), 2))
+    )
+    def test_restart_scores_the_gap_energy_on_kernel_pairs(self, target, baseline):
+        """Pairs with a lockstep kernel anneal the subclass's own energy.
+
+        A restart must score every candidate with ``RobustnessGapPISA.energy``,
+        not the static makespan ratio the lockstep kernels compute: its
+        best energy re-evaluates identically, and its trajectory is a plain
+        ``SimulatedAnnealing`` run over that energy.
+        """
+        pisa = RobustnessGapPISA(
+            target,
+            baseline,
+            dynamics=DynamicsSpec(
+                contention="fair", error=NoiseSpec("uniform", low=0.8, high=1.5), samples=3
+            ),
+            dynamics_seed=0,
+            config=PISAConfig(
+                annealing=AnnealingConfig(max_iterations=200), restarts=1, keep_history=True
+            ),
+        )
+        result = pisa.run_restart(2)
+        assert result.best_energy == pisa.energy(result.best_state)
+
+        gen = as_generator(2)
+        plain = SimulatedAnnealing(
+            energy=pisa.energy,
+            perturb=pisa.perturbations.perturb,
+            config=pisa.config.annealing,
+            keep_history=True,
+        ).run(apply_initial_constraints(pisa.initial_factory(gen), pisa.constraints), rng=gen)
+        assert result.best_energy == plain.best_energy
+        assert result.history == plain.history
 
 
 # ---------------------------------------------------------------------- #
