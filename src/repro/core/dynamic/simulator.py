@@ -31,6 +31,26 @@ Event model
   reassigned destination are cancelled (freeing fair-share capacity; a
   FIFO link finishes its current send before serving the next).
 
+Known defect (reassign deadlock): rescued tasks join the *back* of the
+rescue node's planned queue, which runs strictly in order, so a planned
+task there that waits on a rescued predecessor blocks it forever (both
+stay unfinished; the makespan is infinite).  A strict xfail in
+``tests/test_dynamic.py`` pins the minimal case.  The fix changes
+realized makespans, so it must ship with regenerated golden digests.
+
+Engine
+------
+The replay runs on the dense integer ids of
+:func:`~repro.core.compiled.compile_instance` — the same tables the plan
+was built from, so in sweeps and the robustness-gap energy the compile is
+a cache hit.  Run state is one list per task or node id, heap payloads
+carry ids, a duration is ``exec_list[t][v]`` (the IEEE quotient
+``cost / speed``), and names reach the event log through ``str()`` tables
+built once per replay.  The event model, the ``seq`` numbering, the draw
+order and the float operations are those of the dict-keyed engine it
+replaced; ``tests/test_dynamic_equivalence.py`` checks every result field
+against a frozen copy of that engine.
+
 Determinism rules
 -----------------
 The replay is a pure function of ``(schedule, instance, dynamics, rng)``:
@@ -62,12 +82,14 @@ registered schedulers.
 
 from __future__ import annotations
 
-import heapq
+import itertools
 import math
 from dataclasses import dataclass
+from heapq import heappop, heappush
 
 import numpy as np
 
+from repro.core.compiled import compile_instance
 from repro.core.dynamic.spec import DynamicsSpec
 from repro.core.exceptions import SchedulingError
 from repro.core.instance import ProblemInstance
@@ -117,11 +139,15 @@ class DynamicResult:
 # ---------------------------------------------------------------------- #
 # Link contention state
 # ---------------------------------------------------------------------- #
-class _Transfer:
-    __slots__ = ("uid", "remaining", "dst_task", "dst_node", "version", "cancelled")
+# Heap event kinds.  The heap orders by (time, seq) alone; seq is unique,
+# so a kind is never compared.
+_FINISH, _ARRIVE, _FAIR_DONE, _FIFO_DONE, _FAIL = range(5)
 
-    def __init__(self, uid: int, data: float, dst_task, dst_node) -> None:
-        self.uid = uid
+
+class _Transfer:
+    __slots__ = ("remaining", "dst_task", "dst_node", "version", "cancelled")
+
+    def __init__(self, data: float, dst_task: int, dst_node: int) -> None:
         self.remaining = data
         self.dst_task = dst_task
         self.dst_node = dst_node
@@ -153,7 +179,7 @@ class _FairLink:
         rate = self.strength / len(self.active)
         for tr in self.active:
             tr.version += 1
-            push(now + tr.remaining / rate, "fair-done", (self, tr, tr.version))
+            push(now + tr.remaining / rate, _FAIR_DONE, (self, tr, tr.version))
 
     def add(self, now: float, tr: _Transfer, push) -> None:
         self.advance(now)
@@ -178,7 +204,7 @@ class _FifoLink:
 
     def serve(self, now: float, tr: _Transfer, push) -> None:
         self.serving = tr
-        push(now + tr.remaining / self.strength, "fifo-done", (self, tr))
+        push(now + tr.remaining / self.strength, _FIFO_DONE, (self, tr))
 
     def add(self, now: float, tr: _Transfer, push) -> None:
         if self.serving is None:
@@ -206,34 +232,36 @@ class _Replay:
         dynamics: DynamicsSpec,
         rng,
     ) -> None:
-        self.instance = instance
         self.dynamics = dynamics
-        tg = instance.task_graph
-        net = instance.network
-        self.tasks = tuple(tg.tasks)
-        self.nodes = tuple(net.nodes)
+        c = compile_instance(instance)
+        self.tasks = tasks = c.tasks
+        self.nodes = nodes = c.nodes
+        task_id, node_id = c.task_id, c.node_id
 
         planned = {entry.task: entry for entry in schedule}
-        missing = [t for t in self.tasks if t not in planned]
+        missing = [t for t in tasks if t not in planned]
         if missing:
             raise SchedulingError(
                 f"schedule leaves instance tasks unscheduled: {sorted(map(str, missing))}"
             )
-        extra = [t for t in planned if t not in set(self.tasks)]
-        if extra:
+        if len(planned) > len(tasks):  # every task is planned: the rest are unknown
+            extra = [t for t in planned if t not in task_id]
             raise SchedulingError(
                 f"schedule contains unknown tasks: {sorted(map(str, extra))}"
             )
-        for entry in planned.values():
-            if entry.node not in net:
+        self.assignment = assignment = [0] * len(tasks)
+        for task, entry in planned.items():
+            node = node_id.get(entry.node)
+            if node is None:
                 raise SchedulingError(f"schedule uses unknown node {entry.node!r}")
+            assignment[task_id[task]] = node
 
         # Planned per-node execution order: global start-time order (ties
         # by str(task)), exactly replay_schedule's historical commit order.
-        self.queues: dict = {v: [] for v in self.nodes}
-        for entry in sorted(schedule, key=lambda e: (e.start, str(e.task))):
-            self.queues[entry.node].append(entry.task)
-        self.assignment = {t: planned[t].node for t in self.tasks}
+        self.queues: list[list[int]] = [[] for _ in nodes]
+        for entry in sorted(planned.values(), key=lambda e: (e.start, str(e.task))):
+            tid = task_id[entry.task]
+            self.queues[assignment[tid]].append(tid)
         self.static_makespan = schedule.makespan
 
         # --- up-front draws, in the documented order -------------------- #
@@ -245,17 +273,13 @@ class _Replay:
                     "rng (seed or Generator) so the replay is reproducible"
                 )
             gen = as_generator(rng)
-        self.slow: dict = {}
-        if dynamics.slowdown.active:
-            rv = dynamics.slowdown.variable()
-            self.slow = {v: rv.sample(gen) for v in self.nodes}
-        self.error: dict = {}
-        if dynamics.error.active:
-            rv = dynamics.error.variable()
-            self.error = {t: rv.sample(gen) for t in self.tasks}
+        # Inactive components yield 1.0 factors without drawing; x * 1.0
+        # is exactly x, so durations need no branch.
+        self.slow = dynamics.slowdown.draw(gen, len(nodes))
+        self.error = dynamics.error.draw(gen, len(tasks))
 
         self.fail_time = math.inf
-        self.victims: tuple = ()
+        self.victims: tuple[int, ...] = ()
         failures = dynamics.failures
         if (
             failures.active
@@ -263,151 +287,149 @@ class _Replay:
             and self.static_makespan > 0.0
         ):
             self.fail_time = failures.at * self.static_makespan
-            count = min(failures.count, len(self.nodes))
+            count = min(failures.count, len(nodes))
             if failures.pick == "random":
-                order = [self.nodes[i] for i in gen.permutation(len(self.nodes))]
+                order = gen.permutation(len(nodes)).tolist()
             else:  # most-loaded: largest planned busy time, ties by node order
-                load = {v: 0.0 for v in self.nodes}
+                load = [0.0] * len(nodes)
                 for entry in planned.values():
                     busy = math.inf if math.isinf(entry.end) else entry.end - entry.start
-                    load[entry.node] += busy
-                order = sorted(self.nodes, key=lambda v: -load[v])
+                    load[node_id[entry.node]] += busy
+                order = sorted(range(len(nodes)), key=lambda v: -load[v])
             self.victims = tuple(order[:count])
 
-        # --- event/run state ------------------------------------------- #
+        # --- compiled tables and event/run state ------------------------ #
+        self.exec_list = c.exec_list
+        self.strength = c.strength.tolist()
+        self.data = c.data
+        self.pred_ids = c.pred_ids
+        self.succ_ids = c.succ_ids
+        self.speed = c.speed
+        self.task_names = [str(t) for t in tasks]
+        self.node_names = [str(v) for v in nodes]
         self.heap: list = []
-        self.seq = 0
+        self.seq = itertools.count()
         self.events: list[tuple] = []
-        self.pending = {t: len(tg.predecessors(t)) for t in self.tasks}
-        self.qpos = {v: 0 for v in self.nodes}
-        self.busy = {v: False for v in self.nodes}
-        self.dead: set = set()
-        self.stalled: set = set()  # tasks that will never run (stall fate)
-        self.start_time: dict = {}
-        self.finished: dict = {}  # task -> realized ScheduledTask
-        self.task_version = {t: 0 for t in self.tasks}
+        self.pending = [len(ps) for ps in c.pred_ids]
+        self.qpos = [0] * len(nodes)
+        self.busy = [False] * len(nodes)
+        self.dead = [False] * len(nodes)
+        self.stalled = [False] * len(tasks)  # tasks that will never run (stall fate)
+        self.start_time = [math.inf] * len(tasks)
+        self.end_time: list[float | None] = [None] * len(tasks)  # None: not finished
+        self.task_version = [0] * len(tasks)
         self.links: dict = {}
-        self.tg = tg
-        self.net = net
 
     # ------------------------------------------------------------------ #
-    def push(self, time: float, kind: str, payload) -> None:
-        heapq.heappush(self.heap, (time, self.seq, kind, payload))
-        self.seq += 1
-
-    def log(self, kind: str, time: float, *details) -> None:
-        self.events.append((kind, time, *details))
-
-    def duration(self, task, node) -> float:
-        d = self.tg.cost(task) / self.net.speed(node)
-        if self.error:
-            d = d * self.error[task]
-        if self.slow:
-            d = d * self.slow[node]
-        return d
+    def push(self, time: float, kind: int, payload) -> None:
+        heappush(self.heap, (time, next(self.seq), kind, payload))
 
     # ------------------------------------------------------------------ #
     def run(self) -> DynamicResult:
         if math.isfinite(self.fail_time):
-            self.push(self.fail_time, "fail", self.victims)
-        for node in self.nodes:
+            self.push(self.fail_time, _FAIL, self.victims)
+        for node in range(len(self.nodes)):
             self.try_dispatch(node, 0.0)
         heap = self.heap
+        events = self.events
+        task_names, node_names = self.task_names, self.node_names
         while heap:
-            time, _seq, kind, payload = heapq.heappop(heap)
-            if kind == "finish":
+            time, _seq, kind, payload = heappop(heap)
+            if kind == _FINISH:
                 self.on_finish(time, *payload)
-            elif kind == "arrive":
+            elif kind == _ARRIVE:
                 self.deliver(time, *payload)
-            elif kind == "fair-done":
+            elif kind == _FAIR_DONE:
                 link, tr, version = payload
                 if tr.version != version or tr.cancelled:
                     continue
                 link.remove(time, tr, self.push)
-                self.log("xfer-arrive", time, str(tr.dst_task), str(tr.dst_node))
+                events.append(
+                    ("xfer-arrive", time, task_names[tr.dst_task], node_names[tr.dst_node])
+                )
                 self.deliver(time, tr.dst_task, tr.dst_node)
-            elif kind == "fifo-done":
+            elif kind == _FIFO_DONE:
                 link, tr = payload
                 if not tr.cancelled:
-                    self.log("xfer-arrive", time, str(tr.dst_task), str(tr.dst_node))
+                    events.append(
+                        ("xfer-arrive", time, task_names[tr.dst_task], node_names[tr.dst_node])
+                    )
                     self.deliver(time, tr.dst_task, tr.dst_node)
                 link.pop_next(time, self.push)
-            elif kind == "fail":
+            else:
                 self.on_fail(time, payload)
         return self.finalize()
 
     # ------------------------------------------------------------------ #
-    def try_dispatch(self, node, now: float) -> None:
-        if node in self.dead or self.busy[node]:
+    def try_dispatch(self, node: int, now: float) -> None:
+        if self.dead[node] or self.busy[node]:
             return
         queue = self.queues[node]
         pos = self.qpos[node]
         if pos >= len(queue):
             return
         task = queue[pos]
-        if task in self.stalled or self.pending[task] > 0:
+        if self.stalled[task] or self.pending[task] > 0:
             return
         self.busy[node] = True
         self.start_time[task] = now
-        self.log("start", now, str(task), str(node))
-        end = now + self.duration(task, node)
+        self.events.append(("start", now, self.task_names[task], self.node_names[node]))
+        end = now + self.exec_list[task][node] * self.error[task] * self.slow[node]
         if math.isfinite(end):
-            self.push(end, "finish", (task, node, self.task_version[task]))
+            self.push(end, _FINISH, (task, node, self.task_version[task]))
         else:
             # The task never terminates: it blocks its node forever, which
             # is exactly the static builder's `end = start + inf` entry.
-            self.finished[task] = ScheduledTask(
-                start=float(now), end=math.inf, task=task, node=node
-            )
+            self.end_time[task] = math.inf
 
-    def on_finish(self, time: float, task, node, version: int) -> None:
+    def on_finish(self, time: float, task: int, node: int, version: int) -> None:
         if version != self.task_version[task]:
             return  # cancelled by a node failure
-        self.finished[task] = ScheduledTask(
-            start=float(self.start_time[task]), end=float(time), task=task, node=node
-        )
-        self.log("finish", time, str(task), str(node))
+        self.end_time[task] = time
+        self.events.append(("finish", time, self.task_names[task], self.node_names[node]))
         self.busy[node] = False
         self.qpos[node] += 1
-        for succ in self.tg.successors(task):
+        for succ in self.succ_ids[task]:
             self.issue_transfer(time, task, node, succ)
         self.try_dispatch(node, time)
 
     # ------------------------------------------------------------------ #
-    def issue_transfer(self, now: float, src_task, src_node, dst_task) -> None:
+    def issue_transfer(self, now: float, src_task: int, src_node: int, dst_task: int) -> None:
         """Send ``src_task``'s output toward ``dst_task``'s current node."""
-        if dst_task in self.stalled:
+        if self.stalled[dst_task]:
             return
         dst_node = self.assignment[dst_task]
         if src_node == dst_node:
-            self.push(now, "arrive", (dst_task, dst_node))
+            self.push(now, _ARRIVE, (dst_task, dst_node))
             return
-        data = self.tg.data_size(src_task, dst_task)
+        data = self.data[(src_task, dst_task)]
         if data == 0.0:
-            self.push(now, "arrive", (dst_task, dst_node))
+            self.push(now, _ARRIVE, (dst_task, dst_node))
             return
-        strength = self.net.strength(src_node, dst_node)
+        strength = self.strength[src_node][dst_node]
         if strength == 0.0:
             return  # positive data over a dead link never arrives
         if math.isinf(strength):
-            self.push(now, "arrive", (dst_task, dst_node))
+            self.push(now, _ARRIVE, (dst_task, dst_node))
             return
         if self.dynamics.contention == "none":
             arrival = now + data / strength
             if math.isfinite(arrival):
-                self.push(arrival, "arrive", (dst_task, dst_node))
+                self.push(arrival, _ARRIVE, (dst_task, dst_node))
             return
         if math.isinf(data):
             return  # infinite data over a finite link never arrives
-        self.log(
-            "xfer-start", now, str(src_task), str(dst_task), str(src_node), str(dst_node)
-        )
+        task_names, node_names = self.task_names, self.node_names
+        self.events.append((
+            "xfer-start", now, task_names[src_task], task_names[dst_task],
+            node_names[src_node], node_names[dst_node],
+        ))
         link = self.link_for(src_node, dst_node, strength)
-        tr = _Transfer(self.seq, data, dst_task, dst_node)
-        link.add(now, tr, self.push)
+        link.add(now, _Transfer(data, dst_task, dst_node), self.push)
 
-    def link_for(self, u, v, strength: float):
-        key = (u, v) if str(u) <= str(v) else (v, u)
+    def link_for(self, u: int, v: int, strength: float):
+        names = self.node_names
+        key = (u, v) if names[u] <= names[v] else (v, u)
         link = self.links.get(key)
         if link is None:
             cls = _FairLink if self.dynamics.contention == "fair" else _FifoLink
@@ -415,67 +437,70 @@ class _Replay:
             self.links[key] = link
         return link
 
-    def deliver(self, time: float, task, node) -> None:
-        if self.assignment[task] != node or task in self.stalled:
+    def deliver(self, time: float, task: int, node: int) -> None:
+        if self.assignment[task] != node or self.stalled[task]:
             return  # stale arrival: the task moved (or died) meanwhile
         self.pending[task] -= 1
         if self.pending[task] == 0:
             self.try_dispatch(node, time)
 
     # ------------------------------------------------------------------ #
-    def on_fail(self, time: float, victims) -> None:
+    def on_fail(self, time: float, victims: tuple[int, ...]) -> None:
         for node in victims:
-            self.dead.add(node)
-            self.log("node-fail", time, str(node))
-        affected: list = []
+            self.dead[node] = True
+            self.events.append(("node-fail", time, self.node_names[node]))
+        affected: list[int] = []
         for node in victims:
             queue = self.queues[node]
             for task in queue[self.qpos[node]:]:
-                if task in self.finished:
+                if self.end_time[task] is not None:
                     continue  # finished at exactly the failure time
                 self.task_version[task] += 1  # cancel any pending finish
-                self.start_time.pop(task, None)
                 affected.append(task)
         # Cancel in-flight transfers toward dead nodes (their consumers
         # are dead or about to move); links are visited in creation order.
         for link in self.links.values():
-            self.cancel_transfers(time, link, self.dead)
-        survivors = [v for v in self.nodes if v not in self.dead]
+            self.cancel_transfers(time, link)
+        survivors = [v for v in range(len(self.nodes)) if not self.dead[v]]
         if self.dynamics.failures.fate == "reassign" and survivors:
+            speed = self.speed
             rescue = survivors[0]
             for node in survivors[1:]:
-                if self.net.speed(node) > self.net.speed(rescue):
+                if speed[node] > speed[rescue]:
                     rescue = node
             for task in affected:
                 self.assignment[task] = rescue
                 self.queues[rescue].append(task)
-                self.pending[task] = len(self.tg.predecessors(task))
-                self.log("reassign", time, str(task), str(rescue))
-                for pred in self.tg.predecessors(task):
-                    entry = self.finished.get(pred)
-                    if entry is not None and math.isfinite(entry.end):
+                self.pending[task] = len(self.pred_ids[task])
+                self.events.append(
+                    ("reassign", time, self.task_names[task], self.node_names[rescue])
+                )
+                for pred in self.pred_ids[task]:
+                    end = self.end_time[pred]
+                    if end is not None and math.isfinite(end):
                         # Completed outputs survive the failure; re-fetch
                         # them at failure time from where they ran.
-                        self.issue_transfer(time, pred, entry.node, task)
+                        self.issue_transfer(time, pred, self.assignment[pred], task)
             self.try_dispatch(rescue, time)
         else:
             for task in affected:
-                self.stalled.add(task)
-                self.log("task-lost", time, str(task))
+                self.stalled[task] = True
+                self.events.append(("task-lost", time, self.task_names[task]))
 
-    def cancel_transfers(self, time: float, link, dead_nodes) -> None:
+    def cancel_transfers(self, time: float, link) -> None:
+        dead = self.dead
         if isinstance(link, _FairLink):
-            doomed = [tr for tr in link.active if tr.dst_node in dead_nodes]
+            doomed = [tr for tr in link.active if dead[tr.dst_node]]
             for tr in doomed:
                 tr.cancelled = True
                 link.remove(time, tr, self.push)
         else:
             for tr in link.queue:
-                if tr.dst_node in dead_nodes:
+                if dead[tr.dst_node]:
                     tr.cancelled = True
             link.queue = [tr for tr in link.queue if not tr.cancelled]
             serving = link.serving
-            if serving is not None and serving.dst_node in dead_nodes:
+            if serving is not None and dead[serving.dst_node]:
                 serving.cancelled = True  # occupies the link until done
 
     # ------------------------------------------------------------------ #
@@ -483,13 +508,16 @@ class _Replay:
         entries = []
         unfinished = []
         makespan = 0.0
-        for task in self.tasks:
-            entry = self.finished.get(task)
-            if entry is None:
-                entry = ScheduledTask(
-                    start=math.inf, end=math.inf, task=task, node=self.assignment[task]
-                )
+        nodes = self.nodes
+        for tid, task in enumerate(self.tasks):
+            node = nodes[self.assignment[tid]]
+            end = self.end_time[tid]
+            # Positional (start, end, task, node): keywords cost a third more.
+            if end is None:
+                entry = ScheduledTask(math.inf, math.inf, task, node)
                 unfinished.append(task)
+            else:
+                entry = ScheduledTask(float(self.start_time[tid]), float(end), task, node)
             entries.append(entry)
             if entry.end > makespan:
                 makespan = entry.end
@@ -497,7 +525,7 @@ class _Replay:
             makespan=makespan,
             entries=tuple(entries),
             events=tuple(self.events),
-            failed_nodes=tuple(v for v in self.nodes if v in self.dead),
+            failed_nodes=tuple(v for v, dead in zip(nodes, self.dead) if dead),
             unfinished=tuple(unfinished),
         )
 
@@ -514,6 +542,8 @@ def simulate_schedule(
     random failure picks) and is *required* whenever the spec draws any —
     an implicit entropy seed would silently break reproducibility.  The
     default ``DynamicsSpec()`` replays the plan exactly (see the module
-    docstring's degenerate-equivalence contract).
+    docstring's degenerate-equivalence contract).  The replay compiles
+    ``instance`` first, so an invalid instance raises the canonical
+    :class:`~repro.core.exceptions.InvalidInstanceError` before any event.
     """
     return _Replay(schedule, instance, dynamics or DynamicsSpec(), rng).run()

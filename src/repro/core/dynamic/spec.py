@@ -7,7 +7,7 @@ the runtime conditions a static schedule is replayed under:
   (``"none"``: every transfer sees the full strength; ``"fair"``:
   processor sharing; ``"fifo"``: exclusive use in arrival order);
 * ``error`` — multiplicative runtime-estimate error on task durations,
-  drawn per task from a :class:`~repro.stochastic.variables.RandomVariable`;
+  drawn per task (:meth:`NoiseSpec.draw`);
 * ``slowdown`` — a multiplicative factor per node, drawn per node;
 * ``failures`` — how many nodes fail, when (as a fraction of the static
   makespan), and what happens to their unfinished tasks.
@@ -29,12 +29,9 @@ import json
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.stochastic.variables import (
-    ClippedGaussianRV,
-    Deterministic,
-    RandomVariable,
-    UniformRV,
-)
+import numpy as np
+
+from repro.utils.distributions import clipped_gaussian_array
 
 __all__ = [
     "CONTENTION_MODES",
@@ -115,13 +112,19 @@ class NoiseSpec:
     def active(self) -> bool:
         return self.kind != "none"
 
-    def variable(self) -> RandomVariable:
-        """The factor distribution as a stochastic-model random variable."""
+    def draw(self, gen: np.random.Generator | None, n: int) -> list[float]:
+        """``n`` factors from one vectorized call, or ``n`` ones without a draw.
+
+        The floats and the generator's final state are bit-identical to
+        ``n`` successive scalar draws (``UniformRV(low, high).sample`` or
+        ``ClippedGaussianRV(1.0, std, low, high).sample``): numpy fills a
+        ``size=n`` request element by element from the same stream.
+        """
         if self.kind == "uniform":
-            return UniformRV(self.low, self.high)
+            return gen.uniform(self.low, self.high, size=n).tolist()
         if self.kind == "gaussian":
-            return ClippedGaussianRV(1.0, self.std, low=self.low, high=self.high)
-        return Deterministic(1.0)
+            return clipped_gaussian_array(gen, 1.0, self.std, n, self.low, self.high).tolist()
+        return [1.0] * n
 
     def to_dict(self) -> dict:
         if self.kind == "none":

@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.core.dynamic import simulate_schedule
 from repro.core.exceptions import InvalidInstanceError
 from repro.core.instance import ProblemInstance
 from repro.core.network import Network
@@ -145,10 +146,6 @@ def replay_schedule(schedule: Schedule, instance: ProblemInstance) -> Schedule:
     ``ScheduleBuilder`` recommit loop, and the single replay engine for
     both this robustness evaluation and the dynamics sweeps.
     """
-    # Imported here: repro.core.dynamic.spec pulls in repro.stochastic
-    # for its noise variables, so a module-level import would be circular.
-    from repro.core.dynamic import simulate_schedule
-
     return simulate_schedule(schedule, instance).schedule()
 
 
