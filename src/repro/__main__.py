@@ -16,9 +16,9 @@ sweep
     Declarative sweeps: ``init`` scaffolds a spec file, ``show`` dumps a
     named paper sweep as JSON, ``run`` executes a spec with parallel
     workers and resumable checkpoints, ``serve`` exposes a run directory
-    as an HTTP coordinator, ``work`` joins a run as one worker (over a
-    shared run directory, or over ``--coordinator http://host:port``
-    with no shared filesystem), ``status`` reports a run's progress,
+    as an HTTP coordinator, ``work`` joins a served run as one worker
+    (``--coordinator http://host:port``, no shared filesystem),
+    ``status`` reports a run's progress,
     shards, and leases (``--json`` for the machine-readable schema,
     ``--coordinator`` for a live coordinator's snapshot, ``--watch
     SECONDS`` to re-render periodically), ``top`` is the live fleet
@@ -26,8 +26,8 @@ sweep
     counts, journal lag) over a run directory or ``--coordinator URL``.
 runs
     Run-directory housekeeping: ``gc`` lists (default) or deletes
-    completed/stale checkpoint directories (never ones with live worker
-    leases).
+    completed/stale checkpoint directories (never ones a live
+    coordinator is serving).
 
 Examples
 --------
@@ -38,8 +38,6 @@ Examples
     python -m repro experiment fig4 --jobs 8 --run-dir runs/fig4
     python -m repro sweep init --out my-sweep.json
     python -m repro sweep run my-sweep.json --jobs 8 --run-dir runs/my-sweep
-    python -m repro sweep work runs/my-sweep --spec my-sweep.json   # terminal/host 1
-    python -m repro sweep work runs/my-sweep                        # terminal/host 2..N
     python -m repro sweep serve runs/my-sweep --spec my-sweep.json --port 8642
     python -m repro sweep work --coordinator http://host:8642       # any host, no NFS
     python -m repro sweep status runs/my-sweep
@@ -166,13 +164,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     q.add_argument(
         "--backend",
-        choices=["local", "distributed", "coordinator"],
+        choices=["local", "coordinator"],
         default="local",
-        help="distributed coordinates workers through lease files in "
-        "--run-dir, so `repro sweep work` processes on other hosts can "
-        "help drain the same sweep; coordinator drains through a `repro "
-        "sweep serve` HTTP endpoint (--coordinator URL) with no shared "
-        "filesystem (results are bit-identical in every case)",
+        help="coordinator drains through a `repro sweep serve` HTTP "
+        "endpoint (--coordinator URL), so `repro sweep work` processes on "
+        "other hosts can help drain the same sweep with no shared "
+        "filesystem (results are bit-identical either way)",
     )
     q.add_argument(
         "--coordinator",
@@ -186,8 +183,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help="units leased per claim request (default 1); batching "
-        "amortizes per-unit round trips on the distributed/coordinator "
-        "backends while results still record unit by unit",
+        "amortizes per-unit round trips on the coordinator backend while "
+        "results still record unit by unit",
     )
     q.add_argument(
         "--profile",
@@ -248,48 +245,26 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     q = sweep_sub.add_parser(
-        "work",
-        help="join a run as one worker (shared run directory or --coordinator)",
-    )
-    q.add_argument(
-        "run_dir",
-        nargs="?",
-        default=None,
-        help="run directory shared between workers (omit with --coordinator)",
+        "work", help="join a served run as one worker (--coordinator URL)"
     )
     q.add_argument(
         "--coordinator",
-        default=None,
+        required=True,
         metavar="URL",
-        help="drain through the `repro sweep serve` coordinator at URL "
-        "instead of a shared run directory",
-    )
-    q.add_argument(
-        "--spec",
-        default=None,
-        help="spec file: initializes an uninitialized run directory "
-        "(validated against the manifest if one exists; shared-directory "
-        "mode only — a coordinator's manifest defines the sweep)",
+        help="drain through the `repro sweep serve` coordinator at URL",
     )
     q.add_argument(
         "--worker-id",
         default=None,
-        help="shard/lease identity (default: <host>-<pid>-<random>); must be "
+        help="shard identity (default: <host>-<pid>-<random>); must be "
         "unique among concurrent workers",
-    )
-    q.add_argument(
-        "--ttl",
-        type=float,
-        default=None,
-        help="lease seconds without a heartbeat before peers reclaim this "
-        "worker's units (default 120; shared-directory mode only — a "
-        "coordinator's TTL is set with `sweep serve --ttl`)",
     )
     q.add_argument(
         "--heartbeat",
         type=float,
         default=None,
-        help="lease heartbeat renewal interval in seconds (default ttl/4)",
+        help="lease heartbeat renewal interval in seconds (default: a "
+        "quarter of the coordinator's --ttl)",
     )
     q.add_argument(
         "--poll",
@@ -301,16 +276,16 @@ def build_parser() -> argparse.ArgumentParser:
         "--retry",
         type=float,
         default=None,
-        help="coordinator mode: seconds to keep retrying transient wire "
-        "errors, e.g. while the coordinator restarts (default 60)",
+        help="seconds to keep retrying transient wire errors, e.g. while "
+        "the coordinator restarts (default 60)",
     )
     q.add_argument(
         "--batch",
         type=int,
         default=1,
         help="units leased per claim request (default 1); batching "
-        "amortizes per-unit round trips — the big win in coordinator "
-        "mode — while results still record unit by unit",
+        "amortizes per-unit round trips while results still record unit "
+        "by unit",
     )
     q.add_argument(
         "--no-wait",
@@ -321,9 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument(
         "--profile",
         action="store_true",
-        help="print per-phase timings after draining; in shared-directory "
-        "mode the merge covers every worker's dumped accumulators, in "
-        "coordinator mode this worker's own",
+        help="print this worker's per-phase timings after draining",
     )
 
     q = sweep_sub.add_parser(
@@ -643,8 +616,8 @@ def _cmd_sweep(args) -> int:
             return 2
         if args.backend == "local":
             print(
-                "error: --batch is a distributed/coordinator option and has "
-                "no effect with --backend local",
+                "error: --batch is a coordinator option and has no effect "
+                "with --backend local",
                 file=sys.stderr,
             )
             return 2
@@ -760,43 +733,15 @@ def _render_phase_profile(snapshot: dict) -> str:
 
 
 def _cmd_sweep_work(args) -> int:
-    from repro.runtime.backends import CoordinatorError, CoordinatorProtocolError
-    from repro.runtime.checkpoint import CheckpointError
-    from repro.runtime.distributed import (
-        DEFAULT_LEASE_TTL,
-        inspect_run_dir,
-        worker_identity,
+    from repro.runtime.backends import (
+        CoordinatorError,
+        CoordinatorProtocolError,
+        HttpWorkBackend,
     )
-    from repro.sweeps import SpecError, SweepSpec, work_coordinator, work_run_dir
+    from repro.runtime.checkpoint import CheckpointError
+    from repro.runtime.distributed import worker_identity
+    from repro.sweeps import SpecError, work_coordinator
 
-    if (args.run_dir is None) == (args.coordinator is None):
-        print(
-            "error: pass exactly one of <run_dir> (shared directory) or "
-            "--coordinator URL",
-            file=sys.stderr,
-        )
-        return 2
-    if args.coordinator is not None and args.spec is not None:
-        print(
-            "error: --spec cannot be combined with --coordinator: the "
-            "coordinator's manifest defines the sweep",
-            file=sys.stderr,
-        )
-        return 2
-    if args.coordinator is not None and args.ttl is not None:
-        print(
-            "error: --ttl is set on the coordinator (`repro sweep serve "
-            "--ttl`), not on its workers",
-            file=sys.stderr,
-        )
-        return 2
-    spec = None
-    if args.spec is not None:
-        try:
-            spec = SweepSpec.load(args.spec)
-        except SpecError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
     # Validate timing flags up front: worker code raises plain ValueError
     # for these, which the clean-error clause below deliberately does not
     # catch (a ValueError from inside experiment code is a real failure
@@ -805,7 +750,6 @@ def _cmd_sweep_work(args) -> int:
         print(f"error: --batch must be >= 1, got {args.batch}", file=sys.stderr)
         return 2
     for flag, value, minimum in (
-        ("--ttl", args.ttl, "positive"),
         ("--heartbeat", args.heartbeat, "positive"),
         ("--poll", args.poll, "non-negative"),
         ("--retry", args.retry, "positive"),
@@ -814,16 +758,6 @@ def _cmd_sweep_work(args) -> int:
             continue
         if value < 0 or (minimum == "positive" and value == 0):
             print(f"error: {flag} must be {minimum}, got {value}", file=sys.stderr)
-            return 2
-    if args.coordinator is None:
-        effective_ttl = args.ttl if args.ttl is not None else DEFAULT_LEASE_TTL
-        if args.heartbeat is not None and args.heartbeat >= effective_ttl:
-            print(
-                f"error: --heartbeat ({args.heartbeat}) must be smaller than the "
-                f"lease ttl ({effective_ttl}); peers would mistake the worker for "
-                "dead between renewals",
-                file=sys.stderr,
-            )
             return 2
     wid = args.worker_id if args.worker_id is not None else worker_identity()
     worker_log = logging.getLogger("repro.runtime.worker")
@@ -839,55 +773,39 @@ def _cmd_sweep_work(args) -> int:
 
     profile_dir = profile_tmp = None
     if args.profile:
-        profile_dir, profile_tmp = _profile_begin(args.run_dir)
+        profile_dir, profile_tmp = _profile_begin(None)
 
     try:
-        if args.coordinator is not None:
-            from repro.runtime.backends import HttpWorkBackend
-
-            plan, stats = work_coordinator(
-                args.coordinator,
-                worker_id=wid,
-                heartbeat_interval=args.heartbeat,
-                poll_interval=args.poll,
-                retry_timeout=args.retry,
-                wait=not args.no_wait,
-                on_unit=on_unit,
-                claim_batch=args.batch,
-            )
-            try:
-                # Best-effort: a `serve --until-complete` coordinator may
-                # exit the moment the last unit records, which must not
-                # turn this worker's clean finish into a failure.
-                payload = HttpWorkBackend(args.coordinator, retry_timeout=2.0).status()
-                complete = bool(payload.get("complete"))
-                completed_units = payload.get("completed_units")
-                total_units = payload.get("total_units")
-            except (CoordinatorError, CoordinatorProtocolError):
-                complete = not args.no_wait  # wait=True only returns complete
-                completed_units = "?"
-                total_units = len(plan.units)
-        else:
-            _, stats = work_run_dir(
-                args.run_dir,
-                spec=spec,
-                worker_id=wid,
-                lease_ttl=args.ttl,
-                heartbeat_interval=args.heartbeat,
-                poll_interval=args.poll,
-                wait=not args.no_wait,
-                on_unit=on_unit,
-                claim_batch=args.batch,
-            )
-            status = inspect_run_dir(args.run_dir)
-            complete = status.complete
-            completed_units = status.completed_units
-            total_units = status.total_units
+        plan, stats = work_coordinator(
+            args.coordinator,
+            worker_id=wid,
+            heartbeat_interval=args.heartbeat,
+            poll_interval=args.poll,
+            retry_timeout=args.retry,
+            wait=not args.no_wait,
+            on_unit=on_unit,
+            claim_batch=args.batch,
+        )
     except (SpecError, CheckpointError, CoordinatorError, CoordinatorProtocolError) as exc:
         if args.profile:
             _profile_cleanup(profile_tmp)
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    probe = HttpWorkBackend(args.coordinator, retry_timeout=2.0)
+    try:
+        # Best-effort: a `serve --until-complete` coordinator may exit the
+        # moment the last unit records, which must not turn this worker's
+        # clean finish into a failure.
+        payload = probe.status()
+        complete = bool(payload.get("complete"))
+        completed_units = payload.get("completed_units")
+        total_units = payload.get("total_units")
+    except (CoordinatorError, CoordinatorProtocolError):
+        complete = not args.no_wait  # wait=True only returns complete
+        completed_units = "?"
+        total_units = len(plan.units)
+    finally:
+        probe.close()
     if args.profile:
         print(_profile_render_merged(profile_dir), file=sys.stderr)
         _profile_cleanup(profile_tmp)
@@ -898,12 +816,10 @@ def _cmd_sweep_work(args) -> int:
         f"({completed_units}/{total_units} units)"
     )
     if complete:
-        where = (
-            f"--backend coordinator --coordinator {args.coordinator}"
-            if args.coordinator is not None
-            else f"--run-dir {args.run_dir} --resume"
+        print(
+            "aggregate the merged result with: python -m repro sweep run "
+            f"<spec.json> --backend coordinator --coordinator {args.coordinator}"
         )
-        print(f"aggregate the merged result with: python -m repro sweep run <spec.json> {where}")
     return 0
 
 
@@ -1053,10 +969,16 @@ def _cmd_sweep_status(args) -> int:
         print(f"error: --watch must be positive, got {args.watch}", file=sys.stderr)
         return 2
 
+    # A status probe should fail fast, not ride out a long restart.
+    client = (
+        None
+        if args.coordinator is None
+        else HttpWorkBackend(args.coordinator, retry_timeout=5.0)
+    )
+
     def _payload() -> dict:
-        if args.coordinator is not None:
-            # A status probe should fail fast, not ride out a long restart.
-            return HttpWorkBackend(args.coordinator, retry_timeout=5.0).status()
+        if client is not None:
+            return client.status()
         status = inspect_run_dir(args.run_dir)
         if status.kind is None and not status.shard_counts:
             raise CheckpointError(f"{args.run_dir} is not a run directory")
@@ -1079,6 +1001,9 @@ def _cmd_sweep_status(args) -> int:
     except (CoordinatorError, CoordinatorProtocolError, CheckpointError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if client is not None:
+            client.close()
 
 
 def _cmd_sweep_top(args) -> int:

@@ -179,8 +179,11 @@ def collect_coordinator_frame(url: str, *, retry_timeout: float = 5.0) -> FleetF
     from repro.runtime.backends import HttpWorkBackend
 
     client = HttpWorkBackend(url, retry_timeout=retry_timeout)
-    frame = _frame_from_status(client.status(), source=f"coordinator {url}")
-    families = parse_prometheus_text(client.metrics_text())
+    try:
+        frame = _frame_from_status(client.status(), source=f"coordinator {url}")
+        families = parse_prometheus_text(client.metrics_text())
+    finally:
+        client.close()
     for labels, value in families.get("coordinator_worker_records_total", {}).items():
         worker = dict(labels).get("worker")
         if worker:

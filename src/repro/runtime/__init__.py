@@ -6,18 +6,17 @@ decompose into independent *work units*, each carrying its own spawned
 RNG stream.  This package executes such unit collections serially or
 over a process pool, streams results back as they complete, and
 checkpoints finished units to a JSON-lines run directory so interrupted
-sweeps resume instead of restarting.  Multi-host coordination comes in
-two transports behind one ``WorkBackend`` seam (``backends.py``): the
-shared-run-directory lease protocol (``distributed.py``) and the HTTP
-coordinator (``coordinator.py``) for fleets with no shared filesystem.
-See README.md in this directory for the work-unit / checkpoint /
-coordination model.
+sweeps resume instead of restarting.  Multi-host runs drain through the
+HTTP coordinator (``coordinator.py``), which owns the lease table and
+the run directory; workers speak to it through the ``WorkBackend`` seam
+(``backends.py``) from the drain loop in ``distributed.py``, with no
+shared filesystem.  See README.md in this directory for the work-unit /
+checkpoint / coordination model.
 """
 
 from repro.runtime.backends import (
     CoordinatorError,
     CoordinatorProtocolError,
-    FilesystemWorkBackend,
     HttpWorkBackend,
     WorkBackend,
 )
@@ -39,7 +38,6 @@ from repro.runtime.distributed import (
     inspect_run_dir,
     render_status_payload,
     run_units_coordinator,
-    run_units_distributed,
     worker_identity,
 )
 from repro.runtime.executor import default_jobs, run_units
@@ -86,11 +84,9 @@ __all__ = [
     "drain_units",
     "inspect_run_dir",
     "render_status_payload",
-    "run_units_distributed",
     "run_units_coordinator",
     "worker_identity",
     "WorkBackend",
-    "FilesystemWorkBackend",
     "HttpWorkBackend",
     "CoordinatorError",
     "CoordinatorProtocolError",

@@ -3,18 +3,13 @@
 :func:`repro.runtime.distributed.drain_units` coordinates workers
 through five operations — *which units are done*, *claim one*, *keep the
 claim alive*, *record its result*, *let it go*.  This module makes that
-seam an explicit protocol (:class:`WorkBackend`) with two transports:
-
-:class:`FilesystemWorkBackend`
-    The shared-run-directory protocol of :mod:`repro.runtime.distributed`
-    (``O_EXCL`` lease files, per-worker result shards), repackaged
-    behind the seam — behavior-identical to the pre-protocol drain loop.
-:class:`HttpWorkBackend`
-    A JSON-over-HTTP client for the coordinator served by ``repro sweep
-    serve`` (:mod:`repro.runtime.coordinator`).  No shared filesystem is
-    required: the coordinator owns the lease table, judges TTL staleness
-    on its single clock, and stores results; this client only needs to
-    reach its port.
+seam an explicit protocol (:class:`WorkBackend`, which tests substitute
+through) with one transport, :class:`HttpWorkBackend`: a JSON-over-HTTP
+client for the coordinator served by ``repro sweep serve``
+(:mod:`repro.runtime.coordinator`).  No shared filesystem is required:
+the coordinator owns the lease table, judges TTL staleness on its
+single clock, and stores results; the client only needs to reach its
+port.
 
 The wire protocol is defined here as typed request/reply payloads
 (:class:`ClaimRequest` … :class:`AckReply`) with validating
@@ -45,18 +40,14 @@ import urllib.parse
 from dataclasses import dataclass
 from typing import Any, Protocol, runtime_checkable
 
-from repro.runtime.checkpoint import RunCheckpoint
-
 __all__ = [
     "DEFAULT_RETRY_TIMEOUT",
     "WorkBackend",
-    "FilesystemWorkBackend",
     "HttpWorkBackend",
     "CoordinatorError",
     "CoordinatorProtocolError",
     "CoordinatorLease",
     "CoordinatorBatchLease",
-    "FilesystemBatchLease",
     "ClaimRequest",
     "ClaimReply",
     "LeaseRequest",
@@ -83,8 +74,8 @@ class CoordinatorError(OSError):
     """The coordinator stayed unreachable past the retry budget.
 
     Subclasses :class:`OSError` so the drain loop's transient-failure
-    handling (heartbeat threads retry next beat) treats it like the
-    filesystem hiccups it already tolerates.
+    handling (heartbeat threads retry next beat) treats it like any other
+    dropped connection.
     """
 
 
@@ -106,14 +97,10 @@ class WorkBackend(Protocol):
     drain loop except for three attributes every lease must expose:
     ``unit`` (the claimed key), ``ttl`` (seconds of heartbeat silence
     before peers may reclaim), and ``reclaimed`` (whether this claim
-    stole a dead worker's stale lease).
+    stole a dead worker's stale lease).  A claim of an already-completed
+    unit must be refused atomically: the drain loop executes every
+    granted claim without re-checking.
     """
-
-    #: Whether the drain loop must re-check completion after a claim.
-    #: The filesystem protocol needs it (claim and completion live in
-    #: different files); a coordinator refuses completed claims
-    #: atomically, so the extra round-trip is skipped.
-    recheck_after_claim: bool
 
     def completed_keys(self) -> set[str]:
         """The unit keys recorded so far, by any worker."""
@@ -134,10 +121,6 @@ class WorkBackend(Protocol):
     def record(self, lease: Any, result: Any) -> None:
         """Durably record the claimed unit's result — always called
         *before* :meth:`release` (the exactly-once ordering)."""
-        ...
-
-    def cleanup(self, completed: set[str]) -> None:
-        """Sweep leftover claim state of already-completed units."""
         ...
 
     # -------------------------------------------------------------- #
@@ -166,10 +149,6 @@ class WorkBackend(Protocol):
         so a crash later in the batch re-grants only unfinished units."""
         ...
 
-    def release_unit(self, batch: Any, unit_key: str) -> None:
-        """Give up one member without recording (e.g. found completed)."""
-        ...
-
     def record_batch(self, batch: Any, results: Any) -> None:
         """Record several finished members (``{unit_key: result}``) in
         one flush and release their claims.  Durability is batch-grained:
@@ -177,92 +156,6 @@ class WorkBackend(Protocol):
         use :meth:`record_in_batch` instead; callers pushing sub-second
         units use this to amortize the per-record round trip."""
         ...
-
-
-# ---------------------------------------------------------------------- #
-# Filesystem transport (the PR-4 protocol behind the seam)
-# ---------------------------------------------------------------------- #
-class FilesystemWorkBackend:
-    """The shared-run-directory lease protocol as a :class:`WorkBackend`.
-
-    A thin composition of the existing pieces — :class:`~repro.runtime.
-    distributed.LeaseDir` for claims and the incremental completed-unit
-    tracker + :class:`~repro.runtime.checkpoint.RunCheckpoint` shards for
-    results — so the filesystem path through :func:`drain_units` is
-    *the same code* it was before the seam existed.
-    """
-
-    recheck_after_claim = True
-
-    def __init__(self, checkpoint: RunCheckpoint, ttl: float | None = None) -> None:
-        from repro.runtime.distributed import DEFAULT_LEASE_TTL, LeaseDir, _CompletedTracker
-
-        self.checkpoint = checkpoint
-        self.ttl = float(DEFAULT_LEASE_TTL if ttl is None else ttl)
-        self._leases = LeaseDir(checkpoint.run_dir, ttl=self.ttl)
-        self._tracker = _CompletedTracker(checkpoint)
-
-    def completed_keys(self) -> set[str]:
-        return self._tracker.refresh()
-
-    def claim(self, unit_key: str, worker: str):
-        return self._leases.claim(unit_key, worker)
-
-    def renew(self, lease):
-        return self._leases.renew(lease)
-
-    def release(self, lease) -> None:
-        self._leases.release(lease)
-
-    def record(self, lease, result) -> None:
-        self.checkpoint.record(lease.unit, result, shard=lease.worker)
-
-    def cleanup(self, completed: set[str]) -> None:
-        self._leases.cleanup(completed)
-
-    # ------------------------------------------------------------------ #
-    # Batched claims: a loop over the per-unit ``O_EXCL`` protocol.  The
-    # filesystem has no cheaper primitive, so batching buys nothing here
-    # beyond seam parity — each member still costs one lease file.
-    # ------------------------------------------------------------------ #
-    def claim_batch(self, unit_keys, worker: str) -> "FilesystemBatchLease | None":
-        leases = {}
-        for key in unit_keys:
-            lease = self._leases.claim(key, worker)
-            if lease is not None:
-                leases[key] = lease
-        if not leases:
-            return None
-        return FilesystemBatchLease(
-            worker=worker,
-            ttl=self.ttl,
-            leases=leases,
-            reclaimed_units=frozenset(k for k, l in leases.items() if l.reclaimed),
-        )
-
-    def renew_batch(self, batch) -> "FilesystemBatchLease | None":
-        alive = 0
-        for lease in list(batch.leases.values()):
-            if self._leases.renew(lease) is not None:
-                alive += 1
-        return batch if alive else None
-
-    def release_batch(self, batch) -> None:
-        for key in list(batch.leases):
-            self.release_unit(batch, key)
-
-    def record_in_batch(self, batch, unit_key: str, result) -> None:
-        self.checkpoint.record(unit_key, result, shard=batch.worker)
-        self.release_unit(batch, unit_key)
-
-    def record_batch(self, batch, results) -> None:
-        for unit_key, result in results.items():
-            self.record_in_batch(batch, unit_key, result)
-
-    def release_unit(self, batch, unit_key: str) -> None:
-        lease = batch.leases.pop(unit_key, None)
-        if lease is not None:
-            self._leases.release(lease)
 
 
 # ---------------------------------------------------------------------- #
@@ -426,7 +319,7 @@ class AckReply:
     ``ok=False`` with ``stale=True`` means the presented token no longer
     owns the lease (it expired and was re-granted); ``duplicate=True``
     on a record ack means the unit was already recorded and this result
-    was dropped (first writer wins, as on the filesystem)."""
+    was dropped (first writer wins)."""
 
     ok: bool
     stale: bool = False
@@ -650,35 +543,9 @@ class CoordinatorBatchLease:
         """Log label standing in for the single-lease ``unit`` field."""
         return f"batch[{len(self.units)} units]"
 
-    @property
-    def reclaimed(self) -> bool:
-        return bool(self.reclaimed_units)
-
     def drop(self, unit_key: str) -> None:
         if unit_key in self.units:
             self.units.remove(unit_key)
-
-
-@dataclass
-class FilesystemBatchLease:
-    """A batch of per-unit ``O_EXCL`` leases treated as one claim."""
-
-    worker: str
-    ttl: float
-    leases: dict[str, Any]
-    reclaimed_units: frozenset[str] = frozenset()
-
-    @property
-    def units(self) -> list[str]:
-        return list(self.leases)
-
-    @property
-    def unit(self) -> str:
-        return f"batch[{len(self.leases)} units]"
-
-    @property
-    def reclaimed(self) -> bool:
-        return bool(self.reclaimed_units)
 
 
 # ---------------------------------------------------------------------- #
@@ -735,8 +602,6 @@ class HttpWorkBackend:
         pre-batching wire behavior, kept for benchmark baselines and as
         an escape hatch for middleboxes that mishandle keep-alive.
     """
-
-    recheck_after_claim = False
 
     def __init__(
         self,
@@ -795,7 +660,11 @@ class HttpWorkBackend:
                     pass
 
     def close(self) -> None:
-        """Close the calling thread's persistent connection, if any."""
+        """Close the calling thread's persistent connection, if any.
+
+        Connections are per-thread, so every thread that issued requests
+        closes its own; the drain loop's heartbeat thread does so on exit.
+        """
         self._drop_connection()
 
     def _roundtrip(self, path: str, body: bytes | None, *, raw: bool = False) -> Any:
@@ -927,9 +796,6 @@ class HttpWorkBackend:
                 f"(stale={ack.stale})"
             )
 
-    def cleanup(self, completed: set[str]) -> None:
-        """No-op: the coordinator sweeps its own lease table."""
-
     # ------------------------------------------------------------------ #
     # Batched claims: one round trip per batch instead of per unit
     # ------------------------------------------------------------------ #
@@ -986,13 +852,6 @@ class HttpWorkBackend:
             )
         for unit in units:
             batch.drop(unit)
-
-    def release_unit(self, batch: CoordinatorBatchLease, unit_key: str) -> None:
-        payload = BatchLeaseRequest(
-            units=(unit_key,), worker=batch.worker, token=batch.token
-        )
-        self._request("/release-batch", payload.to_dict())
-        batch.drop(unit_key)
 
     # ------------------------------------------------------------------ #
     # Read-side endpoints (status, manifests, final results)

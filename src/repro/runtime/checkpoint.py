@@ -12,11 +12,10 @@ A *run directory* holds an identity file plus one or more result files:
     ...}``.  Records are appended and flushed as units finish, so an
     interrupted run loses at most the units that were in flight.
 ``units-<worker>.jsonl``
-    Per-worker result *shards* written by the distributed backend
-    (:mod:`repro.runtime.distributed`): each worker process appends to
-    its own shard, so concurrent writers on a shared filesystem never
-    interleave inside one file.  :meth:`RunCheckpoint.completed` merges
-    ``units.jsonl`` and every shard, deduplicating on unit key
+    Per-worker result *shards*: the HTTP coordinator
+    (:mod:`repro.runtime.coordinator`) appends each result to the shard
+    of the worker that recorded it.  :meth:`RunCheckpoint.completed`
+    merges ``units.jsonl`` and every shard, deduplicating on unit key
     (first-recorded wins; duplicates are logged, and are bit-identical
     anyway because every unit owns a deterministic RNG stream).
 
@@ -263,7 +262,7 @@ class RunCheckpoint:
         return self.run_dir / self.UNITS_NAME
 
     def shard_path(self, worker_id: str) -> Path:
-        """The result shard a distributed worker appends to."""
+        """The result shard holding ``worker_id``'s records."""
         return self.run_dir / f"units-{safe_filename(worker_id)}.jsonl"
 
     def result_paths(self) -> list[Path]:
@@ -291,10 +290,10 @@ class RunCheckpoint:
         directory.
 
         ``resume=True`` over an *uninitialized* directory initializes it,
-        which makes initialization idempotent: any number of distributed
-        workers can race to attach to one run directory — the manifest is
-        published with an atomic exclusive link, exactly one racer wins,
-        and the losers validate the winner's (identical) manifest.  The
+        which makes initialization idempotent: any number of processes can
+        race to attach to one run directory — the manifest is published
+        with an atomic exclusive link, exactly one racer wins, and the
+        losers validate the winner's (identical) manifest.  The
         attach path never deletes anything: by the time a loser notices
         it lost, the winner may already hold leases and shard records.
         """
@@ -452,8 +451,7 @@ class RunCheckpoint:
         after this call never loses the unit.
 
         With ``shard``, the record goes to that worker's ``units-*.jsonl``
-        shard instead of ``units.jsonl`` (the distributed backend's
-        one-writer-per-file rule).  If a previously killed writer left the
+        shard instead of ``units.jsonl`` (how the coordinator records).  If a previously killed writer left the
         file without a trailing newline, a repair newline is inserted first
         — appending straight after torn bytes would corrupt *this* record
         too, silently losing a successfully executed unit.

@@ -9,15 +9,13 @@ the run directory.
 Design:
 
 **One clock.**  The coordinator owns the lease table in memory and
-judges TTL staleness on its own monotonic clock — the cross-host
-clock-skew gymnastics of the filesystem protocol (observer-local
-unchanged-for-TTL watches) collapse to ``now - heartbeat > ttl``.
+judges TTL staleness on its own monotonic clock, so expiry is plain
+``now - heartbeat > ttl`` with no cross-host clock comparison.
 
 **Ownership tokens.**  Every granted lease carries a random token; renew,
 release, and record must present it.  An expired lease is re-granted
 under a *fresh* token, so a stalled worker that wakes up cannot clobber
-the new holder — its renewals and releases are rejected as stale (the
-HTTP analogue of the filesystem protocol's atomic-rename steal).
+the new holder — its renewals and releases are rejected as stale.
 
 **Record before release, exactly once.**  A result is durably appended to
 the recording worker's shard in the run directory (and journaled) before
@@ -39,7 +37,7 @@ concurrent transitions cost one disk flush, not N
 (:class:`_GroupCommitJournal`).  A SIGKILLed coordinator restarts
 losslessly: the lease table and completion set replay from the journal
 (heartbeats reset to the restart instant, granting in-flight holders one
-fresh TTL of grace — the same direction the filesystem protocol errs).
+fresh TTL of grace — erring toward "alive", never toward a double grant).
 The journal is read with the shared torn-line-tolerant reader, so a line
 torn by the kill is skipped, not fatal: the worst case is one lease
 forgotten, which a worker simply re-claims.
@@ -174,8 +172,8 @@ SNAPSHOT_SCHEMA_VERSION = 1
 #: ``leases/`` dir.  Coordinator workers leave no lease files (their
 #: leases live in server memory), so without this marker the lease-aware
 #: ``runs gc`` could collect a directory a live coordinator is serving.
-#: Renewed like any worker lease; goes stale when the coordinator dies,
-#: so a dead coordinator does not protect its directory forever.
+#: Renewed every ttl/4; goes stale when the coordinator dies, so a dead
+#: coordinator does not protect its directory forever.
 ADVISORY_LEASE_UNIT = "__coordinator__"
 
 
@@ -1113,10 +1111,10 @@ class Coordinator:
         acknowledged — record-before-release end to end.  A unit already
         recorded acknowledges as a duplicate without writing (first
         writer wins).  A *stale* token does not block recording as long
-        as the unit is unrecorded: like the filesystem protocol, a robbed
-        worker that finishes first contributes its (bit-identical) result
-        rather than wasting it — and the superseded holder's lease is
-        dropped so the unit cannot be claimed again.
+        as the unit is unrecorded: a robbed worker that finishes first
+        contributes its (bit-identical) result rather than wasting it —
+        and the superseded holder's lease is dropped so the unit cannot
+        be claimed again.
         """
         with self._lock:
             self._validate_unit(request.unit)
@@ -1249,7 +1247,7 @@ class Coordinator:
     def status_payload(self) -> dict:
         """A point-in-time snapshot in the shared status schema — the
         same shape :meth:`repro.runtime.distributed.RunDirStatus.
-        to_payload` produces for filesystem run directories."""
+        to_payload` produces for a run directory read from disk."""
         with self._lock:
             now = time.monotonic()
             active: list[dict] = []
@@ -1396,7 +1394,7 @@ class CoordinatorHTTPServer:
 
     While alive, the server maintains an advisory lease file
     (:data:`ADVISORY_LEASE_UNIT`) in the run directory so everything
-    that respects filesystem leases — ``runs gc``, ``sweep status``,
+    that reads ``leases/`` — ``runs gc``, ``sweep status``, a standby,
     fresh-initialization refusal — sees the directory as actively
     worked, even though coordinator workers themselves never touch it.
     """
@@ -1582,7 +1580,7 @@ class CoordinatorHTTPServer:
         # directory at a time (the port is the real mutex on one host).
         with contextlib.suppress(OSError):
             os.unlink(self._advisory_leases.lease_path(ADVISORY_LEASE_UNIT))
-        lease = self._advisory_leases.claim(
+        lease = self._advisory_leases.create(
             ADVISORY_LEASE_UNIT, f"coordinator-{os.getpid()}"
         )
         if lease is None:

@@ -1,38 +1,35 @@
-"""Filesystem-coordinated multi-worker execution over a shared run directory.
+"""Multi-worker draining: the drain loop, advisory leases, run-dir inspection.
 
-Any number of worker processes — on any hosts that mount the same run
-directory — can drain one sweep cooperatively.  Coordination is pure
-filesystem protocol; there is no coordinator process:
+Any number of worker processes, on any hosts that can reach a ``repro
+sweep serve`` coordinator (:mod:`repro.runtime.coordinator`), drain one
+sweep cooperatively.  The coordinator owns the only lease table: it
+grants claims, judges TTL staleness on its single clock, re-grants a
+dead worker's units under a fresh ownership token, and appends every
+result to the recording worker's ``units-<worker>.jsonl`` shard in its
+run directory.  This module is the worker side plus the run-directory
+views that need no coordinator:
 
-``leases/<unit>.json``
-    A worker *claims* a unit by creating its lease file with ``O_EXCL``
-    (exactly one creator wins, atomically, on POSIX filesystems and on
-    NFSv3+).  The lease holds the worker id, acquisition time, heartbeat
-    timestamp, and TTL.  While executing, a daemon thread renews the
-    heartbeat.  Staleness is judged **observer-locally**: a contender
-    declares a lease dead only after watching its heartbeat stay
-    *unchanged* for the lease's full TTL on the contender's own monotonic
-    clock — no cross-host clock synchronization is required, because
-    timestamps are only ever compared for *change*, never across hosts.
-    A stale lease is *reclaimed* — stolen via an atomic rename (again,
-    exactly one thief wins) — so a crashed host's units are re-executed.
-``units-<worker>.jsonl``
-    Completed results append to a per-worker shard (see
-    :mod:`repro.runtime.checkpoint`); one writer per file means
-    concurrent appends never interleave.  The merged view dedupes on
-    unit key, so the rare "presumed-dead worker wakes up and records a
-    unit someone already re-executed" case is benign: both records are
-    bit-identical (units own deterministic RNG streams) and the first
-    one wins.
+:func:`drain_units`
+    One worker's loop — claim, execute, record, release — against a
+    :class:`~repro.runtime.backends.WorkBackend` until every unit of the
+    run is recorded by *someone*, sleeping ``poll_interval`` between
+    passes while live peers hold the rest.  A daemon thread renews each
+    claim's heartbeat while its unit runs.
+:func:`run_units_coordinator`
+    ``run_units(backend="coordinator")``: this process plus ``jobs - 1``
+    sibling processes drain through the coordinator, then fetch the
+    merged results over the wire.
+:class:`LeaseDir`
+    The ``leases/`` directory of a run.  Its one writer is a serving
+    coordinator's *advisory* lease (``leases/__coordinator__.json``),
+    which ``repro runs gc``, ``repro sweep status``, ``sweep serve
+    --standby`` and the fresh-initialization refusal read through
+    :func:`lease_seems_live`.
+:func:`inspect_run_dir`
+    The read-only progress/shard/lease snapshot behind ``sweep status``
+    and ``runs gc``.
 
-The drain loop (:func:`drain_units`) claims, executes, records, and
-releases until every unit of the run is recorded by *someone*, sleeping
-``poll_interval`` between passes when all remaining units are leased by
-live peers.  Liveness requires only that clocks advance at roughly the
-same rate across hosts (TTLs compare durations, not wall-clock
-instants).
-
-Fault injection (used by ``tests/test_distributed.py``): setting
+Fault injection (used by ``tests/test_coordinator.py``): setting
 ``REPRO_RUNTIME_UNIT_DELAY`` to a float number of seconds makes every
 worker sleep that long between claiming a unit and executing it, which
 gives a test harness a deterministic window to ``SIGKILL`` a worker
@@ -74,7 +71,6 @@ __all__ = [
     "RunDirStatus",
     "worker_identity",
     "drain_units",
-    "run_units_distributed",
     "run_units_coordinator",
     "inspect_run_dir",
     "render_status_payload",
@@ -99,16 +95,16 @@ _UNIT_DELAY_ENV = "REPRO_RUNTIME_UNIT_DELAY"
 
 
 def lease_seems_live(lease: "Lease | None", path: Path, now: float) -> bool:
-    """Conservative, stateless liveness guess shared by every *advisory*
-    consumer — ``sweep status``, lease-aware ``runs gc``, and end-of-run
-    lease cleanup — so their judgements cannot drift apart.
+    """Conservative, stateless liveness guess shared by every consumer of
+    ``leases/`` — ``sweep status``, lease-aware ``runs gc``, the warm
+    standby's primary check, and the fresh-initialization refusal — so
+    their judgements cannot drift apart.
 
     A lease seems live if either its embedded heartbeat or its file mtime
-    is younger than its TTL.  Using both errs toward "live" under clock
-    skew (mtimes on a shared filesystem come from one server clock), which
-    is the safe direction for anything that might delete state.  The claim
-    protocol itself never uses this: it relies on :class:`LeaseDir`'s
-    observer-local unchanged-for-TTL rule.
+    is younger than its TTL; a torn file (``lease`` is ``None``) has only
+    its mtime.  Using both errs toward "live" under clock skew (mtimes on
+    a shared filesystem come from one server clock), which is the safe
+    direction for anything that might delete state.
     """
     ttl = lease.ttl if lease is not None else DEFAULT_LEASE_TTL
     if lease is not None and now - lease.heartbeat <= ttl:
@@ -129,13 +125,14 @@ _identity_suffix: str | None = None
 def worker_identity() -> str:
     """This process's worker id: ``<host>-<pid>-<random32>``.
 
-    Uniqueness matters because the worker id names the result shard and
-    leases; two workers sharing an id would interleave appends in one
-    file.  Hostname + pid alone collide across container fleets (every
-    container is ``host`` pid 42) and across pid reuse on one machine, so
-    a random 32-bit suffix is appended — chosen once, at the first call,
-    so every call in one process names the *same* worker.  Leases and
-    shards treat the id as opaque, so the format can evolve freely.
+    Uniqueness matters because the worker id names the result shard the
+    coordinator appends this worker's records to; two workers sharing an
+    id would interleave in one shard.  Hostname + pid alone collide
+    across container fleets (every container is ``host`` pid 42) and
+    across pid reuse on one machine, so a random 32-bit suffix is
+    appended — chosen once, at the first call, so every call in one
+    process names the *same* worker.  Leases and shards treat the id as
+    opaque, so the format can evolve freely.
     """
     global _identity_suffix
     if _identity_suffix is None:
@@ -149,16 +146,13 @@ def worker_identity() -> str:
 # ---------------------------------------------------------------------- #
 @dataclass(frozen=True)
 class Lease:
-    """One worker's claim on one work unit."""
+    """One holder's claim recorded in a lease file."""
 
     unit: str
     worker: str
     acquired_at: float
     heartbeat: float
     ttl: float
-    #: Whether this claim reclaimed a dead worker's stale lease (not part
-    #: of the serialized format).
-    reclaimed: bool = field(default=False, compare=False)
 
     def to_dict(self) -> dict:
         return {
@@ -191,27 +185,14 @@ class Lease:
 
 
 class LeaseDir:
-    """The ``leases/`` directory of one run: claim, renew, release.
+    """The ``leases/`` directory of one run: create, renew, release, list.
 
-    All mutations are single atomic filesystem operations (``O_EXCL``
-    create, ``rename``, ``replace``, ``unlink``), so any number of
-    workers — threads, processes, or hosts — can race safely.
-
-    Staleness is **observer-local**: each ``LeaseDir`` instance remembers
-    when it first observed a lease's current heartbeat value (on its own
-    monotonic clock) and presumes the holder dead only after the value
-    has stayed unchanged for the lease's declared TTL.  Host clocks are
-    never compared, so arbitrary wall-clock skew cannot make a live
-    lease look dead (or vice versa) — at the cost of up to one extra TTL
-    of reclaim latency after a crash is first noticed.
-
-    Threads sharing one instance share its observer state, so
-    :meth:`claim` runs under a per-instance lock: a contender holding a
-    read from before a sibling's steal must not tombstone the lease that
-    sibling has just re-created.  Separate observers (one per process or
-    host) can still race that way on a stale read; the duplicate
-    execution it allows is harmless, because results are recorded
-    before release and merged first-writer-wins.
+    Every mutation is one atomic filesystem operation (``O_EXCL`` create,
+    ``replace``, ``unlink``), so racing processes — or hosts sharing the
+    directory — cannot tear a lease.  Nothing here judges staleness or
+    steals: readers guess liveness with :func:`lease_seems_live`, and a
+    coordinator restarting after a SIGKILL removes its predecessor's
+    advisory lease itself before creating its own.
     """
 
     def __init__(self, run_dir: str | Path, ttl: float = DEFAULT_LEASE_TTL) -> None:
@@ -219,118 +200,34 @@ class LeaseDir:
             raise ValueError(f"lease ttl must be positive, got {ttl}")
         self.path = Path(run_dir) / LEASES_DIR
         self.ttl = float(ttl)
-        #: lease file name -> (last observed heartbeat value or None for a
-        #: torn file, monotonic instant that value was first observed, the
-        #: TTL the holder declared on that sighting)
-        self._observed: dict[str, tuple[float | None, float, float]] = {}
-        self._claim_lock = threading.Lock()
 
     def lease_path(self, unit_key: str) -> Path:
         return self.path / f"{safe_filename(unit_key)}.json"
 
-    # ------------------------------------------------------------------ #
-    def claim(self, unit_key: str, worker: str) -> Lease | None:
-        """Try to claim ``unit_key`` for ``worker``.
-
-        Returns the new lease, or ``None`` if another worker holds a
-        lease not yet presumed dead (or won the race for a stale one).
-        Stale leases — heartbeat unchanged for the TTL *the holder
-        declared*, by this observer's clock — are stolen first via an
-        atomic rename so exactly one contender inherits the claim.
-        """
+    def create(self, unit_key: str, worker: str) -> Lease | None:
+        """Create ``unit_key``'s lease for ``worker``; ``None`` if a lease
+        file for it already exists (exactly one racer wins)."""
         self.path.mkdir(parents=True, exist_ok=True)
-        path = self.lease_path(unit_key)
         now = time.time()
-        reclaimed = False
-        with self._claim_lock:
-            try:
-                fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o644)
-                # A first-try create can still be a takeover: another
-                # observer may have torn down the stale lease (rename to
-                # tombstone in ``_expire``) between our last probe and
-                # this create.  If our own watch on this unit had already
-                # run past the departed holder's declared TTL, the holder
-                # was presumed dead by the time the path cleared — flag
-                # the claim reclaimed so the handover is not invisible in
-                # status/logs.
-                seen = self._observed.get(path.name)
-                if seen is not None and time.monotonic() - seen[1] > seen[2]:
-                    reclaimed = True
-            except FileExistsError:
-                outcome = self._expire(path)
-                if outcome is None:
-                    return None
-                # "vanished" means the holder released normally between
-                # our O_EXCL failure and now — an ordinary race, not a
-                # reclaim.
-                reclaimed = outcome == "stolen"
-                try:
-                    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o644)
-                except FileExistsError:
-                    return None  # lost the re-create race after the steal
-            self._observed.pop(path.name, None)
-        lease = Lease(
-            unit=unit_key,
-            worker=worker,
-            acquired_at=now,
-            heartbeat=now,
-            ttl=self.ttl,
-            reclaimed=reclaimed,
-        )
+        flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL
+        try:
+            fd = os.open(self.lease_path(unit_key), flags, 0o644)
+        except FileExistsError:
+            return None
+        lease = Lease(unit=unit_key, worker=worker, acquired_at=now, heartbeat=now, ttl=self.ttl)
         with os.fdopen(fd, "w") as fh:
             fh.write(json.dumps(lease.to_dict()) + "\n")
-            fh.flush()
-        if reclaimed:
-            logger.warning(
-                "reclaimed stale lease on unit %r for worker %s", unit_key, worker
-            )
         return lease
-
-    def _expire(self, path: Path) -> str | None:
-        """Clear the way to re-claim ``path`` if its holder is gone.
-
-        Returns ``"stolen"`` (we won the takeover of a stale lease),
-        ``"vanished"`` (the holder released it normally in the meantime),
-        or ``None`` (a holder not yet presumed dead still owns it).
-        """
-        existing = self.load(path)
-        # Torn files (a writer died mid-write) have no heartbeat; watch
-        # them under the None marker with our own TTL.
-        marker = existing.heartbeat if existing is not None else None
-        ttl = existing.ttl if existing is not None else self.ttl
-        if existing is None and not path.exists():
-            return "vanished"  # released; O_EXCL settles the rest
-        mono = time.monotonic()
-        seen = self._observed.get(path.name)
-        if seen is None or seen[0] != marker:
-            # First sighting of this heartbeat value: start (or restart)
-            # the unchanged-for-TTL watch.  A renewing holder resets it
-            # every beat, so live leases are never presumed dead.
-            self._observed[path.name] = (marker, mono, ttl)
-            return None
-        if mono - seen[1] <= ttl:
-            return None
-        tomb = path.with_name(f"{path.name}.stale.{os.getpid()}.{secrets.token_hex(2)}")
-        try:
-            os.rename(path, tomb)
-        except OSError:
-            return None  # another contender stole it first
-        self._observed.pop(path.name, None)
-        with contextlib.suppress(OSError):
-            os.unlink(tomb)
-        return "stolen"
 
     def renew(self, lease: Lease) -> Lease | None:
         """Refresh ``lease``'s heartbeat; ``None`` if ownership was lost.
 
-        A worker stalled past its TTL may find its lease stolen; renewing
-        would clobber the thief's claim, so the renewal is refused and the
-        caller should stop heartbeating (finishing the unit stays safe —
-        the duplicate record is deduplicated on merge).  A *vanished*
-        lease refuses renewal too: recreating it would let a straggler
-        heartbeat — e.g. one blocked in a slow filesystem call while the
-        unit finished and released — resurrect a phantom "live" lease on
-        a completed unit, blocking gc for a full TTL.
+        A lease file that now names another holder (a successor replaced
+        it) is not ours to overwrite, so the renewal is refused and the
+        caller should stop heartbeating.  A *vanished* lease refuses
+        renewal too: recreating it would let a straggler heartbeat — e.g.
+        one blocked in a slow filesystem call while its holder released —
+        resurrect a phantom "live" lease, blocking gc for a full TTL.
         """
         path = self.lease_path(lease.unit)
         current = self.load(path)
@@ -345,15 +242,14 @@ class LeaseDir:
     def release(self, lease: Lease) -> None:
         """Remove ``lease`` — only if it is still ours.
 
-        A stalled worker whose lease was stolen must not unlink the
-        thief's live lease (e.g. from the failure-path release in the
-        drain loop): that would hide the thief from gc/status and let a
-        third worker start the unit concurrently.
+        A holder whose lease a successor replaced must not unlink the
+        successor's live lease: that would hide it from gc, status and a
+        standby's primary check.
         """
         path = self.lease_path(lease.unit)
         current = self.load(path)
         if current is not None and current.worker != lease.worker:
-            return  # stolen: the thief's lease is not ours to remove
+            return  # replaced: the successor's lease is not ours to remove
         with contextlib.suppress(OSError):
             os.unlink(path)
 
@@ -370,33 +266,13 @@ class LeaseDir:
             return []
         return [(p, self.load(p)) for p in sorted(self.path.glob("*.json"))]
 
-    def cleanup(self, completed_keys: set[str], now: float | None = None) -> int:
-        """Remove leftover expired leases of already-completed units.
-
-        A worker killed between recording a result and releasing its lease
-        leaves a lease nobody will ever claim again (the unit is done);
-        this sweeps such husks so ``gc``/``status`` don't report phantom
-        work.  Seemingly-live leases are never touched.
-        """
-        now = time.time() if now is None else now
-        removed = 0
-        for path, lease in self.leases():
-            if lease is not None and lease.unit not in completed_keys:
-                continue
-            if lease_seems_live(lease, path, now):
-                continue
-            with contextlib.suppress(OSError):
-                os.unlink(path)
-                removed += 1
-        return removed
-
 
 @contextlib.contextmanager
 def _renewing(backend, lease, interval: float, renew=None):
     """Renew ``lease`` on ``backend`` every ``interval`` seconds while the
     body runs.  ``backend`` is any :class:`~repro.runtime.backends.
-    WorkBackend`; transient errors (filesystem hiccups, a coordinator
-    restarting) are retried on the next beat.  ``renew`` overrides the
+    WorkBackend`; transient errors (a coordinator restarting, a dropped
+    connection) are retried on the next beat.  ``renew`` overrides the
     renewal callable (``backend.renew_batch`` for batch leases, whose
     one round trip covers the batch's whole unfinished remainder)."""
     stop = threading.Event()
@@ -404,33 +280,40 @@ def _renewing(backend, lease, interval: float, renew=None):
 
     def _beat() -> None:
         current = lease
-        while not stop.wait(interval):
-            try:
-                renewed = renew_fn(current)
-            except OSError:
-                continue  # transient fs/network hiccup; retry next beat
-            except Exception as exc:  # noqa: BLE001 - the beat must survive
-                # e.g. a protocol error from a version-skewed coordinator
-                # or an intermediary returning garbage: losing the thread
-                # here would silently stop renewals and hand the unit to a
-                # peer; keep beating — if the condition persists the lease
-                # expires anyway, which is the same worst case, loudly.
-                logger.warning(
-                    "heartbeat renewal for unit %r failed (%s); retrying next beat",
-                    lease.unit,
-                    exc,
-                )
-                continue
-            if renewed is None:
-                logger.warning(
-                    "lease on unit %r was reclaimed from worker %s while it "
-                    "was still running (stalled past its TTL?); finishing "
-                    "anyway — the duplicate result is deduplicated on merge",
-                    lease.unit,
-                    lease.worker,
-                )
-                return
-            current = renewed
+        try:
+            while not stop.wait(interval):
+                try:
+                    renewed = renew_fn(current)
+                except OSError:
+                    continue  # transient network hiccup; retry next beat
+                except Exception as exc:  # noqa: BLE001 - the beat must survive
+                    # e.g. a protocol error from a version-skewed coordinator
+                    # or an intermediary returning garbage: losing the thread
+                    # here would silently stop renewals and hand the unit to a
+                    # peer; keep beating — if the condition persists the lease
+                    # expires anyway, which is the same worst case, loudly.
+                    logger.warning(
+                        "heartbeat renewal for unit %r failed (%s); retrying next beat",
+                        lease.unit,
+                        exc,
+                    )
+                    continue
+                if renewed is None:
+                    logger.warning(
+                        "lease on unit %r was reclaimed from worker %s while it "
+                        "was still running (stalled past its TTL?); finishing "
+                        "anyway — the duplicate result is deduplicated on merge",
+                        lease.unit,
+                        lease.worker,
+                    )
+                    return
+                current = renewed
+        finally:
+            # HttpWorkBackend keeps one connection per thread, so only this
+            # thread can close the one its renewals opened.
+            close = getattr(backend, "close", None)
+            if close is not None:
+                close()
 
     thread = threading.Thread(target=_beat, daemon=True, name=f"lease-renew-{lease.unit}")
     thread.start()
@@ -446,68 +329,20 @@ def _renewing(backend, lease, interval: float, renew=None):
 # ---------------------------------------------------------------------- #
 @dataclass
 class WorkerStats:
-    """What one worker did while draining a run directory."""
+    """What one worker did while draining a run."""
 
     worker_id: str
     executed: int = 0
-    reclaimed: int = 0  # stale leases stolen from dead workers
-    skipped: int = 0  # claims that turned out to be already completed
+    reclaimed: int = 0  # claims re-granted from dead workers' expired leases
     executed_keys: set[str] = field(default_factory=set)
-
-
-class _CompletedTracker:
-    """Incremental merged view of the completed-unit keys of a run.
-
-    Re-reads only the bytes appended since the last refresh (per result
-    file), consuming up to the last newline so a peer's in-flight torn
-    tail is simply picked up next time.
-    """
-
-    def __init__(self, checkpoint: RunCheckpoint) -> None:
-        self._checkpoint = checkpoint
-        self._offsets: dict[Path, int] = {}
-        self.keys: set[str] = set()
-
-    def refresh(self) -> set[str]:
-        for path in self._checkpoint.result_paths():
-            try:
-                size = path.stat().st_size
-            except OSError:
-                continue
-            offset = self._offsets.get(path, 0)
-            if size <= offset:
-                continue
-            try:
-                with path.open("rb") as fh:
-                    fh.seek(offset)
-                    blob = fh.read()
-            except OSError:
-                continue
-            end = blob.rfind(b"\n")
-            if end < 0:
-                continue
-            self._offsets[path] = offset + end + 1
-            for raw in blob[: end + 1].splitlines():
-                raw = raw.strip()
-                if not raw:
-                    continue
-                try:
-                    record = json.loads(raw)
-                except (json.JSONDecodeError, UnicodeDecodeError):
-                    continue  # torn/garbage line; completed() logs it
-                if isinstance(record, dict) and "key" in record and "result" in record:
-                    self.keys.add(record["key"])
-        return self.keys
 
 
 def drain_units(
     units: Iterable[WorkUnit],
     worker: Callable[[WorkUnit], Any],
-    checkpoint: RunCheckpoint | None = None,
     *,
-    backend: Any | None = None,
+    backend: Any,
     worker_id: str | None = None,
-    lease_ttl: float | None = None,
     heartbeat_interval: float | None = None,
     poll_interval: float | None = None,
     wait: bool = True,
@@ -517,32 +352,23 @@ def drain_units(
 ) -> WorkerStats:
     """Drain ``units`` through a work backend as one worker.
 
-    The loop is backend-agnostic: claim a unit, execute it with
-    ``worker``, record the result, release the claim — against any
-    :class:`~repro.runtime.backends.WorkBackend`.  The default backend is
-    the filesystem protocol over ``checkpoint``'s run directory (lease
-    files + per-worker shards); pass ``backend=`` (e.g. an
-    :class:`~repro.runtime.backends.HttpWorkBackend`) to coordinate
-    through an HTTP coordinator instead.  Returns when every unit of the
-    run is completed (by this worker or any peer); with ``wait=False``,
-    returns as soon as nothing is claimable instead of waiting for peers'
-    in-flight units.
+    Claim a unit, execute it with ``worker``, record the result, release
+    the claim — against any :class:`~repro.runtime.backends.WorkBackend`
+    (in production an :class:`~repro.runtime.backends.HttpWorkBackend`
+    speaking to a ``repro sweep serve`` coordinator).  Returns when every
+    unit of the run is completed (by this worker or any peer); with
+    ``wait=False``, returns as soon as nothing is claimable instead of
+    waiting for peers' in-flight units.
 
     Parameters
     ----------
-    checkpoint:
-        Run directory for the default filesystem backend.  Exactly one of
-        ``checkpoint``/``backend`` must be given.
     backend:
-        An explicit :class:`WorkBackend` to drain through.
+        The :class:`WorkBackend` to drain through.  It owns the lease
+        TTL; the coordinator refuses claims of completed units
+        atomically, so every granted claim is live work.
     worker_id:
         Shard/lease identity; default :func:`worker_identity`.  Must be
         unique among concurrently running workers.
-    lease_ttl:
-        Filesystem backend only: seconds without a heartbeat before this
-        worker's leases may be reclaimed by peers (default
-        :data:`DEFAULT_LEASE_TTL`).  A coordinator backend's TTL is owned
-        by the coordinator, so passing it here is rejected.
     heartbeat_interval:
         Seconds between heartbeat renewals (default: a quarter of each
         lease's TTL).
@@ -553,62 +379,38 @@ def drain_units(
         Callback invoked with each unit key this worker finished.
     claim_batch:
         Units to lease per claim request (default 1: the per-unit
-        protocol, byte-for-byte the pre-batching behavior).  Larger
-        batches amortize claim/release round trips — the big win on an
-        HTTP backend — while results are still recorded (and members
-        released) one by one, so a worker that dies mid-batch leaks
-        only the *unfinished* remainder to TTL expiry.
+        protocol).  Larger batches amortize claim/release round trips,
+        while results are still recorded (and members released) one by
+        one, so a worker that dies mid-batch leaks only the *unfinished*
+        remainder to TTL expiry.
     telemetry_dir:
         Where this worker's ``telemetry-<worker>.jsonl`` trace shard
-        goes.  Defaults to the run directory for the filesystem backend
-        and to ``$REPRO_TELEMETRY_DIR`` (if set) otherwise; ``None``
+        goes.  Defaults to ``$REPRO_TELEMETRY_DIR`` (if set); ``None``
         with no default means no trace shard.  Telemetry is inert — it
         records wall-clock observations about completed units and never
         touches RNG streams or results — and is disabled entirely by
         ``REPRO_TELEMETRY=0``.
     """
-    from repro.runtime.backends import FilesystemWorkBackend
-
     units = list(units)
     keys = [u.key for u in units]
     if len(set(keys)) != len(keys):
         raise ValueError("work-unit keys must be unique within a run")
-    if (checkpoint is None) == (backend is None):
-        raise ValueError("exactly one of checkpoint/backend is required")
-    if backend is None:
-        ttl = DEFAULT_LEASE_TTL if lease_ttl is None else float(lease_ttl)
-        backend = FilesystemWorkBackend(checkpoint, ttl=ttl)
-    elif lease_ttl is not None:
-        raise ValueError(
-            "lease_ttl cannot be combined with an explicit backend: the "
-            "backend (its coordinator, for HTTP) owns the lease TTL"
-        )
     wid = worker_id if worker_id is not None else worker_identity()
     beat_override = None if heartbeat_interval is None else float(heartbeat_interval)
     if beat_override is not None and beat_override <= 0:
         raise ValueError(f"heartbeat interval must be positive, got {beat_override}")
-    known_ttl = getattr(backend, "ttl", None)
 
     def _beat_for(lease) -> float:
         beat = lease.ttl / 4.0 if beat_override is None else beat_override
         if beat >= lease.ttl:
-            # A heartbeat slower than the TTL makes every live lease look
-            # stale to peers: they would steal mid-unit and systematically
-            # re-execute every long unit.
+            # A heartbeat slower than the TTL lets every live lease expire
+            # between renewals: the coordinator would re-grant mid-unit and
+            # systematically re-execute every long unit.
             raise ValueError(
                 f"heartbeat interval ({beat}) must be smaller than the lease "
                 f"ttl ({lease.ttl}); leave it unset for the ttl/4 default"
             )
         return beat
-
-    if beat_override is not None and known_ttl is not None and beat_override >= known_ttl:
-        # Fail before any claim when the backend's TTL is known up front
-        # (the filesystem backend); a coordinator backend's TTL arrives
-        # with each grant, so there the per-lease check catches it.
-        raise ValueError(
-            f"heartbeat interval ({beat_override}) must be smaller than the "
-            f"lease ttl ({known_ttl}); leave it unset for the ttl/4 default"
-        )
 
     poll = DEFAULT_POLL_INTERVAL if poll_interval is None else float(poll_interval)
     delay = float(os.environ.get(_UNIT_DELAY_ENV, 0) or 0)
@@ -624,10 +426,7 @@ def drain_units(
     from repro.utils import phases
 
     if telemetry_dir is None:
-        if checkpoint is not None:
-            telemetry_dir = checkpoint.run_dir
-        else:
-            telemetry_dir = os.environ.get("REPRO_TELEMETRY_DIR") or None
+        telemetry_dir = os.environ.get("REPRO_TELEMETRY_DIR") or None
     telemetry = TelemetryWriter.open(telemetry_dir, wid)
     if profile_requested():
         phases.enable()
@@ -638,11 +437,6 @@ def drain_units(
     ).labels(wid)
     m_reclaimed = registry.counter(
         "repro_worker_reclaims_total", "Stale leases this process stole.", ("worker",)
-    ).labels(wid)
-    m_skipped = registry.counter(
-        "repro_worker_skips_total",
-        "Claims that turned out to be already completed.",
-        ("worker",),
     ).labels(wid)
 
     def _execute(key: str) -> Any:
@@ -679,7 +473,6 @@ def drain_units(
             done = backend.completed_keys()
             pending = [k for k in by_key if k not in done]
             if not pending:
-                backend.cleanup(done)
                 return stats
             progressed = False
             if batch_size > 1:
@@ -702,13 +495,6 @@ def drain_units(
                             backend, batch, _beat_for(batch), renew=backend.renew_batch
                         ):
                             for key in list(batch.units):
-                                # Same post-claim recheck as the per-unit path
-                                # below, per member.
-                                if backend.recheck_after_claim and key in backend.completed_keys():
-                                    backend.release_unit(batch, key)
-                                    stats.skipped += 1
-                                    m_skipped.inc()
-                                    continue
                                 t0 = time.perf_counter()
                                 result = _execute(key)
                                 execute_s = time.perf_counter() - t0
@@ -745,18 +531,6 @@ def drain_units(
                     if lease.reclaimed:
                         stats.reclaimed += 1
                         m_reclaimed.inc()
-                    # Results are recorded *before* leases are released, so a
-                    # post-claim recheck sees everything any peer finished: a dead
-                    # worker that recorded then crashed before releasing, or a live
-                    # one that completed this unit after this pass listed it as
-                    # pending.  Never execute a completed unit twice.  (A
-                    # coordinator backend refuses the claim atomically instead, so
-                    # the recheck round-trip is skipped there.)
-                    if backend.recheck_after_claim and key in backend.completed_keys():
-                        backend.release(lease)
-                        stats.skipped += 1
-                        m_skipped.inc()
-                        continue
                     execute_s = record_s = release_s = 0.0
                     try:
                         t0 = time.perf_counter()
@@ -793,119 +567,6 @@ def drain_units(
 
 
 # ---------------------------------------------------------------------- #
-# Multi-process distributed execution (the `backend="distributed"` path)
-# ---------------------------------------------------------------------- #
-def _drain_child(
-    checkpoint: RunCheckpoint,
-    units: list[WorkUnit],
-    worker: Callable[[WorkUnit], Any],
-    lease_ttl: float | None,
-    heartbeat_interval: float | None,
-    poll_interval: float | None,
-    claim_batch: int = 1,
-) -> WorkerStats:
-    """Module-level child entry (crosses process boundaries by pickle)."""
-    return drain_units(
-        units,
-        worker,
-        checkpoint,
-        lease_ttl=lease_ttl,
-        heartbeat_interval=heartbeat_interval,
-        poll_interval=poll_interval,
-        claim_batch=claim_batch,
-    )
-
-
-def run_units_distributed(
-    units: Iterable[WorkUnit],
-    worker: Callable[[WorkUnit], Any],
-    checkpoint: RunCheckpoint,
-    *,
-    jobs: int = 1,
-    worker_id: str | None = None,
-    lease_ttl: float | None = None,
-    heartbeat_interval: float | None = None,
-    poll_interval: float | None = None,
-    claim_batch: int = 1,
-    on_result: Callable[[WorkUnit, Any, bool], None] | None = None,
-) -> dict[str, Any]:
-    """Execute ``units`` via the lease protocol and return ``{key: result}``.
-
-    The calling process participates as one worker; ``jobs > 1`` adds
-    ``jobs - 1`` sibling worker processes on this host.  Workers on
-    *other* hosts join by pointing ``repro sweep work`` at the same run
-    directory — this function simply keeps draining until the run is
-    complete, however many peers help, then merges every shard.
-
-    ``on_result`` follows :func:`repro.runtime.executor.run_units`
-    semantics, invoked once per unit after the run completes (in unit
-    order) with ``cached=True`` for units this process did not execute.
-    """
-    from repro.runtime.executor import _ensure_child_importable, _mp_context
-
-    units = list(units)
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
-    stats: WorkerStats
-    if jobs > 1 and len(units) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        _ensure_child_importable()
-        siblings = min(jobs, len(units)) - 1
-        with ProcessPoolExecutor(max_workers=max(siblings, 1), mp_context=_mp_context()) as pool:
-            futures = [
-                pool.submit(
-                    _drain_child,
-                    checkpoint,
-                    units,
-                    worker,
-                    lease_ttl,
-                    heartbeat_interval,
-                    poll_interval,
-                    claim_batch,
-                )
-                for _ in range(siblings)
-            ]
-            stats = drain_units(
-                units,
-                worker,
-                checkpoint,
-                worker_id=worker_id,
-                lease_ttl=lease_ttl,
-                heartbeat_interval=heartbeat_interval,
-                poll_interval=poll_interval,
-                claim_batch=claim_batch,
-            )
-            for future in futures:
-                future.result()  # surface child crashes
-    else:
-        stats = drain_units(
-            units,
-            worker,
-            checkpoint,
-            worker_id=worker_id,
-            lease_ttl=lease_ttl,
-            heartbeat_interval=heartbeat_interval,
-            poll_interval=poll_interval,
-            claim_batch=claim_batch,
-        )
-
-    merged = checkpoint.completed()
-    missing = [u.key for u in units if u.key not in merged]
-    if missing:
-        raise RuntimeError(
-            f"distributed run at {checkpoint.run_dir} ended with "
-            f"{len(missing)} unit(s) unrecorded (first: {missing[0]!r}); "
-            "a worker may have failed without surfacing its error"
-        )
-    results = {u.key: merged[u.key] for u in units}
-    if on_result is not None:
-        for unit in units:
-            on_result(unit, results[unit.key], unit.key not in stats.executed_keys)
-    return results
-
-
-# ---------------------------------------------------------------------- #
 # Coordinator-backed execution (the `backend="coordinator"` path)
 # ---------------------------------------------------------------------- #
 def _drain_coordinator_child(
@@ -923,15 +584,18 @@ def _drain_coordinator_child(
     from repro.runtime.backends import HttpWorkBackend
 
     backend = HttpWorkBackend(url, encode=encode, retry_timeout=retry_timeout)
-    return drain_units(
-        units,
-        worker,
-        backend=backend,
-        heartbeat_interval=heartbeat_interval,
-        poll_interval=poll_interval,
-        claim_batch=claim_batch,
-        telemetry_dir=telemetry_dir,
-    )
+    try:
+        return drain_units(
+            units,
+            worker,
+            backend=backend,
+            heartbeat_interval=heartbeat_interval,
+            poll_interval=poll_interval,
+            claim_batch=claim_batch,
+            telemetry_dir=telemetry_dir,
+        )
+    finally:
+        backend.close()
 
 
 def run_units_coordinator(
@@ -962,7 +626,8 @@ def run_units_coordinator(
     ``encode``/``decode`` are the unit-result codecs (the same ones a
     :class:`~repro.runtime.checkpoint.RunCheckpoint` would hold);
     ``on_result`` follows :func:`repro.runtime.executor.run_units`
-    semantics, invoked once per unit after the run completes.
+    semantics, invoked once per unit after the run completes, with
+    ``cached=True`` for units executed by peers.
     """
     from repro.runtime.backends import HttpWorkBackend
     from repro.runtime.executor import _ensure_child_importable, _mp_context
@@ -971,28 +636,44 @@ def run_units_coordinator(
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     backend = HttpWorkBackend(url, encode=encode, retry_timeout=retry_timeout)
-    stats: WorkerStats
-    if jobs > 1 and len(units) > 1:
-        from concurrent.futures import ProcessPoolExecutor
+    try:
+        stats: WorkerStats
+        if jobs > 1 and len(units) > 1:
+            from concurrent.futures import ProcessPoolExecutor
 
-        _ensure_child_importable()
-        siblings = min(jobs, len(units)) - 1
-        with ProcessPoolExecutor(max_workers=max(siblings, 1), mp_context=_mp_context()) as pool:
-            futures = [
-                pool.submit(
-                    _drain_coordinator_child,
-                    url,
+            _ensure_child_importable()
+            siblings = min(jobs, len(units)) - 1
+            with ProcessPoolExecutor(
+                max_workers=max(siblings, 1), mp_context=_mp_context()
+            ) as pool:
+                futures = [
+                    pool.submit(
+                        _drain_coordinator_child,
+                        url,
+                        units,
+                        worker,
+                        encode,
+                        heartbeat_interval,
+                        poll_interval,
+                        retry_timeout,
+                        claim_batch,
+                        None if telemetry_dir is None else str(telemetry_dir),
+                    )
+                    for _ in range(siblings)
+                ]
+                stats = drain_units(
                     units,
                     worker,
-                    encode,
-                    heartbeat_interval,
-                    poll_interval,
-                    retry_timeout,
-                    claim_batch,
-                    None if telemetry_dir is None else str(telemetry_dir),
+                    backend=backend,
+                    worker_id=worker_id,
+                    heartbeat_interval=heartbeat_interval,
+                    poll_interval=poll_interval,
+                    claim_batch=claim_batch,
+                    telemetry_dir=telemetry_dir,
                 )
-                for _ in range(siblings)
-            ]
+                for future in futures:
+                    future.result()  # surface child crashes
+        else:
             stats = drain_units(
                 units,
                 worker,
@@ -1003,21 +684,9 @@ def run_units_coordinator(
                 claim_batch=claim_batch,
                 telemetry_dir=telemetry_dir,
             )
-            for future in futures:
-                future.result()  # surface child crashes
-    else:
-        stats = drain_units(
-            units,
-            worker,
-            backend=backend,
-            worker_id=worker_id,
-            heartbeat_interval=heartbeat_interval,
-            poll_interval=poll_interval,
-            claim_batch=claim_batch,
-            telemetry_dir=telemetry_dir,
-        )
-
-    raw = backend.results()
+        raw = backend.results()
+    finally:
+        backend.close()
     missing = [u.key for u in units if u.key not in raw]
     if missing:
         raise RuntimeError(
@@ -1038,7 +707,7 @@ def run_units_coordinator(
 # ---------------------------------------------------------------------- #
 @dataclass
 class RunDirStatus:
-    """A point-in-time snapshot of a shared run directory's progress.
+    """A point-in-time snapshot of a run directory's progress.
 
     This is *the* read-only inspection of a run directory: ``repro sweep
     status`` renders it and the lease-aware ``runs gc`` classifier is

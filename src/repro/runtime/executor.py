@@ -88,17 +88,17 @@ def _timed_call(worker: Callable[[WorkUnit], Any], unit: WorkUnit) -> tuple[Any,
 
 
 def reject_distributed_options(options: dict[str, Any]) -> None:
-    """Refuse distributed-only tuning under the local backend.
+    """Refuse coordinator-only tuning under the local backend.
 
     Shared by :func:`run_units` and :func:`repro.sweeps.run_sweep` so the
-    two entry points cannot drift: a user who sets lease timing expects
-    the distributed backend, and silently dropping the options would hide
-    the mistake.
+    two entry points cannot drift: a user who sets claim batching or
+    heartbeat timing expects the coordinator backend, and silently
+    dropping the options would hide the mistake.
     """
     for option, value in options.items():
         if value is not None:
             raise ValueError(
-                f"{option} is a distributed-backend option and has no effect with "
+                f"{option} is a coordinator-backend option and has no effect with "
                 "backend='local'"
             )
 
@@ -147,7 +147,6 @@ def run_units(
     on_result: Callable[[WorkUnit, Any, bool], None] | None = None,
     backend: str = "local",
     worker_id: str | None = None,
-    lease_ttl: float | None = None,
     heartbeat_interval: float | None = None,
     poll_interval: float | None = None,
     coordinator_url: str | None = None,
@@ -174,21 +173,17 @@ def run_units(
         Streaming callback ``(unit, result, cached)`` invoked once per
         unit — with ``cached=True`` for units restored from the
         checkpoint, in unit order before any execution starts.  (The
-        distributed and coordinator backends invoke it only after the
-        whole run completes, with ``cached=True`` for units executed by
-        peers.)
+        coordinator backend invokes it only after the whole run
+        completes, with ``cached=True`` for units executed by peers.)
     backend:
-        ``"local"`` (this process plus an optional process pool),
-        ``"distributed"`` (lease-coordinated workers over the shared run
-        directory — see :mod:`repro.runtime.distributed`; requires
-        ``checkpoint``), or ``"coordinator"`` (workers speaking JSON to
-        a ``repro sweep serve`` coordinator — no shared filesystem;
+        ``"local"`` (this process plus an optional process pool) or
+        ``"coordinator"`` (workers speaking JSON to a ``repro sweep
+        serve`` coordinator — see :mod:`repro.runtime.distributed`;
         requires ``coordinator_url``).
-    worker_id, lease_ttl, heartbeat_interval, poll_interval:
-        Distributed-backend tuning (worker shard identity, lease TTL in
-        seconds, heartbeat renewal interval, wait-poll interval);
-        rejected under the local backend rather than silently ignored.
-        ``lease_ttl`` is filesystem-only: a coordinator's TTL is set on
+    worker_id, heartbeat_interval, poll_interval:
+        Coordinator-backend tuning (worker shard identity, heartbeat
+        renewal interval, wait-poll interval); rejected under the local
+        backend rather than silently ignored.  The lease TTL is set on
         the coordinator (``repro sweep serve --ttl``).
     coordinator_url, retry_timeout:
         Coordinator backend: the coordinator's base URL and the bounded
@@ -202,10 +197,8 @@ def run_units(
     units = list(units)
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    if backend not in ("local", "distributed", "coordinator"):
-        raise ValueError(
-            f"backend must be 'local', 'distributed', or 'coordinator', got {backend!r}"
-        )
+    if backend not in ("local", "coordinator"):
+        raise ValueError(f"backend must be 'local' or 'coordinator', got {backend!r}")
     if backend != "coordinator" and coordinator_url is not None:
         raise ValueError(
             f"coordinator_url has no effect with backend={backend!r}; "
@@ -216,11 +209,6 @@ def run_units(
             raise ValueError(
                 "backend='coordinator' requires coordinator_url (the "
                 "`repro sweep serve` endpoint is the coordination medium)"
-            )
-        if lease_ttl is not None:
-            raise ValueError(
-                "lease_ttl is owned by the coordinator (repro sweep serve "
-                "--ttl); it cannot be set worker-side"
             )
         from repro.runtime.distributed import run_units_coordinator
 
@@ -238,35 +226,9 @@ def run_units(
             claim_batch=1 if claim_batch is None else claim_batch,
             on_result=on_result,
         )
-    if backend == "distributed":
-        if checkpoint is None:
-            raise ValueError(
-                "backend='distributed' requires a checkpoint run directory "
-                "(the shared filesystem is the coordination medium)"
-            )
-        if retry_timeout is not None:
-            raise ValueError(
-                "retry_timeout is a coordinator-backend option and has no "
-                "effect with backend='distributed'"
-            )
-        from repro.runtime.distributed import run_units_distributed
-
-        return run_units_distributed(
-            units,
-            worker,
-            checkpoint,
-            jobs=jobs,
-            worker_id=worker_id,
-            lease_ttl=lease_ttl,
-            heartbeat_interval=heartbeat_interval,
-            poll_interval=poll_interval,
-            claim_batch=1 if claim_batch is None else claim_batch,
-            on_result=on_result,
-        )
     reject_distributed_options(
         {
             "worker_id": worker_id,
-            "lease_ttl": lease_ttl,
             "heartbeat_interval": heartbeat_interval,
             "poll_interval": poll_interval,
             "retry_timeout": retry_timeout,

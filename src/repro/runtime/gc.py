@@ -15,15 +15,16 @@ A bare ``manifest.json`` of some other tool (a browser extension, a web
 app) matches neither rule, so ``gc`` never classifies — let alone
 deletes — unrelated directories.  The unit count recorded by the runtime
 manifests (``"units"``) is compared with the distinct completed records
-across ``units.jsonl`` *and* every distributed worker shard to decide
+across ``units.jsonl`` *and* every per-worker shard to decide
 completeness; manifests lacking a unit count are never treated as
 complete (only as stale).
 
 gc is **lease-aware**: a run directory whose ``leases/`` holds a live
-lease (heartbeat younger than the lease's TTL) has a worker actively
-executing units in it, possibly on another host — such directories are
+lease (heartbeat younger than the lease's TTL) is being served — a
+coordinator holds an advisory lease there while it runs, and its
+workers may be executing units on other hosts — so such directories are
 never collected, whatever their age or completeness looks like from
-here.  Expired leases (a crashed worker's leftovers) do not protect a
+here.  Expired leases (a crashed process's leftovers) do not protect a
 directory, but they do count toward its idle age.
 """
 
@@ -55,8 +56,8 @@ class RunStatus:
     total_units: int | None  # expected units, when the manifest records it
     completed_units: int  # distinct unit keys across units.jsonl + shards
     age_seconds: float  # since the run directory last changed
-    active_leases: int = 0  # live distributed workers (fresh heartbeats)
-    stale_leases: int = 0  # expired/torn leases from dead workers
+    active_leases: int = 0  # live lease holders (fresh heartbeats)
+    stale_leases: int = 0  # expired/torn leases from dead holders
     delete_failed: bool = False  # rmtree was attempted but the dir survived
 
     @property
@@ -159,9 +160,9 @@ def collectable(
     ``completed`` collects finished runs; ``stale_seconds`` additionally
     collects *incomplete* runs idle longer than the threshold (``None``
     never collects incomplete runs — resuming them is the point of the
-    checkpoint layer).  A run with a live worker lease is never
-    collectable: some worker — possibly on another host — is executing
-    units in it right now.
+    checkpoint layer).  A run with a live lease is never collectable: a
+    coordinator is serving it, and workers — possibly on other hosts —
+    are executing its units right now.
     """
     if status.active_leases > 0:
         return False

@@ -37,7 +37,6 @@ from repro.sweeps.runner import (
     run_sweep,
     sample_units,
     work_coordinator,
-    work_run_dir,
 )
 from repro.sweeps.sources import ResolvedSource, resolve_source
 from repro.sweeps.spec import SPEC_VERSION, SourceSpec, SpecError, SweepSpec
@@ -53,7 +52,6 @@ __all__ = [
     "plan_sweep",
     "plan_from_manifest",
     "load_run_plan",
-    "work_run_dir",
     "work_coordinator",
     "render_report",
     "sample_units",

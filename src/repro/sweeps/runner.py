@@ -64,7 +64,6 @@ __all__ = [
     "plan_sweep",
     "plan_from_manifest",
     "load_run_plan",
-    "work_run_dir",
     "work_coordinator",
 ]
 
@@ -352,7 +351,7 @@ def plan_sweep(
 ) -> SweepPlan:
     """Decompose ``spec`` into its work units, deterministically.
 
-    With ``rng=None`` (the only form distributed workers use) every
+    With ``rng=None`` (the only form coordinator workers use) every
     stream derives from ``spec.seed``, so independently planning the same
     spec on any host yields identical units.
     """
@@ -418,7 +417,6 @@ def run_sweep(
     rng: int | np.random.Generator | None = None,
     progress: Callable[[str, str, float], None] | None = None,
     backend: str = "local",
-    lease_ttl: float | None = None,
     heartbeat_interval: float | None = None,
     poll_interval: float | None = None,
     coordinator: str | None = None,
@@ -436,8 +434,9 @@ def run_sweep(
         any value).
     run_dir:
         Checkpoint directory; the spec is written as ``manifest.json``
-        and completed units stream to ``units.jsonl`` (or per-worker
-        ``units-*.jsonl`` shards under the distributed backend).
+        and completed units stream to ``units.jsonl``.  Per-worker
+        ``units-*.jsonl`` shards a coordinator wrote there merge in on
+        ``resume``.
     resume:
         Skip units already recorded in ``run_dir`` (requires the stored
         spec to match ``spec`` exactly).
@@ -445,25 +444,22 @@ def run_sweep(
         Override the sweep's RNG root.  ``None`` (the default) seeds
         from ``spec.seed``; experiment drivers thread a shared generator
         through consecutive sweeps to preserve historical streams.
-        Local backend only — distributed workers must be able to
+        Local backend only — coordinator workers must be able to
         reconstruct every stream from the manifest's spec alone.
     progress:
         PISA mode: ``(target, baseline, best_ratio)`` per completed pair
-        (under the distributed backend, reported after the run completes,
-        in pair order).
+        (under the coordinator backend, reported after the run
+        completes, in pair order).
     backend:
-        ``"local"`` (this process + optional process pool),
-        ``"distributed"`` (lease-coordinated workers over the shared
-        ``run_dir``; additional hosts join with ``repro sweep work
-        <run_dir>``), or ``"coordinator"`` (workers speaking JSON to a
-        ``repro sweep serve`` coordinator — no shared filesystem;
-        additional hosts join with ``repro sweep work --coordinator
-        <url>``).  Results are bit-identical in every case.
-    lease_ttl, heartbeat_interval, poll_interval:
-        Distributed lease tuning, forwarded to
-        :func:`repro.runtime.distributed.drain_units`.  ``lease_ttl`` is
-        filesystem-backend only — a coordinator's TTL is set on the
-        coordinator (``repro sweep serve --ttl``).
+        ``"local"`` (this process + optional process pool) or
+        ``"coordinator"`` (workers speaking JSON to a ``repro sweep
+        serve`` coordinator — no shared filesystem; additional hosts
+        join with ``repro sweep work --coordinator <url>``).  Results
+        are bit-identical either way.
+    heartbeat_interval, poll_interval:
+        Coordinator lease tuning, forwarded to
+        :func:`repro.runtime.distributed.drain_units`.  The lease TTL is
+        set on the coordinator (``repro sweep serve --ttl``).
     coordinator:
         Coordinator backend: the ``repro sweep serve`` base URL.  The
         coordinator owns the run directory, so ``run_dir`` must be left
@@ -477,10 +473,8 @@ def run_sweep(
         results still record unit by unit, so crash granularity is
         unchanged.  Rejected under the local backend.
     """
-    if backend not in ("local", "distributed", "coordinator"):
-        raise ValueError(
-            f"backend must be 'local', 'distributed', or 'coordinator', got {backend!r}"
-        )
+    if backend not in ("local", "coordinator"):
+        raise ValueError(f"backend must be 'local' or 'coordinator', got {backend!r}")
     if backend != "coordinator" and coordinator is not None:
         raise ValueError(
             f"coordinator has no effect with backend={backend!r}; pass "
@@ -506,14 +500,12 @@ def run_sweep(
                 "workers reconstruct RNG streams from the coordinator "
                 "manifest's spec.seed alone; bake the seed into the spec"
             )
-        if lease_ttl is not None:
-            raise ValueError(
-                "lease_ttl is owned by the coordinator (repro sweep serve "
-                "--ttl); it cannot be set from run_sweep"
-            )
         plan = plan_sweep(spec)
         client = HttpWorkBackend(coordinator, retry_timeout=retry_timeout)
-        stored = client.manifest()
+        try:
+            stored = client.manifest()
+        finally:
+            client.close()
         if stored != plan.manifest():
             raise CheckpointError(
                 f"coordinator at {coordinator} serves a different sweep "
@@ -533,44 +525,11 @@ def run_sweep(
             claim_batch=1 if claim_batch is None else claim_batch,
         )
         return _aggregate_plan(plan, results, progress=progress)
-    if retry_timeout is not None:
-        raise ValueError(
-            f"retry_timeout is a coordinator-backend option and has no effect "
-            f"with backend={backend!r}"
-        )
-    if backend == "distributed":
-        if run_dir is None:
-            raise CheckpointError(
-                "backend='distributed' needs a run_dir: the shared run "
-                "directory is the coordination medium"
-            )
-        if rng is not None:
-            raise SpecError(
-                "backend='distributed' cannot honor an external rng override: "
-                "workers on other hosts reconstruct RNG streams from the "
-                "manifest's spec.seed alone; bake the seed into the spec"
-            )
-        plan = plan_sweep(spec)
-        checkpoint = RunCheckpoint(run_dir, encode=plan.encode, decode=plan.decode)
-        checkpoint.initialize(plan.manifest(), resume=resume)
-        results = run_units(
-            plan.units,
-            plan.worker,
-            jobs=jobs,
-            checkpoint=checkpoint,
-            backend="distributed",
-            lease_ttl=lease_ttl,
-            heartbeat_interval=heartbeat_interval,
-            poll_interval=poll_interval,
-            claim_batch=claim_batch,
-        )
-        return _aggregate_plan(plan, results, progress=progress)
-
     reject_distributed_options(
         {
-            "lease_ttl": lease_ttl,
             "heartbeat_interval": heartbeat_interval,
             "poll_interval": poll_interval,
+            "retry_timeout": retry_timeout,
             "claim_batch": claim_batch,
         }
     )
@@ -650,14 +609,14 @@ def run_sweep(
 
 
 # ---------------------------------------------------------------------- #
-# Multi-host workers: reconstruct the sweep from the run directory alone
+# Multi-host workers: reconstruct the sweep from its manifest alone
 # ---------------------------------------------------------------------- #
 def plan_from_manifest(manifest: Any, *, where: str) -> SweepPlan:
     """Rebuild the executable plan a stored manifest describes.
 
     This is the distribution hinge: any process holding a sweep manifest
-    — read from a shared run directory's ``manifest.json`` *or* fetched
-    from a coordinator's ``GET /manifest`` — reconstructs the same units,
+    — read from a run directory's ``manifest.json`` *or* fetched from a
+    coordinator's ``GET /manifest`` — reconstructs the same units,
     RNG streams, and worker function.  Refuses manifests that are not
     spec sweeps and externally-seeded runs (their RNG streams cannot be
     reconstructed from the spec).  ``where`` names the manifest's origin
@@ -690,9 +649,9 @@ def plan_from_manifest(manifest: Any, *, where: str) -> SweepPlan:
 def load_run_plan(run_dir: str | Path) -> SweepPlan:
     """Rebuild the executable plan of a run directory from its manifest.
 
-    This is what lets a worker on another host join a run knowing nothing
-    but the shared directory's path: the stored :class:`SweepSpec` *is*
-    the work definition.
+    This is what lets ``repro sweep serve <run_dir>`` (and a warm
+    standby) serve an initialized directory without its spec file: the
+    stored :class:`SweepSpec` *is* the work definition.
     """
     run_dir = Path(run_dir)
     manifest_path = run_dir / RunCheckpoint.MANIFEST_NAME
@@ -701,55 +660,12 @@ def load_run_plan(run_dir: str | Path) -> SweepPlan:
     except FileNotFoundError:
         raise CheckpointError(
             f"{run_dir} has no {RunCheckpoint.MANIFEST_NAME}; initialize it with "
-            "`repro sweep run --backend distributed --run-dir ...` or "
-            "`repro sweep work ... --spec spec.json`"
+            "`repro sweep serve ... --spec spec.json` or "
+            "`repro sweep run spec.json --run-dir ...`"
         ) from None
     except (OSError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"cannot read manifest of {run_dir}: {exc}") from None
     return plan_from_manifest(manifest, where=str(run_dir))
-
-
-def work_run_dir(
-    run_dir: str | Path,
-    *,
-    spec: SweepSpec | None = None,
-    worker_id: str | None = None,
-    lease_ttl: float | None = None,
-    heartbeat_interval: float | None = None,
-    poll_interval: float | None = None,
-    wait: bool = True,
-    on_unit: Callable[[str], None] | None = None,
-    claim_batch: int = 1,
-) -> tuple[SweepPlan, WorkerStats]:
-    """Join ``run_dir`` as one distributed worker and drain it.
-
-    With ``spec``, an uninitialized directory is initialized first (and an
-    initialized one is validated against it) — attaching is idempotent, so
-    any number of workers can race to be first.  Without ``spec``, the
-    directory must already hold a sweep manifest.  Returns when the whole
-    run is complete (every unit recorded by some worker), or — with
-    ``wait=False`` — when nothing is claimable.
-    """
-    if spec is not None:
-        plan = plan_sweep(spec)
-        checkpoint = RunCheckpoint(run_dir, encode=plan.encode, decode=plan.decode)
-        checkpoint.initialize(plan.manifest(), resume=True)
-    else:
-        plan = load_run_plan(run_dir)
-        checkpoint = RunCheckpoint(run_dir, encode=plan.encode, decode=plan.decode)
-    stats = drain_units(
-        plan.units,
-        plan.worker,
-        checkpoint,
-        worker_id=worker_id,
-        lease_ttl=lease_ttl,
-        heartbeat_interval=heartbeat_interval,
-        poll_interval=poll_interval,
-        wait=wait,
-        on_unit=on_unit,
-        claim_batch=claim_batch,
-    )
-    return plan, stats
 
 
 def work_coordinator(
@@ -767,27 +683,33 @@ def work_coordinator(
 
     The worker needs nothing but the URL — no filesystem shared with the
     coordinator: the plan (units, RNG streams, worker function) is
-    reconstructed from the manifest served at ``GET /manifest``, exactly
-    as a shared-directory worker reconstructs it from ``manifest.json``.
+    reconstructed from the manifest served at ``GET /manifest``.
     Returns when the whole run is complete, or — with ``wait=False`` —
     when nothing is claimable.
     """
     from repro.runtime.backends import HttpWorkBackend
 
     client = HttpWorkBackend(url, retry_timeout=retry_timeout)
-    plan = plan_from_manifest(client.manifest(), where=f"coordinator at {url}")
+    try:
+        manifest = client.manifest()
+    finally:
+        client.close()
+    plan = plan_from_manifest(manifest, where=f"coordinator at {url}")
     backend = HttpWorkBackend(url, encode=plan.encode, retry_timeout=retry_timeout)
-    stats = drain_units(
-        plan.units,
-        plan.worker,
-        backend=backend,
-        worker_id=worker_id,
-        heartbeat_interval=heartbeat_interval,
-        poll_interval=poll_interval,
-        wait=wait,
-        on_unit=on_unit,
-        claim_batch=claim_batch,
-    )
+    try:
+        stats = drain_units(
+            plan.units,
+            plan.worker,
+            backend=backend,
+            worker_id=worker_id,
+            heartbeat_interval=heartbeat_interval,
+            poll_interval=poll_interval,
+            wait=wait,
+            on_unit=on_unit,
+            claim_batch=claim_batch,
+        )
+    finally:
+        backend.close()
     return plan, stats
 
 

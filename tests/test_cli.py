@@ -66,35 +66,33 @@ class TestParser:
     def test_sweep_run_backend_flag(self):
         args = build_parser().parse_args(["sweep", "run", "s.json"])
         assert args.backend == "local"
-        args = build_parser().parse_args(
-            ["sweep", "run", "s.json", "--backend", "distributed", "--run-dir", "r"]
-        )
-        assert args.backend == "distributed"
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["sweep", "run", "s.json", "--backend", "rpc"])
+        for backend in ("distributed", "rpc"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(["sweep", "run", "s.json", "--backend", backend])
 
     def test_sweep_work_flags(self):
         args = build_parser().parse_args(
             [
-                "sweep", "work", "runs/x",
-                "--spec", "s.json",
+                "sweep", "work",
+                "--coordinator", "http://h:1",
                 "--worker-id", "w1",
-                "--ttl", "30",
                 "--heartbeat", "5",
                 "--poll", "0.5",
+                "--batch", "4",
                 "--no-wait",
             ]
         )
-        assert args.sweep_command == "work" and args.run_dir == "runs/x"
-        assert args.spec == "s.json" and args.worker_id == "w1"
-        assert args.ttl == 30.0 and args.heartbeat == 5.0 and args.poll == 0.5
+        assert args.sweep_command == "work" and args.coordinator == "http://h:1"
+        assert args.worker_id == "w1" and args.batch == 4
+        assert args.heartbeat == 5.0 and args.poll == 0.5
         assert args.no_wait
 
     def test_sweep_work_run_dir_or_coordinator(self):
-        # run_dir is optional at parse time (--coordinator replaces it);
-        # the command itself enforces exactly-one-of.
-        args = build_parser().parse_args(["sweep", "work"])
-        assert args.run_dir is None and args.coordinator is None
+        # A worker joins through a coordinator; there is no shared-directory
+        # mode, so --coordinator is required and a run_dir is not accepted.
+        for argv in (["sweep", "work"], ["sweep", "work", "runs/x"]):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(argv)
         args = build_parser().parse_args(
             ["sweep", "work", "--coordinator", "http://h:1", "--retry", "30"]
         )
@@ -321,21 +319,50 @@ class TestSweepCommands:
         path.write_text(spec.to_json())
         return path
 
+    def _serve_and_drain(self, tmp_path, spec_path, monkeypatch) -> str:
+        """``sweep serve --spec`` in a thread, drained by one ``sweep
+        work``, then shut down like Ctrl-C would; returns the served run
+        directory."""
+        import queue
+        import threading
+
+        from repro.runtime import coordinator
+
+        servers: queue.Queue = queue.Queue()
+        bind = coordinator.serve_coordinator
+
+        def serve_coordinator(*args, **kwargs):
+            server = bind(*args, **kwargs)
+            servers.put(server)
+            return server
+
+        monkeypatch.setattr(coordinator, "serve_coordinator", serve_coordinator)
+        run_dir = str(tmp_path / "run")
+        serve = threading.Thread(
+            target=main,
+            args=(["sweep", "serve", run_dir, "--spec", str(spec_path)],),
+            daemon=True,
+        )
+        serve.start()
+        server = servers.get(timeout=30)
+        try:
+            assert main(
+                ["sweep", "work", "--coordinator", server.url, "--worker-id", "w1"]
+            ) == 0
+        finally:
+            server.shutdown()
+            serve.join(timeout=30)
+        assert not serve.is_alive()
+        return run_dir
+
     def test_work_initializes_and_drains_then_status_reports_complete(
-        self, tmp_path, capsys
+        self, tmp_path, capsys, monkeypatch
     ):
         spec_path = self._benchmark_spec_file(tmp_path)
-        run_dir = str(tmp_path / "run")
-        assert main(
-            ["sweep", "work", run_dir, "--spec", str(spec_path), "--worker-id", "w1",
-             "--ttl", "30"]
-        ) == 0
+        run_dir = self._serve_and_drain(tmp_path, spec_path, monkeypatch)
         out = capsys.readouterr().out
         assert "executed 3 unit(s)" in out
-        assert "run complete" in out and "incomplete" not in out
-        # A second worker finds nothing to do — from the manifest alone.
-        assert main(["sweep", "work", run_dir, "--worker-id", "w2", "--ttl", "30"]) == 0
-        assert "executed 0 unit(s)" in capsys.readouterr().out
+        assert "run complete (3/3 units)" in out
         assert main(["sweep", "status", run_dir]) == 0
         out = capsys.readouterr().out
         assert "cli-dist" in out and "3/3" in out
@@ -346,48 +373,40 @@ class TestSweepCommands:
         ) == 0
         assert "cli-dist" in capsys.readouterr().out
 
-    def test_work_without_manifest_or_spec_fails_cleanly(self, tmp_path, capsys):
-        assert main(["sweep", "work", str(tmp_path / "empty")]) == 2
-        assert "manifest" in capsys.readouterr().err
-
-    def test_work_rejects_bad_timing_flags_cleanly(self, tmp_path, capsys):
-        assert main(["sweep", "work", str(tmp_path / "r"), "--ttl", "0"]) == 2
-        assert "--ttl" in capsys.readouterr().err
-        assert main(["sweep", "work", str(tmp_path / "r"), "--heartbeat", "-1"]) == 2
-        assert "--heartbeat" in capsys.readouterr().err
-        assert main(
-            ["sweep", "work", str(tmp_path / "r"), "--ttl", "2", "--heartbeat", "10"]
-        ) == 2
-        assert "smaller than the lease ttl" in capsys.readouterr().err
+    def test_work_rejects_bad_timing_flags_cleanly(self, capsys):
+        url = "http://127.0.0.1:1"
+        for flag, value in (
+            ("--heartbeat", "-1"), ("--poll", "-1"), ("--retry", "0"), ("--batch", "0")
+        ):
+            assert main(["sweep", "work", "--coordinator", url, flag, value]) == 2
+            assert flag in capsys.readouterr().err
 
     def test_run_distributed_backend_executes_a_spec_file(self, tmp_path, capsys):
+        from repro.runtime import RunCheckpoint
+        from repro.runtime.coordinator import running_coordinator
+        from repro.sweeps import SweepSpec, plan_sweep
+
         spec_path = self._benchmark_spec_file(tmp_path)
         run_dir = tmp_path / "run"
-        assert main(
-            ["sweep", "run", str(spec_path), "--run-dir", str(run_dir),
-             "--backend", "distributed"]
-        ) == 0
+        plan = plan_sweep(SweepSpec.load(spec_path))
+        RunCheckpoint(run_dir).initialize(plan.manifest(), resume=True)
+        with running_coordinator(run_dir, unit_keys=[u.key for u in plan.units]) as server:
+            assert main(
+                ["sweep", "run", str(spec_path), "--backend", "coordinator",
+                 "--coordinator", server.url, "--batch", "2"]
+            ) == 0
         assert "cli-dist" in capsys.readouterr().out
         assert list(run_dir.glob("units-*.jsonl"))
-
-    def test_run_distributed_backend_requires_run_dir(self, tmp_path, capsys):
-        spec_path = self._benchmark_spec_file(tmp_path)
-        assert main(["sweep", "run", str(spec_path), "--backend", "distributed"]) == 2
-        assert "run_dir" in capsys.readouterr().err
 
     def test_status_on_non_run_directory_fails_cleanly(self, tmp_path, capsys):
         assert main(["sweep", "status", str(tmp_path)]) == 2
         assert "not a run directory" in capsys.readouterr().err
 
-    def test_status_json_emits_the_shared_schema(self, tmp_path, capsys):
+    def test_status_json_emits_the_shared_schema(self, tmp_path, capsys, monkeypatch):
         import json
 
         spec_path = self._benchmark_spec_file(tmp_path)
-        run_dir = str(tmp_path / "run")
-        assert main(
-            ["sweep", "work", run_dir, "--spec", str(spec_path), "--worker-id", "w1",
-             "--ttl", "30"]
-        ) == 0
+        run_dir = self._serve_and_drain(tmp_path, spec_path, monkeypatch)
         capsys.readouterr()
         assert main(["sweep", "status", run_dir, "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
@@ -396,22 +415,20 @@ class TestSweepCommands:
         assert payload["active_leases"] == []
 
     def test_work_requires_exactly_one_of_run_dir_and_coordinator(self, tmp_path, capsys):
-        assert main(["sweep", "work"]) == 2
-        assert "exactly one" in capsys.readouterr().err
-        assert main(
-            ["sweep", "work", str(tmp_path / "r"), "--coordinator", "http://h:1"]
-        ) == 2
-        assert "exactly one" in capsys.readouterr().err
+        with pytest.raises(SystemExit):
+            main(["sweep", "work"])
+        assert "--coordinator" in capsys.readouterr().err
+        with pytest.raises(SystemExit):
+            main(["sweep", "work", str(tmp_path / "r"), "--coordinator", "http://h:1"])
+        assert "unrecognized arguments" in capsys.readouterr().err
 
-    def test_work_coordinator_rejects_directory_only_flags(self, tmp_path, capsys):
-        assert main(
-            ["sweep", "work", "--coordinator", "http://h:1", "--spec", "s.json"]
-        ) == 2
-        assert "--spec" in capsys.readouterr().err
-        assert main(
-            ["sweep", "work", "--coordinator", "http://h:1", "--ttl", "30"]
-        ) == 2
-        assert "--ttl" in capsys.readouterr().err
+    def test_work_coordinator_rejects_directory_only_flags(self, capsys):
+        # The shared-directory flags are gone: the coordinator's manifest
+        # defines the sweep and `sweep serve --ttl` sets the lease TTL.
+        for flag, value in (("--spec", "s.json"), ("--ttl", "30")):
+            with pytest.raises(SystemExit):
+                main(["sweep", "work", "--coordinator", "http://h:1", flag, value])
+            assert flag in capsys.readouterr().err
 
     def test_status_requires_exactly_one_source(self, capsys):
         assert main(["sweep", "status"]) == 2

@@ -974,7 +974,9 @@ class TestCoordinatorSweep:
                 coordinator="http://localhost:1",
                 rng=np.random.default_rng(1),
             )
-        with pytest.raises(ValueError, match="lease_ttl"):
+        with pytest.raises(TypeError, match="lease_ttl"):
+            # The coordinator owns the TTL (`sweep serve --ttl`); run_sweep
+            # has no worker-side lease knob at all.
             run_sweep(
                 spec,
                 backend="coordinator",
@@ -1050,33 +1052,109 @@ class TestCoordinatorSweep:
         checkpoint = RunCheckpoint(tmp_path / "run")
         checkpoint.initialize({"kind": "t"})
         with pytest.raises(ValueError, match="retry_timeout"):
-            run_units(
-                units,
-                _square_payload,
-                checkpoint=checkpoint,
-                backend="distributed",
-                retry_timeout=5,
-            )
+            run_units(units, _square_payload, checkpoint=checkpoint, retry_timeout=5)
 
     def test_status_schema_is_shared_between_backends(self, tmp_path):
+        """The run-directory view (``sweep status <dir>``) and the live
+        coordinator view (``GET /status``) of one run share a schema."""
         from repro.runtime.distributed import inspect_run_dir
 
         spec = tiny_benchmark_spec()
-        fs_dir = tmp_path / "fs"
-        run_sweep(spec, run_dir=fs_dir, backend="distributed", lease_ttl=30)
-        fs_payload = inspect_run_dir(fs_dir).to_payload()
-
         coord_dir = tmp_path / "coord"
         plan = init_run_dir(coord_dir, spec)
         with running_coordinator(coord_dir, unit_keys=[u.key for u in plan.units]) as server:
             work_coordinator(server.url, worker_id="w1", poll_interval=0.05)
-            coord_payload = HttpWorkBackend(server.url, retry_timeout=10).status()
+            client = HttpWorkBackend(server.url, retry_timeout=10)
+            coord_payload = client.status()
+            client.close()
+        fs_payload = inspect_run_dir(coord_dir).to_payload()
 
         assert set(fs_payload) == set(coord_payload)
         for key in ("schema", "kind", "name", "complete", "total_units", "completed_units"):
             assert fs_payload[key] == coord_payload[key], key
         assert fs_payload["backend"] == "filesystem"
         assert coord_payload["backend"] == "coordinator"
+
+    def test_entry_points_close_their_coordinator_clients(self, tmp_path, monkeypatch):
+        """``run_sweep(backend="coordinator")`` and ``work_coordinator``
+        close every client they open — the manifest check, the drain
+        backend, and the connection each heartbeat thread opened to
+        renew — so the garbage collector finds no open socket to warn
+        about."""
+        import gc
+        import warnings
+
+        spec = tiny_benchmark_spec()
+        # Units outlasting the heartbeat (ttl/4 = 0.05 s) make every beat
+        # thread renew, and so open its own connection, at least once.
+        monkeypatch.setenv("REPRO_RUNTIME_UNIT_DELAY", "0.15")
+        gc.collect()  # earlier tests' garbage must not count here
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            for entry in ("run_sweep", "work_coordinator"):
+                run_dir = tmp_path / entry
+                plan = init_run_dir(run_dir, spec)
+                keys = [u.key for u in plan.units]
+                with running_coordinator(run_dir, ttl=0.2, unit_keys=keys) as server:
+                    if entry == "run_sweep":
+                        run_sweep(
+                            spec, backend="coordinator", coordinator=server.url, claim_batch=2
+                        )
+                    else:
+                        work_coordinator(server.url, worker_id="w1", poll_interval=0.05)
+            gc.collect()
+        leaks = [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)]
+        assert leaks == []
+
+    def test_serve_finishes_a_run_dir_in_the_retired_shared_directory_layout(
+        self, tmp_path
+    ):
+        """A run directory the removed shared-directory backend left half
+        done stays usable: its per-worker shard merges, a dead worker's
+        lease file blocks nothing, a coordinator drains the rest, and the
+        merged result is bit-identical to a serial run."""
+        import numpy as np
+
+        from repro.runtime.distributed import Lease, LeaseDir
+        from repro.runtime.gc import scan_runs
+        from repro.sweeps import load_run_plan
+
+        spec = SweepSpec(
+            name="migrate",
+            mode="benchmark",
+            schedulers=("HEFT", "CPoP"),
+            source=SourceSpec("dataset", {"dataset": "chains"}),
+            num_instances=6,
+            sampling="sequential",
+            seed=4,
+        )
+        run_dir = tmp_path / "run"
+        plan = plan_sweep(spec)
+        checkpoint = RunCheckpoint(run_dir, encode=plan.encode, decode=plan.decode)
+        checkpoint.initialize(plan.manifest())
+        for unit in plan.units[:3]:
+            checkpoint.record(unit.key, plan.worker(unit), shard="old-w1")
+        leases = LeaseDir(run_dir)
+        leases.path.mkdir(parents=True)
+        old = time.time() - 3600
+        dead_unit = plan.units[3].key
+        dead = Lease(unit=dead_unit, worker="old-w2", acquired_at=old, heartbeat=old, ttl=120)
+        leases.lease_path(dead_unit).write_text(json.dumps(dead.to_dict()))
+        os.utime(leases.lease_path(dead_unit), (old, old))
+
+        # What `sweep serve <run_dir>` does: the plan comes from the manifest.
+        keys = [u.key for u in load_run_plan(run_dir).units]
+        with running_coordinator(run_dir, unit_keys=keys) as server:
+            _, stats = work_coordinator(server.url, worker_id="w3", poll_interval=0.05)
+        assert stats.executed == 3 and stats.reclaimed == 0
+
+        merged = run_sweep(spec, run_dir=run_dir, resume=True)
+        serial = run_sweep(spec, jobs=1)
+        for scheduler in serial.makespans:
+            assert np.array_equal(serial.makespans[scheduler], merged.makespans[scheduler])
+        [status] = scan_runs(run_dir)
+        assert status.complete and status.completed_units == 6
+        assert status.active_leases == 0
 
 
 # ---------------------------------------------------------------------- #

@@ -1,63 +1,80 @@
-"""Tests for the distributed runtime (src/repro/runtime/distributed.py).
+"""Tests for the worker side of multi-worker runs (src/repro/runtime/distributed.py).
 
-The properties that make multi-host draining trustworthy:
+The HTTP coordinator owns the only lease table (its own suite is
+``tests/test_coordinator.py``).  This file pins what the rest of the
+runtime promises around it:
 
-* **mutual exclusion** — however many workers race, exactly one claims
-  each unit (``O_EXCL`` lease creation; atomic-rename stealing of stale
-  leases);
-* **crash recovery** — a SIGKILLed worker's in-flight unit is reclaimed
-  after its lease TTL and re-executed by a survivor, and a unit it
-  *recorded* before dying is never executed twice;
-* **bit-identity** — the merged result of any number of workers, in any
-  interleaving, across any number of crashes, equals
-  ``run_sweep(spec, jobs=1)`` exactly (every unit owns a spawned RNG
-  stream, so who executes it cannot matter);
-* **format robustness** — lease files round-trip losslessly, and torn /
-  garbage trailing lines in ``units*.jsonl`` (what a killed writer
-  leaves) are tolerated and logged, never fatal.
-
-The fault-injection harness spawns real ``repro sweep work`` worker
-processes on one shared run directory, SIGKILLs one mid-unit (the
-``REPRO_RUNTIME_UNIT_DELAY`` hook holds each unit open long enough to
-make "mid-unit" deterministic), and checks the survivors' merged output
-against the serial golden.
+* **the drain loop** — :func:`drain_units` against a live coordinator:
+  exactly one execution per unit across concurrent workers, per-unit
+  and batched; a worker exception hands its unit back at once; a dead
+  worker's unit is re-granted after the coordinator's TTL; ``wait=False``
+  returns while a peer holds a live lease;
+* **advisory leases** — :class:`LeaseDir` create/renew/release/list,
+  the lease file format, and the :func:`lease_seems_live` rule that
+  ``runs gc``, ``sweep status`` and fresh initialization share;
+* **run-directory robustness** — torn / garbage trailing lines in
+  ``units*.jsonl`` (what a killed writer leaves) are tolerated and
+  logged, shards merge first-writer-wins, and a fresh initialization
+  refuses to clobber results or a live lease;
+* **plan reconstruction** — a run directory's manifest alone rebuilds
+  its sweep (what ``repro sweep serve <run_dir>`` relies on), and
+  manifests that cannot be rebuilt are refused;
+* **bit-identity** — real ``repro sweep work`` processes draining a
+  ``repro sweep serve`` coordinator, one SIGKILLed mid-unit (the
+  ``REPRO_RUNTIME_UNIT_DELAY`` hook holds each unit open long enough to
+  make "mid-unit" deterministic), merge bit-identically to
+  ``run_sweep(spec, jobs=1)``.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import signal
+import socket
 import subprocess
 import sys
 import tempfile
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.__main__ import main
 from repro.pisa import AnnealingConfig, PISAConfig
 from repro.runtime import RunCheckpoint, WorkUnit
+from repro.runtime.backends import HttpWorkBackend
 from repro.runtime.checkpoint import (
     CheckpointError,
     iter_result_records,
     safe_filename,
 )
+from repro.runtime.coordinator import ADVISORY_LEASE_UNIT, running_coordinator
 from repro.runtime.distributed import (
+    DEFAULT_LEASE_TTL,
     Lease,
     LeaseDir,
     drain_units,
     inspect_run_dir,
-    run_units_distributed,
+    lease_seems_live,
+    run_units_coordinator,
     worker_identity,
 )
 from repro.runtime.executor import run_units
-from repro.sweeps import SourceSpec, SweepSpec, fig4_spec, run_sweep, work_run_dir
+from repro.sweeps import (
+    SourceSpec,
+    SweepSpec,
+    fig4_spec,
+    load_run_plan,
+    plan_sweep,
+    run_sweep,
+    work_coordinator,
+)
 from repro.utils.rng import spawn
 
 TINY = PISAConfig(annealing=AnnealingConfig(max_iterations=10, alpha=0.8), restarts=2)
@@ -84,6 +101,30 @@ def tiny_benchmark_spec(seed: int = 1) -> SweepSpec:
 
 def _ratios(result):
     return {pair: res.restart_ratios for pair, res in result.pairwise.results.items()}
+
+
+@contextlib.contextmanager
+def serving(run_dir: Path, keys: list[str], ttl: float = 30.0):
+    """A coordinator over a minimal hand-rolled manifest for ``keys``,
+    yielding ``(server, client)``."""
+    RunCheckpoint(run_dir).initialize(
+        {"kind": "sweep", "spec": {"name": "t"}, "units": len(keys)}, resume=True
+    )
+    with running_coordinator(run_dir, ttl=ttl, unit_keys=keys) as server:
+        client = HttpWorkBackend(server.url, retry_timeout=10)
+        try:
+            yield server, client
+        finally:
+            client.close()
+
+
+def _drain(server, units, worker, **kwargs):
+    """``drain_units`` as one worker with its own client."""
+    backend = HttpWorkBackend(server.url, retry_timeout=10)
+    try:
+        return drain_units(units, worker, backend=backend, **kwargs)
+    finally:
+        backend.close()
 
 
 # ---------------------------------------------------------------------- #
@@ -118,14 +159,9 @@ class TestLeaseFormat:
         with pytest.raises(ValueError):
             Lease.from_dict(payload)
 
-    def test_reclaimed_flag_is_not_serialized_and_not_compared(self):
-        lease = Lease(unit="u", worker="w", acquired_at=1.0, heartbeat=1.0, ttl=2.0)
-        assert "reclaimed" not in lease.to_dict()
-        assert replace(lease, reclaimed=True) == lease
-
 
 # ---------------------------------------------------------------------- #
-# Claim protocol: mutual exclusion, stealing, renewal
+# Mutual exclusion: lease files and the coordinator's expired leases
 # ---------------------------------------------------------------------- #
 class TestClaimRace:
     @given(contenders=st.integers(min_value=2, max_value=8))
@@ -137,92 +173,91 @@ class TestClaimRace:
 
             def attempt(i: int):
                 barrier.wait()
-                return leases.claim("HEFT|CPoP|r0", f"w{i}")
+                return leases.create(ADVISORY_LEASE_UNIT, f"w{i}")
 
             with ThreadPoolExecutor(max_workers=contenders) as pool:
                 results = list(pool.map(attempt, range(contenders)))
             winners = [lease for lease in results if lease is not None]
             assert len(winners) == 1
-            assert not winners[0].reclaimed
+            assert leases.load(leases.lease_path(ADVISORY_LEASE_UNIT)) == winners[0]
 
-    @given(contenders=st.integers(min_value=2, max_value=8))
-    @settings(max_examples=15, deadline=None)
+    @given(contenders=st.integers(min_value=2, max_value=6))
+    @settings(max_examples=5, deadline=None)
     def test_concurrent_steals_of_a_stale_lease_have_exactly_one_winner(self, contenders):
+        """A dead worker's expired lease is re-granted to exactly one of
+        the workers racing for it, flagged as a reclaim."""
         with tempfile.TemporaryDirectory() as td:
-            leases = LeaseDir(td, ttl=60)
-            dead = Lease(
-                unit="u", worker="dead", acquired_at=0.0, heartbeat=0.0, ttl=0.02
-            )
-            leases.path.mkdir(parents=True, exist_ok=True)
-            leases.lease_path("u").write_text(json.dumps(dead.to_dict()))
-            # Staleness is observer-local: a first probe starts the
-            # unchanged-for-TTL watch, and only after the dead worker's
-            # declared TTL passes (by our clock) is the lease stealable.
-            assert leases.claim("u", "probe") is None
-            time.sleep(0.05)
-            barrier = threading.Barrier(contenders)
+            with serving(Path(td) / "run", ["u"], ttl=0.05) as (_, client):
+                assert client.claim("u", "dead") is not None
+                time.sleep(0.1)  # the holder stays silent past its TTL
+                barrier = threading.Barrier(contenders)
 
-            def attempt(i: int):
-                barrier.wait()
-                return leases.claim("u", f"w{i}")
+                def attempt(i: int):
+                    barrier.wait()
+                    try:
+                        return client.claim("u", f"w{i}")
+                    finally:
+                        client.close()  # this pool thread's own connection
 
-            with ThreadPoolExecutor(max_workers=contenders) as pool:
-                results = list(pool.map(attempt, range(contenders)))
-            winners = [lease for lease in results if lease is not None]
-            assert len(winners) == 1
-            assert winners[0].reclaimed
+                with ThreadPoolExecutor(max_workers=contenders) as pool:
+                    results = list(pool.map(attempt, range(contenders)))
+                winners = [lease for lease in results if lease is not None]
+                assert len(winners) == 1
+                assert winners[0].reclaimed
 
 
 class TestLeaseLifecycle:
     def test_second_claim_is_refused_until_release(self, tmp_path):
         leases = LeaseDir(tmp_path, ttl=60)
-        lease = leases.claim("u0", "w1")
+        lease = leases.create("u0", "w1")
         assert lease is not None and lease.worker == "w1"
-        assert leases.claim("u0", "w2") is None
+        assert leases.create("u0", "w2") is None
         leases.release(lease)
-        assert leases.claim("u0", "w2") is not None
+        assert leases.create("u0", "w2") is not None
 
     def test_dead_lease_is_reclaimed_after_observed_ttl(self, tmp_path):
-        """Observer-local expiry: the heartbeat must be *watched* staying
-        unchanged for the holder's TTL — host clocks are never compared,
-        so a skewed-but-renewing holder can never look dead."""
-        leases = LeaseDir(tmp_path, ttl=60)
-        dead = Lease(unit="u0", worker="dead", acquired_at=0.0, heartbeat=0.0, ttl=0.1)
-        leases.path.mkdir(parents=True)
-        leases.lease_path("u0").write_text(json.dumps(dead.to_dict()))
-        assert leases.claim("u0", "w1") is None  # first sighting: watch starts
-        time.sleep(0.15)
-        stolen = leases.claim("u0", "w1")
-        assert stolen is not None and stolen.reclaimed
+        """The coordinator judges a silent holder dead only once its own
+        clock has watched a full TTL pass: a contender is refused before
+        that and re-granted the unit, flagged as a reclaim, after."""
+        with serving(tmp_path / "run", ["u0"], ttl=0.6) as (_, client):
+            assert client.claim("u0", "dead") is not None
+            assert client.claim("u0", "w1") is None
+            time.sleep(0.8)
+            stolen = client.claim("u0", "w1")
+            assert stolen is not None and stolen.reclaimed
 
     def test_heartbeat_change_resets_the_staleness_watch(self, tmp_path):
-        leases = LeaseDir(tmp_path, ttl=60)
-        path = leases.lease_path("u0")
-        leases.path.mkdir(parents=True)
-        dead = Lease(unit="u0", worker="slow", acquired_at=0.0, heartbeat=1.0, ttl=0.1)
-        path.write_text(json.dumps(dead.to_dict()))
-        assert leases.claim("u0", "w1") is None
-        time.sleep(0.15)
-        # The holder heartbeats (with an arbitrarily skewed timestamp —
-        # only the *change* matters) just before the steal attempt.
-        path.write_text(json.dumps(dead.to_dict() | {"heartbeat": 2.0}))
-        assert leases.claim("u0", "w1") is None  # watch restarted
-        time.sleep(0.15)
-        stolen = leases.claim("u0", "w1")
-        assert stolen is not None and stolen.reclaimed
+        with serving(tmp_path / "run", ["u0"], ttl=0.6) as (_, client):
+            slow = client.claim("u0", "slow")
+            time.sleep(0.4)
+            assert client.renew(slow) is not None  # just before the TTL lapses
+            time.sleep(0.4)  # a full TTL since the claim, not since the beat
+            assert client.claim("u0", "w1") is None
+            time.sleep(0.8)  # now silent past its TTL
+            stolen = client.claim("u0", "w1")
+            assert stolen is not None and stolen.reclaimed
 
     def test_torn_lease_is_respected_until_watched_for_a_full_ttl(self, tmp_path):
-        leases = LeaseDir(tmp_path, ttl=0.1)
+        """A torn lease file (its writer died mid-write) has no heartbeat:
+        it counts as live until its mtime is a full default TTL old."""
+        leases = LeaseDir(tmp_path, ttl=60)
         leases.path.mkdir(parents=True)
-        leases.lease_path("u0").write_text('{"unit": "u0", "wor')  # torn write
-        assert leases.claim("u0", "w1") is None
-        time.sleep(0.15)
-        lease = leases.claim("u0", "w1")
-        assert lease is not None and lease.reclaimed
+        path = leases.lease_path(ADVISORY_LEASE_UNIT)
+        path.write_text('{"unit": "__coord')  # torn write
+        assert leases.leases() == [(path, None)]
+        now = time.time()
+        assert lease_seems_live(None, path, now)
+        status = inspect_run_dir(tmp_path, now=now)
+        assert status.torn_leases == status.torn_live == 1
+        old = now - DEFAULT_LEASE_TTL - 1
+        os.utime(path, (old, old))
+        assert not lease_seems_live(None, path, now)
+        status = inspect_run_dir(tmp_path, now=now)
+        assert status.torn_leases == 1 and status.torn_live == 0
 
     def test_renew_refreshes_heartbeat(self, tmp_path):
         leases = LeaseDir(tmp_path, ttl=60)
-        lease = leases.claim("u0", "w1")
+        lease = leases.create("u0", "w1")
         renewed = leases.renew(lease)
         assert renewed is not None
         assert renewed.heartbeat >= lease.heartbeat
@@ -230,69 +265,47 @@ class TestLeaseLifecycle:
         assert stored.heartbeat == renewed.heartbeat
 
     def test_release_by_a_robbed_worker_keeps_the_thiefs_lease(self, tmp_path):
-        """A stalled worker whose lease was stolen must not unlink the
-        thief's live lease when it bails out (e.g. its worker fn raised)."""
+        """A coordinator restarted after a SIGKILL replaces its dead
+        predecessor's advisory lease; a predecessor that was only stalled
+        must not unlink its successor's live lease when it shuts down."""
         leases = LeaseDir(tmp_path, ttl=60)
-        mine = Lease(unit="u0", worker="me", acquired_at=0.0, heartbeat=0.0, ttl=0.1)
-        leases.path.mkdir(parents=True)
-        leases.lease_path("u0").write_text(json.dumps(mine.to_dict()))
-        assert leases.claim("u0", "thief") is None
-        time.sleep(0.15)
-        assert leases.claim("u0", "thief") is not None
-        leases.release(mine)  # the robbed worker's failure-path release
-        assert leases.load(leases.lease_path("u0")).worker == "thief"
+        mine = leases.create(ADVISORY_LEASE_UNIT, "coordinator-1")
+        os.unlink(leases.lease_path(ADVISORY_LEASE_UNIT))
+        assert leases.create(ADVISORY_LEASE_UNIT, "coordinator-2") is not None
+        leases.release(mine)
+        assert leases.load(leases.lease_path(ADVISORY_LEASE_UNIT)).worker == "coordinator-2"
 
     def test_heartbeat_slower_than_ttl_rejected(self, tmp_path):
-        checkpoint = RunCheckpoint(tmp_path / "run")
-        checkpoint.initialize({"kind": "t"})
-        with pytest.raises(ValueError, match="smaller than the lease"):
-            drain_units(
-                [WorkUnit(key="u0", payload=1)],
-                _square,
-                checkpoint,
-                lease_ttl=2,
-                heartbeat_interval=10,
-            )
+        """A heartbeat slower than the coordinator's TTL would let every
+        live lease expire mid-unit; the first grant refuses it, and the
+        refused claim goes straight back to the coordinator."""
+        with serving(tmp_path / "run", ["u0"], ttl=2.0) as (server, client):
+            with pytest.raises(ValueError, match="smaller than the lease"):
+                _drain(server, [WorkUnit(key="u0", payload=1)], _square, heartbeat_interval=10)
+            assert client.status()["active_leases"] == []
 
     def test_renew_after_release_does_not_resurrect_the_lease(self, tmp_path):
-        """A straggler heartbeat (blocked in a slow fs call while the unit
-        finished) must not recreate a released lease — that phantom would
-        block gc and fresh initialization for a full TTL."""
+        """A straggler heartbeat (blocked in a slow fs call while its
+        holder released) must not recreate a released lease — that
+        phantom would block gc and fresh initialization for a full TTL."""
         leases = LeaseDir(tmp_path, ttl=60)
-        lease = leases.claim("u0", "w1")
+        lease = leases.create("u0", "w1")
         leases.release(lease)
         assert leases.renew(lease) is None
         assert not leases.lease_path("u0").exists()
 
     def test_renew_after_steal_reports_lost_ownership(self, tmp_path):
         leases = LeaseDir(tmp_path, ttl=60)
-        mine = Lease(unit="u0", worker="me", acquired_at=0.0, heartbeat=0.0, ttl=0.1)
-        leases.path.mkdir(parents=True)
-        leases.lease_path("u0").write_text(json.dumps(mine.to_dict()))
-        assert leases.claim("u0", "thief") is None  # watch starts
-        time.sleep(0.15)
-        thief = leases.claim("u0", "thief")
-        assert thief is not None and thief.reclaimed
+        mine = leases.create(ADVISORY_LEASE_UNIT, "coordinator-1")
+        os.unlink(leases.lease_path(ADVISORY_LEASE_UNIT))
+        successor = leases.create(ADVISORY_LEASE_UNIT, "coordinator-2")
         assert leases.renew(mine) is None
-        # The thief's lease survives untouched.
-        assert leases.load(leases.lease_path("u0")).worker == "thief"
-
-    def test_cleanup_sweeps_only_expired_leases_of_completed_units(self, tmp_path):
-        leases = LeaseDir(tmp_path, ttl=60)
-        live = leases.claim("pending", "w1")
-        dead = Lease(unit="done", worker="dead", acquired_at=0.0, heartbeat=0.0, ttl=0.5)
-        dead_path = leases.lease_path("done")
-        dead_path.write_text(json.dumps(dead.to_dict()))
-        old = time.time() - 3600
-        os.utime(dead_path, (old, old))  # heartbeat *and* mtime old: truly dead
-        removed = leases.cleanup({"done"})
-        assert removed == 1
-        assert not dead_path.exists()
-        assert leases.lease_path(live.unit).exists()
+        # The successor's lease survives untouched.
+        assert leases.load(leases.lease_path(ADVISORY_LEASE_UNIT)) == successor
 
     def test_worker_identity_is_stable_per_process_and_filesystem_safe(self):
-        """One process is one worker: repeated calls must agree (leases and
-        shard appends have to land under one id), while the random 32-bit
+        """One process is one worker: repeated calls must agree (its shard
+        appends have to land under one id), while the random 32-bit
         suffix keeps hosts sharing a hostname+pid (container fleets, pid
         reuse) from colliding."""
         from repro.runtime import distributed
@@ -324,8 +337,8 @@ class TestResultFileRobustness:
     @settings(max_examples=40, deadline=None)
     def test_resume_over_truncated_trailing_line(self, n, cut_fraction):
         """A killed writer's partial last line is tolerated, and appending
-        after it never corrupts the new record (the latent bug this PR
-        fixes: resume used to glue the fresh record onto the torn bytes)."""
+        after it never corrupts the new record (resume must not glue the
+        fresh record onto the torn bytes)."""
         with tempfile.TemporaryDirectory() as td:
             checkpoint = RunCheckpoint(td)
             checkpoint.initialize({"kind": "t"})
@@ -403,8 +416,8 @@ class TestResultFileRobustness:
             barrier.wait()
             try:
                 checkpoint.initialize(manifest, resume=True)
-                # Immediately behave like a worker: claim and record.
-                lease = LeaseDir(checkpoint.run_dir, ttl=30).claim("u0", f"w{i}")
+                # Immediately behave like a coordinator: lease and record.
+                lease = LeaseDir(checkpoint.run_dir, ttl=30).create("u0", f"w{i}")
                 if lease is not None:
                     checkpoint.record("u0", i, shard=f"w{i}")
             except Exception as exc:  # noqa: BLE001 - collected for the assert
@@ -437,27 +450,30 @@ class TestResultFileRobustness:
         assert checkpoint.completed() == {"u0": 1}
 
     def test_fresh_initialize_refuses_while_a_worker_holds_a_live_lease(self, tmp_path):
-        """An in-flight worker has recorded nothing yet, but overwriting
-        the manifest under it would let it record results for a different
-        experiment into this directory."""
+        """A serving coordinator may have recorded nothing yet, but
+        overwriting the manifest under it would let its workers record
+        results for a different experiment into this directory."""
         checkpoint = RunCheckpoint(tmp_path)
         checkpoint.initialize({"kind": "t"})
-        LeaseDir(tmp_path, ttl=60).claim("u0", "busy-worker")
-        with pytest.raises(CheckpointError, match="busy-worker"):
+        LeaseDir(tmp_path, ttl=60).create(ADVISORY_LEASE_UNIT, "coordinator-42")
+        with pytest.raises(CheckpointError, match="coordinator-42"):
             checkpoint.initialize({"kind": "other"}, resume=False)
         # Once the lease is dead (old heartbeat + old mtime), fresh
         # initialization proceeds and sweeps the husk.
         leases = LeaseDir(tmp_path, ttl=60)
+        path = leases.lease_path(ADVISORY_LEASE_UNIT)
         old = time.time() - 3600
-        dead = Lease(unit="u0", worker="dead", acquired_at=old, heartbeat=old, ttl=1.0)
-        leases.lease_path("u0").write_text(json.dumps(dead.to_dict()))
-        os.utime(leases.lease_path("u0"), (old, old))
+        dead = Lease(
+            unit=ADVISORY_LEASE_UNIT, worker="dead", acquired_at=old, heartbeat=old, ttl=1.0
+        )
+        path.write_text(json.dumps(dead.to_dict()))
+        os.utime(path, (old, old))
         checkpoint.initialize({"kind": "other"}, resume=False)
         assert not list(leases.path.glob("*.json"))
 
 
 # ---------------------------------------------------------------------- #
-# The drain loop (in-process workers)
+# The drain loop (in-process workers against a live coordinator)
 # ---------------------------------------------------------------------- #
 def _square(unit: WorkUnit) -> int:
     return int(unit.payload) ** 2
@@ -467,85 +483,67 @@ def _draw(unit: WorkUnit) -> float:
     return float(unit.rng.random())
 
 
+def _recorded_keys(run_dir: Path) -> list[str]:
+    checkpoint = RunCheckpoint(run_dir)
+    return [
+        record["key"]
+        for path in checkpoint.result_paths()
+        for record in iter_result_records(path)
+    ]
+
+
 class TestDrainUnits:
     def test_single_worker_drains_everything(self, tmp_path):
-        checkpoint = RunCheckpoint(tmp_path / "run")
-        checkpoint.initialize({"kind": "t"})
+        run_dir = tmp_path / "run"
         units = [WorkUnit(key=f"u{i}", payload=i) for i in range(5)]
-        stats = drain_units(units, _square, checkpoint, worker_id="w1", lease_ttl=30)
-        assert stats.executed == 5
+        with serving(run_dir, [u.key for u in units]) as (server, client):
+            stats = _drain(server, units, _square, worker_id="w1")
+            assert client.results() == {f"u{i}": i * i for i in range(5)}
+        assert stats.executed == 5 and stats.reclaimed == 0
+        checkpoint = RunCheckpoint(run_dir)
         assert checkpoint.completed() == {f"u{i}": i * i for i in range(5)}
         # Results live in this worker's shard, not units.jsonl.
-        assert checkpoint.units_path.read_text() == ""
-        assert checkpoint.shard_path("w1").exists()
+        assert not checkpoint.units_path.exists()
+        assert checkpoint.result_paths() == [checkpoint.shard_path("w1")]
 
     def test_concurrent_workers_split_the_run_without_double_execution(self, tmp_path):
-        checkpoint = RunCheckpoint(tmp_path / "run")
-        checkpoint.initialize({"kind": "t"})
+        run_dir = tmp_path / "run"
         units = [WorkUnit(key=f"u{i}", payload=i) for i in range(20)]
-        with ThreadPoolExecutor(max_workers=3) as pool:
-            futures = [
-                pool.submit(
-                    drain_units,
-                    units,
-                    _square,
-                    checkpoint,
-                    worker_id=f"w{i}",
-                    lease_ttl=30,
-                    poll_interval=0.01,
-                )
-                for i in range(3)
-            ]
-            all_stats = [f.result() for f in futures]
+        with serving(run_dir, [u.key for u in units]) as (server, _):
+            with ThreadPoolExecutor(max_workers=3) as pool:
+                futures = [
+                    pool.submit(
+                        _drain, server, units, _square, worker_id=f"w{i}", poll_interval=0.01
+                    )
+                    for i in range(3)
+                ]
+                all_stats = [f.result() for f in futures]
         assert sum(s.executed for s in all_stats) == 20
-        assert checkpoint.completed() == {f"u{i}": i * i for i in range(20)}
-        # Exactly-once: no duplicate records across the three shards.
-        keys = [
-            record["key"]
-            for path in checkpoint.result_paths()
-            for record in iter_result_records(path)
-        ]
-        assert sorted(keys) == sorted(f"u{i}" for i in range(20))
+        assert RunCheckpoint(run_dir).completed() == {f"u{i}": i * i for i in range(20)}
+        # Exactly once: no duplicate records across the three shards.
+        assert sorted(_recorded_keys(run_dir)) == sorted(f"u{i}" for i in range(20))
 
     def test_no_wait_returns_while_peer_holds_a_live_lease(self, tmp_path):
-        checkpoint = RunCheckpoint(tmp_path / "run")
-        checkpoint.initialize({"kind": "t"})
         units = [WorkUnit(key="u0", payload=1)]
-        LeaseDir(checkpoint.run_dir, ttl=60).claim("u0", "peer")
-        stats = drain_units(
-            units, _square, checkpoint, worker_id="w1", lease_ttl=60, wait=False
-        )
-        assert stats.executed == 0
-        assert checkpoint.completed() == {}
+        with serving(tmp_path / "run", ["u0"]) as (server, client):
+            assert client.claim("u0", "peer") is not None
+            stats = _drain(server, units, _square, worker_id="w1", wait=False)
+            assert stats.executed == 0
+            assert client.completed_keys() == set()
 
     def test_dead_workers_stale_lease_is_reclaimed_and_unit_executed(self, tmp_path):
-        checkpoint = RunCheckpoint(tmp_path / "run")
-        checkpoint.initialize({"kind": "t"})
         units = [WorkUnit(key="u0", payload=3)]
-        leases = LeaseDir(checkpoint.run_dir, ttl=60)
-        dead = Lease(unit="u0", worker="dead", acquired_at=0.0, heartbeat=0.0, ttl=0.2)
-        leases.path.mkdir(parents=True)
-        leases.lease_path("u0").write_text(json.dumps(dead.to_dict()))
-        # The drain loop observes the frozen heartbeat, waits out the
-        # dead worker's declared TTL on its own clock, then reclaims.
-        stats = drain_units(
-            units, _square, checkpoint, worker_id="w1", lease_ttl=30, poll_interval=0.05
-        )
-        assert stats.executed == 1 and stats.reclaimed == 1
-        assert checkpoint.completed() == {"u0": 9}
+        with serving(tmp_path / "run", ["u0"], ttl=0.2) as (server, client):
+            assert client.claim("u0", "dead") is not None  # and never renewed
+            # The drain loop polls until the coordinator's TTL lapses, then
+            # the re-grant comes back flagged as a reclaim.
+            stats = _drain(server, units, _square, worker_id="w1", poll_interval=0.05)
+            assert stats.executed == 1 and stats.reclaimed == 1
+            assert client.results() == {"u0": 9}
 
     def test_recorded_but_unreleased_unit_is_not_executed_twice(self, tmp_path):
-        """A worker killed between recording and releasing leaves a stale
-        lease on a *completed* unit; reclaiming it must not re-execute."""
-        checkpoint = RunCheckpoint(tmp_path / "run")
-        checkpoint.initialize({"kind": "t"})
-        checkpoint.record("u0", 42, shard="dead")
-        leases = LeaseDir(checkpoint.run_dir, ttl=60)
-        dead = Lease(unit="u0", worker="dead", acquired_at=0.0, heartbeat=0.0, ttl=0.2)
-        leases.path.mkdir(parents=True)
-        leases.lease_path("u0").write_text(json.dumps(dead.to_dict()))
-        old = time.time() - 3600
-        os.utime(leases.lease_path("u0"), (old, old))
+        """A worker killed between recording and releasing leaves its
+        unit done; the coordinator never grants it again."""
         executed = []
 
         def worker(unit):
@@ -553,58 +551,54 @@ class TestDrainUnits:
             return 0
 
         units = [WorkUnit(key="u0", payload=0), WorkUnit(key="u1", payload=1)]
-        stats = drain_units(units, worker, checkpoint, worker_id="w1", lease_ttl=30)
-        assert executed == ["u1"]
-        assert stats.executed == 1
-        assert checkpoint.completed()["u0"] == 42  # the dead worker's record
-        # The dead worker's leftover lease on the completed unit was swept.
-        assert not leases.lease_path("u0").exists()
+        with serving(tmp_path / "run", ["u0", "u1"], ttl=0.2) as (server, client):
+            lease = client.claim("u0", "dead")
+            client.record(lease, 42)  # ...and dies before releasing
+            time.sleep(0.3)  # well past the dead worker's TTL
+            stats = _drain(server, units, worker, worker_id="w1")
+            assert executed == ["u1"]
+            assert stats.executed == 1
+            assert client.results()["u0"] == 42  # the dead worker's record
+            # Recording dropped the dead worker's lease: nothing lingers.
+            assert client.status()["active_leases"] == []
 
-    def test_duplicate_unit_keys_rejected(self, tmp_path):
-        checkpoint = RunCheckpoint(tmp_path / "run")
+    def test_duplicate_unit_keys_rejected(self):
+        backend = HttpWorkBackend("http://127.0.0.1:1", retry_timeout=0.1)
         with pytest.raises(ValueError, match="unique"):
             drain_units(
                 [WorkUnit(key="u", payload=1), WorkUnit(key="u", payload=2)],
                 _square,
-                checkpoint,
+                backend=backend,
             )
 
-    def test_invalid_claim_batch_rejected(self, tmp_path):
-        checkpoint = RunCheckpoint(tmp_path / "run")
+    def test_invalid_claim_batch_rejected(self):
+        backend = HttpWorkBackend("http://127.0.0.1:1", retry_timeout=0.1)
         with pytest.raises(ValueError, match="claim_batch"):
             drain_units(
-                [WorkUnit(key="u", payload=1)], _square, checkpoint, claim_batch=0
+                [WorkUnit(key="u", payload=1)], _square, backend=backend, claim_batch=0
             )
 
     def test_batched_workers_split_the_run_without_double_execution(self, tmp_path):
-        """claim_batch > 1 over the filesystem backend: batches amortize
-        claim overhead but exactly-once still holds across workers."""
-        checkpoint = RunCheckpoint(tmp_path / "run")
-        checkpoint.initialize({"kind": "t"})
+        run_dir = tmp_path / "run"
         units = [WorkUnit(key=f"u{i}", payload=i) for i in range(20)]
-        with ThreadPoolExecutor(max_workers=3) as pool:
-            futures = [
-                pool.submit(
-                    drain_units,
-                    units,
-                    _square,
-                    checkpoint,
-                    worker_id=f"w{i}",
-                    lease_ttl=30,
-                    poll_interval=0.01,
-                    claim_batch=4,
-                )
-                for i in range(3)
-            ]
-            all_stats = [f.result() for f in futures]
+        with serving(run_dir, [u.key for u in units]) as (server, _):
+            with ThreadPoolExecutor(max_workers=3) as pool:
+                futures = [
+                    pool.submit(
+                        _drain,
+                        server,
+                        units,
+                        _square,
+                        worker_id=f"w{i}",
+                        poll_interval=0.01,
+                        claim_batch=4,
+                    )
+                    for i in range(3)
+                ]
+                all_stats = [f.result() for f in futures]
         assert sum(s.executed for s in all_stats) == 20
-        assert checkpoint.completed() == {f"u{i}": i * i for i in range(20)}
-        keys = [
-            record["key"]
-            for path in checkpoint.result_paths()
-            for record in iter_result_records(path)
-        ]
-        assert sorted(keys) == sorted(f"u{i}" for i in range(20))
+        assert RunCheckpoint(run_dir).completed() == {f"u{i}": i * i for i in range(20)}
+        assert sorted(_recorded_keys(run_dir)) == sorted(f"u{i}" for i in range(20))
 
     def test_batched_drain_keeps_finished_units_and_frees_the_rest_on_failure(
         self, tmp_path
@@ -612,8 +606,6 @@ class TestDrainUnits:
         """A worker that dies mid-batch keeps what it already recorded
         (per-unit crash granularity) and releases the unfinished
         remainder immediately for peers."""
-        checkpoint = RunCheckpoint(tmp_path / "run")
-        checkpoint.initialize({"kind": "t"})
         units = [WorkUnit(key=f"u{i}", payload=i) for i in range(4)]
 
         def breaks_on_u2(unit):
@@ -621,107 +613,106 @@ class TestDrainUnits:
                 raise OSError("mid-batch failure")
             return int(unit.payload) ** 2
 
-        with pytest.raises(OSError, match="mid-batch"):
-            drain_units(
-                units, breaks_on_u2, checkpoint, worker_id="w1",
-                lease_ttl=3600, claim_batch=4,
-            )
-        # u0/u1 were recorded before the failure and stay recorded...
-        assert checkpoint.completed() == {"u0": 0, "u1": 1}
-        # ...and no lease lingers: a peer finishes the rest with no TTL wait.
-        stats = drain_units(
-            units, _square, checkpoint, worker_id="w2", lease_ttl=3600, claim_batch=4
-        )
-        assert stats.executed == 2 and stats.reclaimed == 0
-        assert checkpoint.completed() == {f"u{i}": i * i for i in range(4)}
+        with serving(tmp_path / "run", [u.key for u in units], ttl=3600) as (server, client):
+            with pytest.raises(OSError, match="mid-batch"):
+                _drain(server, units, breaks_on_u2, worker_id="w1", claim_batch=4)
+            # u0/u1 were recorded before the failure and stay recorded...
+            assert client.results() == {"u0": 0, "u1": 1}
+            # ...and no lease lingers: a peer finishes the rest with no TTL wait.
+            assert client.status()["active_leases"] == []
+            stats = _drain(server, units, _square, worker_id="w2", claim_batch=4)
+            assert stats.executed == 2 and stats.reclaimed == 0
+            assert client.results() == {f"u{i}": i * i for i in range(4)}
 
     def test_worker_exception_releases_the_lease_immediately(self, tmp_path):
         """A Python-level failure must not strand the lease like a SIGKILL
         would: peers should be able to re-claim without waiting the TTL."""
-        checkpoint = RunCheckpoint(tmp_path / "run")
-        checkpoint.initialize({"kind": "t"})
         units = [WorkUnit(key="u0", payload=1)]
 
         def broken(unit):
             raise OSError("transient failure")
 
-        with pytest.raises(OSError, match="transient"):
-            drain_units(units, broken, checkpoint, worker_id="w1", lease_ttl=3600)
-        leases = LeaseDir(checkpoint.run_dir, ttl=3600)
-        assert not leases.lease_path("u0").exists()
-        # A healthy peer picks the unit up right away (no TTL wait).
-        stats = drain_units(units, _square, checkpoint, worker_id="w2", lease_ttl=3600)
-        assert stats.executed == 1 and stats.reclaimed == 0
-        assert checkpoint.completed() == {"u0": 1}
+        with serving(tmp_path / "run", ["u0"], ttl=3600) as (server, client):
+            with pytest.raises(OSError, match="transient"):
+                _drain(server, units, broken, worker_id="w1")
+            assert client.status()["active_leases"] == []
+            # A healthy peer picks the unit up right away (no TTL wait).
+            stats = _drain(server, units, _square, worker_id="w2")
+            assert stats.executed == 1 and stats.reclaimed == 0
+            assert client.results() == {"u0": 1}
 
 
 class TestRunUnitsDistributedBackend:
+    """``run_units(backend="coordinator")``: this process plus sibling
+    processes drain through the coordinator."""
+
     def test_matches_local_backend_with_spawned_rngs(self, tmp_path):
         units = [WorkUnit(key=f"u{i}", rng=gen) for i, gen in enumerate(spawn(123, 6))]
         local = run_units(units, _draw, jobs=1)
         units2 = [WorkUnit(key=f"u{i}", rng=gen) for i, gen in enumerate(spawn(123, 6))]
-        checkpoint = RunCheckpoint(tmp_path / "run")
-        checkpoint.initialize({"kind": "t"})
-        distributed = run_units(
-            units2,
-            _draw,
-            checkpoint=checkpoint,
-            backend="distributed",
-            jobs=2,
-            lease_ttl=30,
-            poll_interval=0.01,
-        )
-        assert local == distributed
-
-    def test_distributed_backend_requires_checkpoint(self):
-        with pytest.raises(ValueError, match="checkpoint"):
-            run_units([WorkUnit(key="u", payload=1)], _square, backend="distributed")
+        with serving(tmp_path / "run", [u.key for u in units2]) as (server, _):
+            over_wire = run_units(
+                units2,
+                _draw,
+                backend="coordinator",
+                coordinator_url=server.url,
+                jobs=2,
+                poll_interval=0.01,
+            )
+        assert local == over_wire
 
     def test_local_backend_rejects_distributed_options(self):
-        with pytest.raises(ValueError, match="lease_ttl"):
-            run_units([WorkUnit(key="u", payload=1)], _square, lease_ttl=5)
+        with pytest.raises(ValueError, match="heartbeat_interval"):
+            run_units([WorkUnit(key="u", payload=1)], _square, heartbeat_interval=5)
         with pytest.raises(ValueError, match="claim_batch"):
             run_units([WorkUnit(key="u", payload=1)], _square, claim_batch=4)
+        with pytest.raises(TypeError, match="lease_ttl"):
+            run_units([WorkUnit(key="u", payload=1)], _square, lease_ttl=5)
 
     def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="backend"):
-            run_units([WorkUnit(key="u", payload=1)], _square, backend="rpc")
+        for backend in ("rpc", "distributed"):
+            with pytest.raises(ValueError, match="backend"):
+                run_units([WorkUnit(key="u", payload=1)], _square, backend=backend)
 
     def test_on_result_reports_peer_executed_units_as_cached(self, tmp_path):
-        checkpoint = RunCheckpoint(tmp_path / "run")
-        checkpoint.initialize({"kind": "t"})
-        checkpoint.record("u0", 0, shard="peer")  # a peer already did u0
         units = [WorkUnit(key="u0", payload=0), WorkUnit(key="u1", payload=3)]
         seen = []
-        run_units_distributed(
-            units,
-            _square,
-            checkpoint,
-            worker_id="w1",
-            lease_ttl=30,
-            on_result=lambda u, r, cached: seen.append((u.key, r, cached)),
-        )
+        with serving(tmp_path / "run", ["u0", "u1"]) as (server, client):
+            lease = client.claim("u0", "peer")  # a peer already did u0
+            client.record(lease, 0)
+            client.release(lease)
+            run_units_coordinator(
+                units,
+                _square,
+                server.url,
+                worker_id="w1",
+                on_result=lambda u, r, cached: seen.append((u.key, r, cached)),
+            )
         assert seen == [("u0", 0, True), ("u1", 9, False)]
 
 
 # ---------------------------------------------------------------------- #
-# Manifest reconstruction (`repro sweep work` without the spec file)
+# Manifest reconstruction (`repro sweep serve <run_dir>` without a spec)
 # ---------------------------------------------------------------------- #
 class TestWorkRunDir:
     def test_worker_reconstructs_sweep_from_manifest_alone(self, tmp_path):
-        spec = tiny_benchmark_spec()
-        run_dir = tmp_path / "run"
-        # Host 1 initializes (and drains nothing: no-wait with everything
-        # immediately claimable means it actually drains; use it fully).
-        plan, stats = work_run_dir(run_dir, spec=spec, worker_id="w1", lease_ttl=30)
-        assert stats.executed == len(plan.units) == 4
-        # Host 2 joins knowing only the directory: nothing left to do.
-        plan2, stats2 = work_run_dir(run_dir, worker_id="w2", lease_ttl=30)
-        assert stats2.executed == 0
-        assert [u.key for u in plan2.units] == [u.key for u in plan.units]
-        # The merged run aggregates bit-identically to a plain local run.
         import numpy as np
 
+        spec = tiny_benchmark_spec()
+        run_dir = tmp_path / "run"
+        plan = plan_sweep(spec)
+        RunCheckpoint(run_dir).initialize(plan.manifest())
+        # The directory alone defines the work: same units, same order.
+        stored = load_run_plan(run_dir)
+        assert [u.key for u in stored.units] == [u.key for u in plan.units]
+        with running_coordinator(run_dir, unit_keys=[u.key for u in stored.units]) as server:
+            # Worker 1 reconstructs the plan from the wire manifest and
+            # drains it; worker 2 finds nothing left to do.
+            plan1, stats1 = work_coordinator(server.url, worker_id="w1", poll_interval=0.05)
+            assert stats1.executed == len(plan1.units) == 4
+            _, stats2 = work_coordinator(server.url, worker_id="w2", poll_interval=0.05)
+            assert stats2.executed == 0
+        # The merged run aggregates bit-identically to a plain local run.
         local = run_sweep(spec, jobs=1)
         merged = run_sweep(spec, run_dir=run_dir, resume=True, jobs=1)
         for scheduler in local.makespans:
@@ -729,13 +720,18 @@ class TestWorkRunDir:
 
     def test_uninitialized_directory_without_spec_refused(self, tmp_path):
         with pytest.raises(CheckpointError, match="manifest"):
-            work_run_dir(tmp_path / "empty")
+            load_run_plan(tmp_path / "empty")
 
-    def test_mismatched_spec_refused(self, tmp_path):
+    def test_mismatched_spec_refused(self, tmp_path, capsys):
+        """``sweep serve <run_dir> --spec`` validates the spec against a
+        directory that already holds another sweep's manifest."""
         run_dir = tmp_path / "run"
-        work_run_dir(run_dir, spec=tiny_benchmark_spec(seed=1), worker_id="w1")
-        with pytest.raises(CheckpointError, match="manifest"):
-            work_run_dir(run_dir, spec=tiny_benchmark_spec(seed=2), worker_id="w2")
+        RunCheckpoint(run_dir).initialize(plan_sweep(tiny_benchmark_spec(seed=1)).manifest())
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(tiny_benchmark_spec(seed=2).to_json())
+        assert main(["sweep", "serve", str(run_dir), "--spec", str(spec_path)]) == 2
+        assert "manifest" in capsys.readouterr().err
+        assert not (run_dir / "leases").exists()  # refused before serving
 
     def test_externally_seeded_manifest_refused(self, tmp_path):
         import numpy as np
@@ -744,42 +740,30 @@ class TestWorkRunDir:
         run_dir = tmp_path / "run"
         run_sweep(spec, run_dir=run_dir, rng=np.random.default_rng(5))
         with pytest.raises(CheckpointError, match="external"):
-            work_run_dir(run_dir)
+            load_run_plan(run_dir)
 
     def test_non_sweep_manifest_refused(self, tmp_path):
         checkpoint = RunCheckpoint(tmp_path / "run")
         checkpoint.initialize({"kind": "pairwise", "units": 2})
         with pytest.raises(CheckpointError, match="sweep"):
-            work_run_dir(tmp_path / "run")
-
-    def test_distributed_run_sweep_requires_run_dir_and_spec_seeding(self):
-        import numpy as np
-
-        spec = tiny_benchmark_spec()
-        with pytest.raises(CheckpointError, match="run_dir"):
-            run_sweep(spec, backend="distributed")
-        with pytest.raises(ValueError, match="rng"):
-            run_sweep(
-                spec,
-                backend="distributed",
-                run_dir="unused",
-                rng=np.random.default_rng(1),
-            )
+            load_run_plan(tmp_path / "run")
 
     def test_local_run_sweep_rejects_distributed_options(self):
-        """Forgetting backend='distributed' while tuning lease timing must
-        fail loudly, not silently drop the options."""
+        """Forgetting backend='coordinator' while tuning the drain loop
+        must fail loudly, not silently drop the options."""
         spec = tiny_benchmark_spec()
-        with pytest.raises(ValueError, match="lease_ttl"):
-            run_sweep(spec, lease_ttl=5)
+        with pytest.raises(ValueError, match="heartbeat_interval"):
+            run_sweep(spec, heartbeat_interval=5)
         with pytest.raises(ValueError, match="poll_interval"):
             run_sweep(spec, poll_interval=0.1)
+        with pytest.raises(TypeError, match="lease_ttl"):
+            run_sweep(spec, lease_ttl=5)
 
 
 # ---------------------------------------------------------------------- #
 # Fault injection: real worker processes, SIGKILL, reclaim, bit-identity
 # ---------------------------------------------------------------------- #
-def _worker_env(delay: float | None = None) -> dict:
+def _env(delay: float | None = None) -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO_SRC) + (
         os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
@@ -791,38 +775,27 @@ def _worker_env(delay: float | None = None) -> dict:
     return env
 
 
-def _start_worker(
-    run_dir: Path,
-    worker_id: str,
-    *,
-    spec_path: Path | None = None,
-    delay: float | None = None,
-    ttl: float = 2.0,
-) -> subprocess.Popen:
-    cmd = [
-        sys.executable,
-        "-m",
-        "repro",
-        "sweep",
-        "work",
-        str(run_dir),
-        "--worker-id",
-        worker_id,
-        "--ttl",
-        str(ttl),
-        "--heartbeat",
-        "0.4",
-        "--poll",
-        "0.05",
-    ]
-    if spec_path is not None:
-        cmd += ["--spec", str(spec_path)]
+def _free_port() -> int:
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        return probe.getsockname()[1]
+
+
+def _start(args: list[str], delay: float | None = None) -> subprocess.Popen:
     return subprocess.Popen(
-        cmd,
-        env=_worker_env(delay),
+        [sys.executable, "-m", "repro", "sweep", *args],
+        env=_env(delay),
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         text=True,
+    )
+
+
+def _start_worker(url: str, worker_id: str, delay: float | None = None) -> subprocess.Popen:
+    return _start(
+        ["work", "--coordinator", url, "--worker-id", worker_id,
+         "--heartbeat", "0.4", "--poll", "0.05", "--retry", "60"],
+        delay,
     )
 
 
@@ -831,21 +804,25 @@ def _wait_until(predicate, timeout: float, message: str) -> None:
     while time.time() < deadline:
         if predicate():
             return
-        time.sleep(0.01)
+        time.sleep(0.02)
     raise AssertionError(f"timed out waiting for: {message}")
 
 
-def _victim_holds_lease(run_dir: Path, worker_id: str) -> bool:
-    leases = run_dir / "leases"
-    if not leases.is_dir():
-        return False
-    for path in leases.glob("*.json"):
-        try:
-            if json.loads(path.read_text()).get("worker") == worker_id:
-                return True
-        except (OSError, json.JSONDecodeError):
-            continue
-    return False
+def _status(url: str) -> dict | None:
+    client = HttpWorkBackend(url, retry_timeout=0.2, request_timeout=2)
+    try:
+        return client.status()
+    except Exception:  # noqa: BLE001 - a coordinator still starting is expected
+        return None
+    finally:
+        client.close()
+
+
+def _holds_lease(url: str, worker_id: str) -> bool:
+    status = _status(url)
+    return status is not None and any(
+        lease["worker"] == worker_id for lease in status["active_leases"]
+    )
 
 
 def _shard_lines(run_dir: Path, worker_id: str) -> int:
@@ -863,8 +840,8 @@ class TestFaultInjection:
     @pytest.mark.parametrize(
         "survivors,kill_after_units",
         [
-            # The acceptance scenario: 3 concurrent workers, one killed on
-            # its first unit and reclaimed.
+            # 3 concurrent workers, one killed on its first unit and
+            # reclaimed.
             (2, 0),
             # More workers, killed later: exercises a mid-run kill point
             # where the victim has already contributed results.
@@ -876,68 +853,63 @@ class TestFaultInjection:
     ):
         spec = tiny_fig4_spec()
         serial = run_sweep(spec, jobs=1)
-        expected_keys = sorted(
-            f"{t}|{b}|r{r}"
-            for t in SCHEDULERS
-            for b in SCHEDULERS
-            if t != b
-            for r in range(TINY.restarts)
-        )
+        expected_keys = sorted(u.key for u in plan_sweep(spec).units)
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(spec.to_json())
         run_dir = tmp_path / "run"
+        port = _free_port()
+        url = f"http://127.0.0.1:{port}"
 
-        victim = _start_worker(
-            run_dir, "victim", spec_path=spec_path, delay=0.6, ttl=2.0
+        coordinator = _start(
+            ["serve", str(run_dir), "--spec", str(spec_path), "--port", str(port),
+             "--ttl", "2"]
         )
+        victim = None
         workers: list[subprocess.Popen] = []
         try:
+            _wait_until(lambda: _status(url) is not None, 60, "coordinator to serve")
+            victim = _start_worker(url, "victim", delay=0.6)
             # Let the victim make its configured progress, then start the
             # survivor fleet so the kill happens under real concurrency.
             _wait_until(
                 lambda: _shard_lines(run_dir, "victim") >= kill_after_units
-                and _victim_holds_lease(run_dir, "victim"),
+                and _holds_lease(url, "victim"),
                 timeout=90,
                 message=f"victim to complete {kill_after_units} unit(s) and claim another",
             )
-            workers += [
-                _start_worker(run_dir, f"w{i}", ttl=2.0) for i in range(survivors)
-            ]
+            workers += [_start_worker(url, f"w{i}") for i in range(survivors)]
             _wait_until(
-                lambda: _victim_holds_lease(run_dir, "victim"),
+                lambda: _holds_lease(url, "victim"),
                 timeout=90,
                 message="victim to hold a lease at kill time",
             )
             os.kill(victim.pid, signal.SIGKILL)
-            victim.wait(timeout=30)
-            # SIGKILL froze the victim's filesystem state; its lease (if it
-            # died mid-unit, which the wait above makes near-certain) now
-            # sits stale until a survivor's TTL check reclaims it.
-            killed_mid_unit = _victim_holds_lease(run_dir, "victim")
-
+            victim.communicate(timeout=30)
+            # SIGKILL froze the victim mid-unit (the wait above makes that
+            # near-certain): its lease sits in the coordinator's table until
+            # the TTL lapses and a survivor is re-granted the unit.
+            killed_mid_unit = _holds_lease(url, "victim")
             outputs = []
             for worker in workers:
                 out, err = worker.communicate(timeout=240)
                 assert worker.returncode == 0, err
                 outputs.append(out)
+            # Ctrl-C: a clean shutdown releases the advisory lease.
+            coordinator.send_signal(signal.SIGINT)
+            coordinator.communicate(timeout=60)
+            assert coordinator.returncode == 0
         finally:
-            for proc in [victim, *workers]:
-                if proc.poll() is None:
+            for proc in [coordinator, victim, *workers]:
+                if proc is not None and proc.poll() is None:
                     proc.kill()
+                    proc.communicate(timeout=30)
 
-        # Every unit executed, none double-counted.
-        recorded = []
-        for shard in run_dir.glob("units-*.jsonl"):
-            recorded += [
-                json.loads(line)["key"]
-                for line in shard.read_text().splitlines()
-                if line.strip()
-            ]
-        assert sorted(recorded) == expected_keys
-        # The killed unit's lease was reclaimed, not leaked.
-        assert not list((run_dir / "leases").glob("*.json"))
+        # Every unit executed and recorded exactly once.
+        assert sorted(_recorded_keys(run_dir)) == expected_keys
+        # The killed unit was reclaimed, and no lease file outlives the run.
         if killed_mid_unit:
             assert any("reclaimed" in out for out in outputs)
+        assert not list((run_dir / "leases").glob("*.json"))
 
         # Merged result is bit-identical to the serial run.
         merged = run_sweep(spec, run_dir=run_dir, resume=True, jobs=1)
@@ -950,8 +922,11 @@ class TestFaultInjection:
     def test_status_reports_progress_and_stale_lease(self, tmp_path):
         spec = tiny_benchmark_spec()
         run_dir = tmp_path / "run"
-        work_run_dir(run_dir, spec=spec, worker_id="w1", lease_ttl=30)
-        # Fabricate a dead worker's leftover lease on a completed run.
+        plan = plan_sweep(spec)
+        RunCheckpoint(run_dir).initialize(plan.manifest())
+        with running_coordinator(run_dir, unit_keys=[u.key for u in plan.units]) as server:
+            work_coordinator(server.url, worker_id="w1", poll_interval=0.05)
+        # Fabricate a dead process's leftover lease on a completed run.
         leases = LeaseDir(run_dir, ttl=30)
         leases.path.mkdir(parents=True, exist_ok=True)
         dead = Lease(unit="ghost", worker="dead", acquired_at=0.0, heartbeat=0.0, ttl=1.0)
@@ -961,5 +936,9 @@ class TestFaultInjection:
         status = inspect_run_dir(run_dir)
         assert status.complete
         assert status.completed_units == status.total_units == 4
+        assert status.shard_counts == {
+            "units.jsonl": 0,
+            RunCheckpoint(run_dir).shard_path("w1").name: 4,
+        }
         assert status.active_leases == []
         assert [lease.unit for lease in status.stale_leases] == ["ghost"]

@@ -364,15 +364,30 @@ class TestTelemetryInert:
             assert not telemetry_shard_paths(off_dir), "telemetry off must be silent"
 
     def test_distributed_backend(self, tmp_path, monkeypatch, serial_reference):
+        """Several worker processes (``jobs=2``) draining one coordinator in
+        batches: every process's shard appears only with telemetry on."""
         spec = tiny_fig4_spec()
         for toggle, expect_shards in (("1", True), ("0", False)):
             run_dir = tmp_path / f"dist-{toggle}"
+            shard_dir = tmp_path / f"dist-shards-{toggle}"
+            shard_dir.mkdir()
+            plan = plan_sweep(spec)
+            RunCheckpoint(run_dir).initialize(plan.manifest(), resume=True)
             monkeypatch.setenv("REPRO_TELEMETRY", toggle)
-            result = run_sweep(
-                spec, run_dir=run_dir, backend="distributed", poll_interval=0.05
-            )
+            monkeypatch.setenv("REPRO_TELEMETRY_DIR", str(shard_dir))
+            with running_coordinator(
+                run_dir, unit_keys=[u.key for u in plan.units]
+            ) as server:
+                result = run_sweep(
+                    spec,
+                    backend="coordinator",
+                    coordinator=server.url,
+                    jobs=2,
+                    claim_batch=2,
+                    poll_interval=0.05,
+                )
             self._assert_identical(result, serial_reference)
-            assert bool(telemetry_shard_paths(run_dir)) is expect_shards
+            assert bool(telemetry_shard_paths(shard_dir)) is expect_shards
 
     def test_coordinator_backend(self, tmp_path, monkeypatch, serial_reference):
         spec = tiny_fig4_spec()
@@ -625,9 +640,18 @@ class TestProfileLift:
         monkeypatch.setenv("REPRO_PROFILE", "1")
         run_dir = tmp_path / "run"
         _init_minimal_run_dir(run_dir, 2)
-        checkpoint = RunCheckpoint(run_dir)
         units = [WorkUnit(key=f"u{i}", payload=i) for i in range(2)]
-        drain_units(units, _square_payload, checkpoint, worker_id="w1", wait=False)
+        with running_coordinator(run_dir, unit_keys=[u.key for u in units]) as server:
+            backend = HttpWorkBackend(server.url, retry_timeout=10)
+            drain_units(
+                units,
+                _square_payload,
+                backend=backend,
+                worker_id="w1",
+                wait=False,
+                telemetry_dir=run_dir,
+            )
+            backend.close()
         summary = summarize_run_dir(run_dir)
         assert summary.units == 2
         # A phases record landed (possibly empty if no instrumented phase

@@ -596,19 +596,27 @@ class TestSpecCheckpoint:
 
 
 # ---------------------------------------------------------------------- #
-# The distributed backend (lease-coordinated workers, same results)
+# Multi-worker sweeps over the HTTP coordinator (same results)
 # ---------------------------------------------------------------------- #
+def _over_coordinator(spec, run_dir, **kwargs):
+    """``run_sweep`` drained through a coordinator serving ``run_dir``
+    (what ``repro sweep serve <run_dir> --spec`` sets up)."""
+    from repro.runtime import RunCheckpoint
+    from repro.runtime.coordinator import running_coordinator
+    from repro.sweeps import plan_sweep
+
+    plan = plan_sweep(spec)
+    RunCheckpoint(run_dir).initialize(plan.manifest(), resume=True)
+    with running_coordinator(run_dir, unit_keys=[u.key for u in plan.units]) as server:
+        return run_sweep(spec, backend="coordinator", coordinator=server.url, **kwargs)
+
+
 class TestDistributedBackend:
     def test_pisa_distributed_matches_local(self, tmp_path):
         spec = SweepSpec(name="d", schedulers=("HEFT", "CPoP", "MinMin"), config=FAST, seed=3)
         local = run_sweep(spec, jobs=1)
-        distributed = run_sweep(
-            spec,
-            run_dir=tmp_path / "run",
-            backend="distributed",
-            jobs=2,
-            lease_ttl=30,
-            poll_interval=0.01,
+        distributed = _over_coordinator(
+            spec, tmp_path / "run", jobs=2, poll_interval=0.01, claim_batch=3
         )
         assert _ratios(local.pairwise) == _ratios(distributed.pairwise)
         for pair, res in local.pairwise.results.items():
@@ -626,21 +634,14 @@ class TestDistributedBackend:
             seed=2,
         )
         local = run_sweep(spec, jobs=1)
-        distributed = run_sweep(
-            spec,
-            run_dir=tmp_path / "run",
-            backend="distributed",
-            jobs=2,
-            lease_ttl=30,
-            poll_interval=0.01,
-        )
+        distributed = _over_coordinator(spec, tmp_path / "run", jobs=2, poll_interval=0.01)
         for s in local.makespans:
             assert np.array_equal(local.makespans[s], distributed.makespans[s])
 
     def test_sequential_sampling_reconstructs_identically(self, tmp_path):
         """Sequential (dataset-style) sampling draws instances from one
-        generator; a distributed worker rebuilding the plan from the spec
-        must land on the same instances."""
+        generator; a worker rebuilding the plan from the coordinator's
+        manifest must land on the same instances."""
         spec = SweepSpec(
             name="d",
             mode="benchmark",
@@ -651,29 +652,23 @@ class TestDistributedBackend:
             seed=9,
         )
         local = run_sweep(spec, jobs=1)
-        distributed = run_sweep(
-            spec, run_dir=tmp_path / "run", backend="distributed", lease_ttl=30
-        )
+        distributed = _over_coordinator(spec, tmp_path / "run")
         assert np.array_equal(local.makespans["HEFT"], distributed.makespans["HEFT"])
 
     def test_progress_fires_once_per_pair_after_completion(self, tmp_path):
         spec = SweepSpec(name="d", schedulers=("HEFT", "CPoP"), config=TINY, seed=1)
         calls = []
-        run_sweep(
-            spec,
-            run_dir=tmp_path / "run",
-            backend="distributed",
-            lease_ttl=30,
-            progress=lambda t, b, r: calls.append((t, b)),
+        _over_coordinator(
+            spec, tmp_path / "run", progress=lambda t, b, r: calls.append((t, b))
         )
         assert sorted(calls) == [("CPoP", "HEFT"), ("HEFT", "CPoP")]
 
     def test_distributed_and_local_runs_share_the_manifest(self, tmp_path):
-        """A directory started distributed can be resumed/aggregated by the
-        local backend and vice versa: one manifest format."""
+        """A directory a coordinator drained can be resumed/aggregated by
+        the local backend: one manifest format, shards merged in."""
         spec = SweepSpec(name="d", schedulers=("HEFT", "CPoP"), config=TINY, seed=1)
         run_dir = tmp_path / "run"
-        distributed = run_sweep(spec, run_dir=run_dir, backend="distributed", lease_ttl=30)
+        distributed = _over_coordinator(spec, run_dir)
         resumed = run_sweep(spec, run_dir=run_dir, resume=True, jobs=1)
         assert _ratios(distributed.pairwise) == _ratios(resumed.pairwise)
         with pytest.raises(ValueError, match="resume"):
