@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import networkx as nx
 import numpy as np
 
 from repro.core.instance import ProblemInstance
@@ -66,7 +65,6 @@ class InstanceStats:
 def instance_stats(instance: ProblemInstance) -> InstanceStats:
     """Compute the structural profile of ``instance``."""
     tg, net = instance.task_graph, instance.network
-    graph = tg.graph
     n = len(tg)
 
     if n == 0:
@@ -76,16 +74,15 @@ def instance_stats(instance: ProblemInstance) -> InstanceStats:
     else:
         # Level = longest hop-distance from any source.
         level: dict = {}
-        for task in nx.topological_sort(graph):
-            preds = list(graph.predecessors(task))
-            level[task] = 1 + max((level[p] for p in preds), default=0)
+        for task in tg.topological_order():
+            level[task] = 1 + max((level[p] for p in tg.predecessors(task)), default=0)
         depth = max(level.values())
         widths = np.bincount(list(level.values()))
         parallelism = float(widths.max()) / depth
 
         mean_execs = {t: mean_exec_time(instance, t) for t in tg.tasks}
         total = sum(mean_execs.values())
-        cp = longest_path_length(graph, mean_execs)
+        cp = longest_path_length(tg.successor_map, mean_execs)
         cp_dominance = cp / total if total > 0 else (1.0 if n else 0.0)
 
     speeds = [net.speed(v) for v in net.nodes]

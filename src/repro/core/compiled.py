@@ -3,8 +3,8 @@
 PISA spends essentially all of its time evaluating ``energy()``: hundreds
 of annealing iterations, each scheduling a candidate instance twice (the
 target and the baseline scheduler).  Before this module existed, every
-one of those schedules re-validated the instance, re-walked the networkx
-graphs to snapshot weights, and answered every ``est``/``eft``/
+one of those schedules re-validated the instance, re-walked the task
+graph and network to snapshot weights, and answered every ``est``/``eft``/
 ``data_ready_time`` query one ``(task, node)`` dict lookup at a time.
 
 :class:`CompiledInstance` is the fix: a dense, integer-indexed view of a
@@ -161,21 +161,22 @@ class CompiledInstance:
         self._tg_version = task_graph.version
         self._net_version = network.version
 
-        # Weights come straight off the underlying graphs; the instance
+        # Weights come straight off the graphs' dicts; the instance
         # invariants (non-negative weights, positive speeds, network
         # completeness, acyclicity) are checked inline as the tables are
         # built — the equivalent of ``instance.validate()``, run once per
         # candidate, at a fraction of its cost.  Any violation defers to
         # the canonical validators for their exact error.
-        try:
-            self._build(task_graph.graph, network.graph)
-        except KeyError:
-            _reject(instance)  # missing weight attribute: canonical error
+        self._build(task_graph, network)
 
-    def _build(self, tg_graph, net_graph) -> None:
+    def _build(self, task_graph, network) -> None:
         instance = self.instance
-        self.tasks: tuple[Task, ...] = tuple(tg_graph)
-        self.nodes: tuple[Node, ...] = tuple(net_graph)
+        # The kernel is built on the graphs' own containers (same package):
+        # costs and speeds in insertion order, successor/predecessor dicts.
+        costs, succ, pred = task_graph._cost, task_graph._succ, task_graph._pred
+        speeds, adj = network._speed, network._adj
+        self.tasks: tuple[Task, ...] = tuple(costs)
+        self.nodes: tuple[Node, ...] = tuple(speeds)
         task_id: dict[Task, int] = {t: i for i, t in enumerate(self.tasks)}
         node_id: dict[Node, int] = {v: i for i, v in enumerate(self.nodes)}
         self.task_id = task_id
@@ -184,8 +185,8 @@ class CompiledInstance:
         if n_nodes == 0:
             _reject(instance)  # "network has no nodes"
 
-        cost_list = [float(tg_graph.nodes[t]["weight"]) for t in self.tasks]
-        speed_list = [float(net_graph.nodes[v]["weight"]) for v in self.nodes]
+        cost_list = list(costs.values())
+        speed_list = list(speeds.values())
         if any(not (c >= 0.0) for c in cost_list):  # NaN fails the >= too
             _reject(instance)
         if any(not (s > 0.0) for s in speed_list):
@@ -212,7 +213,7 @@ class CompiledInstance:
         # exactly the comm_time conventions for positive data.
         strength = np.full((n_nodes, n_nodes), math.inf, dtype=np.float64)
         links: list[tuple[Node, Node, float]] = [
-            (u, v, float(d["weight"])) for u, v, d in net_graph.edges(data=True)
+            (u, v, adj[u][v]) for u, v in network.links
         ]
         # A simple graph with exactly C(n, 2) self-loop-free edges is
         # complete; anything else defers to the canonical completeness
@@ -227,10 +228,10 @@ class CompiledInstance:
         self.strength = strength
 
         self.preds: tuple[tuple[Task, ...], ...] = tuple(
-            tuple(tg_graph.pred[t]) for t in self.tasks
+            tuple(pred[t]) for t in self.tasks
         )
         self.succs: tuple[tuple[Task, ...], ...] = tuple(
-            tuple(tg_graph.succ[t]) for t in self.tasks
+            tuple(succ[t]) for t in self.tasks
         )
         self.pred_ids: tuple[tuple[int, ...], ...] = tuple(
             tuple(task_id[p] for p in ps) for ps in self.preds
@@ -239,8 +240,8 @@ class CompiledInstance:
             tuple(task_id[s] for s in ss) for ss in self.succs
         )
         self.data: dict[tuple[int, int], float] = {
-            (task_id[u], task_id[v]): float(d["weight"])
-            for u, v, d in tg_graph.edges(data=True)
+            (task_id[u], task_id[v]): size
+            for u, v, size in task_graph.iter_dependencies()
         }
         if any(not (size >= 0.0) for size in self.data.values()):
             _reject(instance)
@@ -288,7 +289,7 @@ class CompiledInstance:
         self._num_links = len(links)
         self._links_have_zero = have_zero
         self._topo_order: list[Task] | None = None
-        # Link ids in graph edge order — the iteration order of the
+        # Link ids in `Network.links` order — the iteration order of the
         # reference inverse-strength fold, kept so apply_delta can redo
         # the fold bit-identically after a strength change.
         self._link_uv: tuple[tuple[int, int], ...] = tuple(
@@ -398,7 +399,7 @@ class CompiledInstance:
             strength[vid, uid] = value
             clone.strength = strength
             clone.strength_row_has_zero = (strength == 0.0).any(axis=1)
-            # Redo the inverse-strength fold in graph edge order — a
+            # Redo the inverse-strength fold in `Network.links` order — a
             # sequential float sum cannot be patched incrementally.
             inv_sum = 0.0
             have_zero = False
@@ -474,8 +475,9 @@ class CompiledInstance:
     def topological_order(self) -> list[Task]:
         """Memoized :meth:`TaskGraph.topological_order` (lexicographic).
 
-        MCT-style schedulers and HEFT's priority tie-break both walk it;
-        one networkx sort per candidate instead of one per build.
+        MCT-style schedulers, HEFT's priority tie-break, the rank helpers
+        and BIL all walk it: one sort per candidate instead of one per
+        call.
         """
         order = self._topo_order
         if order is None:

@@ -11,14 +11,23 @@ positive amount of data over that link takes infinite time.
 Under the *related machines* model, executing task ``t`` on node ``v`` takes
 ``c(t) / s(v)`` and transferring the data of dependency ``(t, t')`` from
 ``v`` to ``v'`` takes ``c(t, t') / s(v, v')``.
+
+Two insertion-ordered dicts hold the network, with no graph library: node
+speeds ``{v: s(v)}`` and a symmetric adjacency ``{v: {v': s(v, v')}}``.
+:attr:`Network.nodes` is insertion order (re-adding a node updates its
+speed in place), and :attr:`Network.links` walks the nodes in that order,
+listing each node's not-yet-visited neighbours in adjacency-insertion
+order as ``(earlier, later)`` pairs, and :meth:`Network.copy` preserves
+it.  PISA's edge-weight draws and the compiled kernel's inverse-strength
+fold follow that order.  It equals ``networkx.Graph``'s edge order, which
+``tests/test_network.py`` checks side by side; :meth:`Network.to_networkx`
+exports to networkx on demand.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Hashable, Mapping
-
-import networkx as nx
 
 from repro.core.exceptions import InvalidInstanceError
 
@@ -40,7 +49,8 @@ class Network:
     """
 
     def __init__(self) -> None:
-        self._graph = nx.Graph()
+        self._speed: dict[Node, float] = {}
+        self._adj: dict[Node, dict[Node, float]] = {}
         self._version = 0
 
     @property
@@ -60,7 +70,9 @@ class Network:
         speed = float(speed)
         if math.isnan(speed) or speed <= 0:
             raise InvalidInstanceError(f"speed of node {node!r} must be positive, got {speed}")
-        self._graph.add_node(node, weight=speed)
+        if node not in self._speed:
+            self._adj[node] = {}
+        self._speed[node] = speed
         self._version += 1
 
     def set_strength(self, u: Node, v: Node, strength: float) -> None:
@@ -70,11 +82,12 @@ class Network:
             raise InvalidInstanceError(
                 f"strength of link {u!r}-{v!r} must be non-negative, got {strength}"
             )
-        if u not in self._graph or v not in self._graph:
+        if u not in self._speed or v not in self._speed:
             raise InvalidInstanceError(f"both endpoints of link {u!r}-{v!r} must exist")
         if u == v:
             raise InvalidInstanceError("self-link strengths are fixed at infinity")
-        self._graph.add_edge(u, v, weight=strength)
+        self._adj[u][v] = strength
+        self._adj[v][u] = strength
         self._version += 1
 
     @classmethod
@@ -120,34 +133,40 @@ class Network:
     @property
     def nodes(self) -> tuple[Node, ...]:
         """All compute nodes, in insertion order."""
-        return tuple(self._graph.nodes)
+        return tuple(self._speed)
 
     def __len__(self) -> int:
-        return self._graph.number_of_nodes()
+        return len(self._speed)
 
     def __contains__(self, node: Node) -> bool:
-        return node in self._graph
+        return node in self._speed
 
     @property
     def links(self) -> tuple[tuple[Node, Node], ...]:
-        """All (unordered) links between distinct nodes."""
-        return tuple(self._graph.edges)
+        """All (unordered) links between distinct nodes, as ``(earlier,
+        later)`` pairs in the order the module docstring specifies."""
+        visited: set[Node] = set()
+        out: list[tuple[Node, Node]] = []
+        for node, nbrs in self._adj.items():
+            out.extend((node, nbr) for nbr in nbrs if nbr not in visited)
+            visited.add(node)
+        return tuple(out)
 
     def speed(self, node: Node) -> float:
         """Compute speed ``s(v)``."""
         try:
-            return float(self._graph.nodes[node]["weight"])
+            return self._speed[node]
         except KeyError:
             raise InvalidInstanceError(f"unknown node {node!r}") from None
 
     def strength(self, u: Node, v: Node) -> float:
         """Communication strength ``s(u, v)``; infinite when ``u == v``."""
         if u == v:
-            if u not in self._graph:
+            if u not in self._speed:
                 raise InvalidInstanceError(f"unknown node {u!r}")
             return float("inf")
         try:
-            return float(self._graph.edges[u, v]["weight"])
+            return self._adj[u][v]
         except KeyError:
             raise InvalidInstanceError(f"unknown link {u!r}-{v!r}") from None
 
@@ -155,9 +174,9 @@ class Network:
         speed = float(speed)
         if math.isnan(speed) or speed <= 0:
             raise InvalidInstanceError(f"speed of node {node!r} must be positive, got {speed}")
-        if node not in self._graph:
+        if node not in self._speed:
             raise InvalidInstanceError(f"unknown node {node!r}")
-        self._graph.nodes[node]["weight"] = speed
+        self._speed[node] = speed
         self._version += 1
 
     @property
@@ -165,17 +184,17 @@ class Network:
         """The node with maximum speed (first in insertion order on ties)."""
         if len(self) == 0:
             raise InvalidInstanceError("network has no nodes")
-        return max(self._graph.nodes, key=lambda n: (self.speed(n), ))
+        return max(self._speed, key=self._speed.__getitem__)
 
     def nodes_by_speed(self) -> list[Node]:
         """Nodes sorted fastest-first (stable on ties)."""
-        return sorted(self._graph.nodes, key=lambda n: -self.speed(n))
+        return sorted(self._speed, key=lambda n: -self._speed[n])
 
     def mean_speed(self) -> float:
         """Average node speed."""
         if len(self) == 0:
             return 0.0
-        return float(sum(self.speed(n) for n in self.nodes)) / len(self)
+        return float(sum(self._speed.values())) / len(self)
 
     def mean_strength(self, include_infinite: bool = True) -> float:
         """Average link strength over distinct pairs.
@@ -196,36 +215,39 @@ class Network:
     # ------------------------------------------------------------------ #
     def copy(self) -> "Network":
         clone = Network()
-        clone._graph = self._graph.copy()
+        clone._speed = dict(self._speed)
+        clone._adj = {node: dict(nbrs) for node, nbrs in self._adj.items()}
         return clone
 
-    def to_networkx(self) -> nx.Graph:
-        """A *copy* of the underlying :class:`networkx.Graph`."""
-        return self._graph.copy()
+    def to_networkx(self):
+        """Export as a :class:`networkx.Graph` with ``weight`` attributes.
 
-    @property
-    def graph(self) -> nx.Graph:
-        """The live underlying graph (treat as read-only)."""
-        return self._graph
+        Imports networkx on first use; nothing else in the package needs it.
+        """
+        import networkx as nx
+
+        graph = nx.Graph()
+        for node, speed in self._speed.items():
+            graph.add_node(node, weight=speed)
+        for u, v in self.links:
+            graph.add_edge(u, v, weight=self._adj[u][v])
+        return graph
 
     def validate(self) -> None:
         """Check completeness and weight invariants; raise on violation."""
         nodes = self.nodes
         if not nodes:
             raise InvalidInstanceError("network has no nodes")
-        for node in nodes:
-            data = self._graph.nodes[node]
-            if "weight" not in data:
-                raise InvalidInstanceError(f"node {node!r} has no speed")
-            if not (float(data["weight"]) > 0):
+        for node, speed in self._speed.items():
+            if not (speed > 0):
                 raise InvalidInstanceError(f"node {node!r} speed must be positive")
         for i, u in enumerate(nodes):
             for v in nodes[i + 1 :]:
-                if not self._graph.has_edge(u, v):
+                s = self._adj[u].get(v)
+                if s is None:
                     raise InvalidInstanceError(
                         f"network is not complete: missing link {u!r}-{v!r}"
                     )
-                s = float(self._graph.edges[u, v]["weight"])
                 if math.isnan(s) or s < 0:
                     raise InvalidInstanceError(
                         f"strength of link {u!r}-{v!r} must be non-negative"

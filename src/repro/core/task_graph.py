@@ -7,20 +7,35 @@ Gaussians can produce exact zeros) and whose edges are *dependencies*
 two tasks.  An edge ``(t, t')`` means task ``t'`` cannot start before it has
 received the output of ``t``.
 
-Internally a :class:`networkx.DiGraph` holds the structure, with the cost /
-data size stored under the ``"weight"`` attribute, matching the convention
-used by the SAGA framework the paper describes.
+Three insertion-ordered dicts hold the structure, with no graph library:
+task costs ``{t: c(t)}``, successors ``{t: {t': c(t, t')}}`` and
+predecessors ``{t': {t: None}}``.  Compiled ids, PISA's random draws and the
+schedulers' tie-breaks all follow these orders, so they are part of the
+contract:
+
+* :attr:`TaskGraph.tasks` is insertion order; re-adding a task updates its
+  cost in place.
+* :attr:`TaskGraph.dependencies` lists edges by source task (in task
+  order), then by that task's successors in insertion order.  Removing an
+  edge and adding it back moves it to the end of its source's successors;
+  re-adding an existing edge updates its data size in place.
+* :meth:`TaskGraph.predecessors` follows the order edges into a task were
+  added — except on a :meth:`TaskGraph.copy`, which rebuilds every
+  predecessor dict in :attr:`TaskGraph.dependencies` order.
+
+They equal ``networkx.DiGraph``'s iteration orders, copies included, which
+``tests/test_task_graph.py`` checks side by side; :meth:`TaskGraph.to_networkx`
+exports to networkx on demand.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Hashable, Iterable, Mapping
-
-import networkx as nx
+from types import MappingProxyType
 
 from repro.core.exceptions import InvalidInstanceError
-from repro.utils.topo import topological_order
+from repro.utils.topo import is_dag_after_edge, topological_order
 
 __all__ = ["TaskGraph"]
 
@@ -29,12 +44,6 @@ Task = Hashable
 
 class TaskGraph:
     """A weighted DAG of tasks and data dependencies.
-
-    Parameters
-    ----------
-    graph:
-        Optional pre-built :class:`networkx.DiGraph` with ``weight``
-        attributes on every node and edge.  The graph is copied.
 
     Examples
     --------
@@ -46,12 +55,11 @@ class TaskGraph:
     (1.7, 0.6)
     """
 
-    def __init__(self, graph: nx.DiGraph | None = None) -> None:
-        self._graph = nx.DiGraph()
+    def __init__(self) -> None:
+        self._cost: dict[Task, float] = {}
+        self._succ: dict[Task, dict[Task, float]] = {}
+        self._pred: dict[Task, dict[Task, None]] = {}
         self._version = 0
-        if graph is not None:
-            self._graph = graph.copy()
-            self.validate()
 
     @property
     def version(self) -> int:
@@ -68,35 +76,39 @@ class TaskGraph:
     def add_task(self, task: Task, cost: float) -> None:
         """Add a task with compute cost ``c(t) = cost`` (must be >= 0)."""
         self._check_weight(cost, f"cost of task {task!r}")
-        self._graph.add_node(task, weight=float(cost))
+        if task not in self._cost:
+            self._succ[task] = {}
+            self._pred[task] = {}
+        self._cost[task] = float(cost)
         self._version += 1
 
     def add_dependency(self, src: Task, dst: Task, data_size: float) -> None:
         """Add dependency ``src -> dst`` with data size ``c(src, dst)``.
 
         Both endpoints must already be tasks and the edge must not create a
-        cycle.
+        cycle.  Re-adding an existing dependency updates its data size.
         """
         self._check_weight(data_size, f"data size of dependency {src!r}->{dst!r}")
-        if src not in self._graph or dst not in self._graph:
+        if src not in self._cost or dst not in self._cost:
             raise InvalidInstanceError(
                 f"both endpoints of dependency {src!r}->{dst!r} must be existing tasks"
             )
         if src == dst:
             raise InvalidInstanceError(f"self-dependency {src!r}->{src!r} is not allowed")
-        self._graph.add_edge(src, dst, weight=float(data_size))
-        if not nx.is_directed_acyclic_graph(self._graph):
-            self._graph.remove_edge(src, dst)
+        if not is_dag_after_edge(self._succ, src, dst):
             raise InvalidInstanceError(
                 f"dependency {src!r}->{dst!r} would create a cycle"
             )
+        self._succ[src][dst] = float(data_size)
+        self._pred[dst][src] = None
         self._version += 1
 
     def remove_dependency(self, src: Task, dst: Task) -> None:
         """Remove the dependency ``src -> dst`` (used by PISA's perturbations)."""
-        if not self._graph.has_edge(src, dst):
+        if not self.has_dependency(src, dst):
             raise InvalidInstanceError(f"no dependency {src!r}->{dst!r} to remove")
-        self._graph.remove_edge(src, dst)
+        del self._succ[src][dst]
+        del self._pred[dst][src]
         self._version += 1
 
     @classmethod
@@ -119,79 +131,99 @@ class TaskGraph:
     @property
     def tasks(self) -> tuple[Task, ...]:
         """All tasks, in insertion order."""
-        return tuple(self._graph.nodes)
+        return tuple(self._cost)
 
     @property
     def dependencies(self) -> tuple[tuple[Task, Task], ...]:
-        """All dependency edges ``(src, dst)``, in insertion order."""
-        return tuple(self._graph.edges)
+        """All dependency edges ``(src, dst)``: grouped by source task in
+        task order, each source's successors in insertion order."""
+        return tuple((u, v) for u, succs in self._succ.items() for v in succs)
+
+    @property
+    def successor_map(self) -> Mapping[Task, Mapping[Task, float]]:
+        """Read-only ``{task: {successor: data size}}``, in task order.
+
+        The successor map the :mod:`repro.utils.topo` helpers walk.
+        """
+        return MappingProxyType(self._succ)
 
     def __len__(self) -> int:
-        return self._graph.number_of_nodes()
+        return len(self._cost)
 
     def __contains__(self, task: Task) -> bool:
-        return task in self._graph
+        return task in self._cost
 
     @property
     def num_dependencies(self) -> int:
-        return self._graph.number_of_edges()
+        return sum(len(succs) for succs in self._succ.values())
+
+    def has_dependency(self, src: Task, dst: Task) -> bool:
+        """True if ``src -> dst`` is a dependency."""
+        succs = self._succ.get(src)
+        return succs is not None and dst in succs
 
     def cost(self, task: Task) -> float:
         """Compute cost ``c(t)`` of a task."""
         try:
-            return float(self._graph.nodes[task]["weight"])
+            return self._cost[task]
         except KeyError:
             raise InvalidInstanceError(f"unknown task {task!r}") from None
 
     def data_size(self, src: Task, dst: Task) -> float:
         """Data size ``c(t, t')`` of a dependency."""
         try:
-            return float(self._graph.edges[src, dst]["weight"])
+            return self._succ[src][dst]
         except KeyError:
             raise InvalidInstanceError(f"unknown dependency {src!r}->{dst!r}") from None
 
     def set_cost(self, task: Task, cost: float) -> None:
         self._check_weight(cost, f"cost of task {task!r}")
-        if task not in self._graph:
+        if task not in self._cost:
             raise InvalidInstanceError(f"unknown task {task!r}")
-        self._graph.nodes[task]["weight"] = float(cost)
+        self._cost[task] = float(cost)
         self._version += 1
 
     def set_data_size(self, src: Task, dst: Task, data_size: float) -> None:
         self._check_weight(data_size, f"data size of dependency {src!r}->{dst!r}")
-        if not self._graph.has_edge(src, dst):
+        if not self.has_dependency(src, dst):
             raise InvalidInstanceError(f"unknown dependency {src!r}->{dst!r}")
-        self._graph.edges[src, dst]["weight"] = float(data_size)
+        self._succ[src][dst] = float(data_size)
         self._version += 1
 
     def predecessors(self, task: Task) -> tuple[Task, ...]:
         """Tasks whose output ``task`` requires."""
-        return tuple(self._graph.predecessors(task))
+        try:
+            return tuple(self._pred[task])
+        except KeyError:
+            raise InvalidInstanceError(f"unknown task {task!r}") from None
 
     def successors(self, task: Task) -> tuple[Task, ...]:
         """Tasks that require the output of ``task``."""
-        return tuple(self._graph.successors(task))
+        try:
+            return tuple(self._succ[task])
+        except KeyError:
+            raise InvalidInstanceError(f"unknown task {task!r}") from None
 
     @property
     def source_tasks(self) -> tuple[Task, ...]:
         """Tasks with no dependencies (entry tasks)."""
-        return tuple(t for t in self._graph.nodes if self._graph.in_degree(t) == 0)
+        return tuple(t for t, preds in self._pred.items() if not preds)
 
     @property
     def sink_tasks(self) -> tuple[Task, ...]:
         """Tasks no other task depends on (exit tasks)."""
-        return tuple(t for t in self._graph.nodes if self._graph.out_degree(t) == 0)
+        return tuple(t for t, succs in self._succ.items() if not succs)
 
     def topological_order(self) -> list[Task]:
         """Deterministic (lexicographic) topological order of the tasks."""
-        return topological_order(self._graph)
+        return topological_order(self._succ)
 
     # ------------------------------------------------------------------ #
     # Aggregates
     # ------------------------------------------------------------------ #
     def total_cost(self) -> float:
         """Sum of all task compute costs (FastestNode's serial workload)."""
-        return float(sum(self._graph.nodes[t]["weight"] for t in self._graph.nodes))
+        return float(sum(self._cost.values()))
 
     def mean_cost(self) -> float:
         """Average task compute cost; 0.0 for an empty graph."""
@@ -203,37 +235,46 @@ class TaskGraph:
         m = self.num_dependencies
         if m == 0:
             return 0.0
-        return float(sum(d["weight"] for *_, d in self._graph.edges(data=True))) / m
+        return float(sum(size for _, _, size in self.iter_dependencies())) / m
 
     # ------------------------------------------------------------------ #
     # Plumbing
     # ------------------------------------------------------------------ #
     def copy(self) -> "TaskGraph":
+        """An independent copy; its predecessor dicts follow
+        :attr:`dependencies` order (see the module docstring)."""
         clone = TaskGraph()
-        clone._graph = self._graph.copy()
+        clone._cost = dict(self._cost)
+        clone._succ = {t: dict(succs) for t, succs in self._succ.items()}
+        clone._pred = {t: {} for t in self._cost}
+        for u, v in self.dependencies:
+            clone._pred[v][u] = None
         return clone
 
-    def to_networkx(self) -> nx.DiGraph:
-        """A *copy* of the underlying :class:`networkx.DiGraph`."""
-        return self._graph.copy()
+    def to_networkx(self):
+        """Export as a :class:`networkx.DiGraph` with ``weight`` attributes.
 
-    @property
-    def graph(self) -> nx.DiGraph:
-        """The live underlying graph (treat as read-only)."""
-        return self._graph
+        Imports networkx on first use; nothing else in the package needs it.
+        """
+        import networkx as nx
+
+        graph = nx.DiGraph()
+        for task, cost in self._cost.items():
+            graph.add_node(task, weight=cost)
+        for src, dst, size in self.iter_dependencies():
+            graph.add_edge(src, dst, weight=size)
+        return graph
 
     def validate(self) -> None:
         """Check acyclicity and weight invariants; raise on violation."""
-        if not nx.is_directed_acyclic_graph(self._graph):
-            raise InvalidInstanceError("task graph contains a cycle")
-        for task, data in self._graph.nodes(data=True):
-            if "weight" not in data:
-                raise InvalidInstanceError(f"task {task!r} has no cost")
-            self._check_weight(data["weight"], f"cost of task {task!r}")
-        for src, dst, data in self._graph.edges(data=True):
-            if "weight" not in data:
-                raise InvalidInstanceError(f"dependency {src!r}->{dst!r} has no data size")
-            self._check_weight(data["weight"], f"data size of dependency {src!r}->{dst!r}")
+        try:
+            self.topological_order()
+        except ValueError:
+            raise InvalidInstanceError("task graph contains a cycle") from None
+        for task, cost in self._cost.items():
+            self._check_weight(cost, f"cost of task {task!r}")
+        for src, dst, size in self.iter_dependencies():
+            self._check_weight(size, f"data size of dependency {src!r}->{dst!r}")
 
     def to_dict(self) -> dict:
         """JSON-serializable representation (tasks, costs, dependencies)."""
@@ -278,5 +319,6 @@ class TaskGraph:
 
     # Convenience iterator over (src, dst, data_size)
     def iter_dependencies(self) -> Iterable[tuple[Task, Task, float]]:
-        for u, v, d in self._graph.edges(data=True):
-            yield u, v, float(d["weight"])
+        for u, succs in self._succ.items():
+            for v, size in succs.items():
+                yield u, v, size

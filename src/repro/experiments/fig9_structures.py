@@ -12,11 +12,11 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-import networkx as nx
-
 from repro.benchmarking.report import format_table
+from repro.core.task_graph import TaskGraph
 from repro.datasets.workflows import get_recipe
 from repro.utils.rng import as_generator
+from repro.utils.topo import longest_path_length
 
 __all__ = ["structure_summary", "Fig9Result", "run"]
 
@@ -26,22 +26,23 @@ def structure_summary(workflow: str, rng=None) -> dict:
     recipe = get_recipe(workflow)
     gen = as_generator(rng)
     spec = recipe.structure(gen)
-    graph = nx.DiGraph()
+    graph = TaskGraph()
     types: dict[str, str] = {}
-    for name, task_type, parents in spec:
-        graph.add_node(name)
+    for name, task_type, parents in spec:  # parents precede their children
+        graph.add_task(name, 0.0)
         types[name] = task_type
         for parent in parents:
-            graph.add_edge(parent, name)
-    levels = nx.dag_longest_path_length(graph) + 1 if len(graph) else 0
+            graph.add_dependency(parent, name, 0.0)
+    # Levels = tasks on the longest path: unit task weights, free edges.
+    levels = int(longest_path_length(graph.successor_map, dict.fromkeys(graph.tasks, 1.0)))
     return {
         "workflow": workflow,
-        "tasks": graph.number_of_nodes(),
-        "dependencies": graph.number_of_edges(),
+        "tasks": len(graph),
+        "dependencies": graph.num_dependencies,
         "levels": levels,
         "type_counts": dict(Counter(types.values())),
-        "sources": sum(1 for n in graph if graph.in_degree(n) == 0),
-        "sinks": sum(1 for n in graph if graph.out_degree(n) == 0),
+        "sources": len(graph.source_tasks),
+        "sinks": len(graph.sink_tasks),
     }
 
 

@@ -264,6 +264,7 @@ class AddDependency(Perturbation):
         # (in random order) so the operator is a no-op only when the graph
         # admits no new edge at all.  All draws read the parent graph only
         # (legality is a structural question, identical on any copy).
+        succ = tg.successor_map
         order = list(rng.permutation(len(tasks)))
         for src_idx in order:
             src = tasks[src_idx]
@@ -271,8 +272,8 @@ class AddDependency(Perturbation):
                 dst
                 for dst in tasks
                 if dst != src
-                and not tg.graph.has_edge(src, dst)
-                and is_dag_after_edge(tg.graph, src, dst)
+                and not tg.has_dependency(src, dst)
+                and is_dag_after_edge(succ, src, dst)
             ]
             if partners:
                 dst = partners[int(rng.integers(len(partners)))]

@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import math
 
-import networkx as nx
 import numpy as np
 
 from repro.core.compiled import argmin_ranked, compile_instance
@@ -108,7 +107,7 @@ class BILScheduler(Scheduler):
         compiled = compile_instance(instance)
         strength = compiled.strength
         bil: dict[object, np.ndarray] = {}
-        for task in reversed(list(nx.topological_sort(tg.graph))):
+        for task in reversed(compiled.topological_order()):
             tid = compiled.task_id[task]
             acc = None
             for s in tg.successors(task):

@@ -69,7 +69,7 @@ class BruteForceScheduler(Scheduler):
 
         best_schedule: Schedule | None = None
         best_makespan = math.inf
-        for extension in all_linear_extensions(instance.task_graph.graph):
+        for extension in all_linear_extensions(instance.task_graph.successor_map):
             for assignment in itertools.product(nodes, repeat=len(extension)):
                 builder = ScheduleBuilder(instance, insertion=False)
                 for task, node in zip(extension, assignment):

@@ -12,8 +12,6 @@ from __future__ import annotations
 
 from collections.abc import Hashable
 
-import networkx as nx
-
 from repro.core.compiled import compile_instance
 from repro.core.instance import ProblemInstance
 
@@ -45,7 +43,12 @@ def _mean_comm(instance: ProblemInstance, src: Task, dst: Task) -> float:
 
 
 def _topological_order(instance: ProblemInstance) -> list[Task]:
-    """Compiled-cache route to :meth:`TaskGraph.topological_order`."""
+    """Compiled-cache route to :meth:`TaskGraph.topological_order`.
+
+    The rank functions below walk it too: each rank is a pure function of
+    its successors' (or predecessors') ranks, so any valid topological
+    order yields the same floats.
+    """
     return compile_instance(instance).topological_order()
 
 
@@ -57,11 +60,11 @@ def upward_rank(instance: ProblemInstance) -> dict[Task, float]:
     upward rank of a task is the length (in average time) of the longest
     chain from the task to the end of the graph.
     """
-    graph = instance.task_graph.graph
+    tg = instance.task_graph
     ranks: dict[Task, float] = {}
-    for task in reversed(list(nx.topological_sort(graph))):
+    for task in reversed(_topological_order(instance)):
         succ_part = max(
-            (_mean_comm(instance, task, s) + ranks[s] for s in graph.successors(task)),
+            (_mean_comm(instance, task, s) + ranks[s] for s in tg.successors(task)),
             default=0.0,
         )
         ranks[task] = _mean_exec(instance, task) + succ_part
@@ -75,13 +78,13 @@ def downward_rank(instance: ProblemInstance) -> dict[Task, float]:
     and 0 for entry tasks.  ``rank_u(t) + rank_d(t)`` is the length of the
     longest average-time path through ``t``.
     """
-    graph = instance.task_graph.graph
+    tg = instance.task_graph
     ranks: dict[Task, float] = {}
-    for task in nx.topological_sort(graph):
+    for task in _topological_order(instance):
         ranks[task] = max(
             (
                 ranks[p] + _mean_exec(instance, p) + _mean_comm(instance, p, task)
-                for p in graph.predecessors(task)
+                for p in tg.predecessors(task)
             ),
             default=0.0,
         )
@@ -94,10 +97,10 @@ def static_level(instance: ProblemInstance) -> dict[Task, float]:
     Like the upward rank but ignoring communication — the SL term of GDL's
     dynamic level, also used as the tie-breaking priority in ETF.
     """
-    graph = instance.task_graph.graph
+    tg = instance.task_graph
     levels: dict[Task, float] = {}
-    for task in reversed(list(nx.topological_sort(graph))):
-        succ_part = max((levels[s] for s in graph.successors(task)), default=0.0)
+    for task in reversed(_topological_order(instance)):
+        succ_part = max((levels[s] for s in tg.successors(task)), default=0.0)
         levels[task] = _mean_exec(instance, task) + succ_part
     return levels
 

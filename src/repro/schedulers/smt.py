@@ -103,23 +103,21 @@ class SMTScheduler(Scheduler):
         net, tg = instance.network, instance.task_graph
         smax = max(net.speed(v) for v in net.nodes)
         cp = longest_path_length(
-            tg.graph, {t: tg.cost(t) / smax for t in tg.tasks}
+            tg.successor_map, {t: tg.cost(t) / smax for t in tg.tasks}
         )
         area = tg.total_cost() / sum(net.speed(v) for v in net.nodes)
         return max(cp, area)
 
     def _decide(self, instance: ProblemInstance, bound: float) -> Schedule | None:
         """Return a schedule with makespan <= bound, or None if none found."""
-        import networkx as nx
-
         smax = max(instance.network.speed(v) for v in instance.network.nodes)
         # Optimistic remaining time at/below each task: its critical path
         # executed on the fastest node with free communication.
         tail: dict = {}
-        graph = instance.task_graph.graph
-        for task in reversed(list(nx.topological_sort(graph))):
-            succ = max((tail[s] for s in graph.successors(task)), default=0.0)
-            tail[task] = instance.task_graph.cost(task) / smax + succ
+        tg = instance.task_graph
+        for task in reversed(tg.topological_order()):
+            succ = max((tail[s] for s in tg.successors(task)), default=0.0)
+            tail[task] = tg.cost(task) / smax + succ
 
         nodes = instance.network.nodes
 

@@ -59,7 +59,7 @@ class TestTrees:
     def test_tree_is_a_tree(self):
         tg = out_tree_task_graph(np.random.default_rng(4))
         assert tg.num_dependencies == len(tg) - 1
-        assert nx.is_tree(tg.graph.to_undirected())
+        assert nx.is_tree(tg.to_networkx().to_undirected())
 
     def test_level_and_branching_ranges(self):
         """Levels 2-4, branching 2-3 => sizes between 3 and 40 tasks."""

@@ -57,7 +57,7 @@ class TestSearch:
         finder = GeneticInstanceFinder("HEFT", "CPoP", config=FAST)
         result = finder.run(rng=3)
         inst = result.best_instance
-        assert nx.is_directed_acyclic_graph(inst.task_graph.graph)
+        assert nx.is_directed_acyclic_graph(inst.task_graph.to_networkx())
         inst.validate()
 
     def test_constraints_applied(self):

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import math
 
+import networkx as nx
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import InvalidInstanceError, Network
 from tests.strategies import networks
@@ -116,6 +118,18 @@ class TestSerialization:
         assert again == net
         assert math.isinf(again.strength("a", "c"))
 
+    def test_links_follow_adjacency_insertion_order(self):
+        net = Network()
+        for node in ("a", "b", "c"):
+            net.add_node(node, 1.0)
+        net.set_strength("b", "c", 1.0)
+        net.set_strength("a", "c", 1.0)
+        net.set_strength("b", "a", 1.0)
+        net.add_node("a", 2.0)  # re-adding keeps the position
+        assert net.nodes == ("a", "b", "c")
+        assert net.links == (("a", "c"), ("a", "b"), ("b", "c"))
+        assert net.copy().links == net.links
+
     def test_copy_is_independent(self):
         net = Network.from_speeds({"a": 1, "b": 1}, default_strength=1.0)
         clone = net.copy()
@@ -143,3 +157,75 @@ def test_property_roundtrip(net: Network):
 def test_property_fastest_node_is_max(net: Network):
     fastest = net.fastest_node
     assert all(net.speed(fastest) >= net.speed(v) for v in net.nodes)
+
+
+# ---------------------------------------------------------------------- #
+# Ordering parity with networkx, the oracle for every iteration order.
+# ---------------------------------------------------------------------- #
+_NAMES = ("a", "b", 1, "c", 2)
+_speeds = st.floats(min_value=0.05, max_value=2.0, allow_nan=False)
+_strengths = st.floats(min_value=0.0, max_value=2.0)
+_index = st.integers(0, 40)  # taken modulo the current number of nodes
+_network_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("add_node"), _index, _speeds),
+        st.tuples(st.just("set_strength"), _index, _index, _strengths),
+        st.tuples(st.just("set_speed"), _index, _speeds),
+        st.tuples(st.just("copy")),
+    ),
+    max_size=40,
+)
+
+
+def _apply_network_op(net: Network, graph: nx.Graph, op: tuple) -> tuple[Network, nx.Graph]:
+    kind, args = op[0], op[1:]
+    nodes = net.nodes
+    if kind == "add_node":  # re-adds an existing node
+        node = nodes[args[0] % len(nodes)]
+        net.add_node(node, args[1])
+        graph.add_node(node, weight=args[1])
+    elif kind == "set_strength":  # new or existing link
+        u, v = nodes[args[0] % len(nodes)], nodes[args[1] % len(nodes)]
+        if u != v:
+            net.set_strength(u, v, args[2])
+            graph.add_edge(u, v, weight=args[2])
+    elif kind == "set_speed":
+        node = nodes[args[0] % len(nodes)]
+        net.set_speed(node, args[1])
+        graph.nodes[node]["weight"] = args[1]
+    elif kind == "copy":
+        return net.copy(), graph.copy()
+    return net, graph
+
+
+def _assert_same_orders(net: Network, graph: nx.Graph) -> None:
+    assert net.nodes == tuple(graph.nodes)
+    assert net.links == tuple(graph.edges)
+    for node in net.nodes:
+        assert net.speed(node) == graph.nodes[node]["weight"]
+    for u, v in net.links:
+        assert net.strength(u, v) == net.strength(v, u) == graph.edges[u, v]["weight"]
+
+
+@settings(max_examples=300)
+@given(
+    st.permutations(_NAMES),
+    st.lists(st.tuples(st.just("set_strength"), _index, _index, _strengths), max_size=12),
+    _network_ops,
+)
+def test_property_orders_match_networkx(names, links, ops):
+    """Every order Network promises is networkx.Graph's, copies included.
+
+    The nodes are added in a random order, then links in a random order,
+    so later operations mostly re-set existing links.
+    """
+    net, graph = Network(), nx.Graph()
+    for name in names:
+        net.add_node(name, 1.0)
+        graph.add_node(name, weight=1.0)
+    for op in links + ops:
+        net, graph = _apply_network_op(net, graph, op)
+        _assert_same_orders(net, graph)
+    _assert_same_orders(net.copy(), graph.copy())
+    _assert_same_orders(net.copy().copy(), graph.copy().copy())
+    _assert_same_orders(net, net.to_networkx())

@@ -122,7 +122,7 @@ class TestStructuralOperators:
         current = instance
         for i in range(100):
             current = op.apply(current, rng(i))
-            assert nx.is_directed_acyclic_graph(current.task_graph.graph)
+            assert nx.is_directed_acyclic_graph(current.task_graph.to_networkx())
 
     def test_add_dependency_complete_dag_noop(self):
         tg = TaskGraph.from_dicts(
@@ -190,6 +190,6 @@ def test_property_perturbation_chain_preserves_invariants(inst, seed):
     for _ in range(20):
         current = pset.perturb(current, gen)
     current.validate()
-    assert nx.is_directed_acyclic_graph(current.task_graph.graph)
+    assert nx.is_directed_acyclic_graph(current.task_graph.to_networkx())
     assert set(current.task_graph.tasks) == set(inst.task_graph.tasks)
     assert set(current.network.nodes) == set(inst.network.nodes)

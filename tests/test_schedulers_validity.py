@@ -91,7 +91,7 @@ def test_property_makespan_at_least_critical_path(name, inst):
 
     smax = max(inst.network.speed(v) for v in inst.network.nodes)
     lower = longest_path_length(
-        inst.task_graph.graph,
+        inst.task_graph.successor_map,
         {t: inst.task_graph.cost(t) / smax for t in inst.task_graph.tasks},
     )
     sched = get_scheduler(name).schedule(inst)

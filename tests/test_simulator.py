@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 
 from repro import (
+    InvalidInstanceError,
     Network,
     ProblemInstance,
     ScheduleBuilder,
@@ -97,6 +98,12 @@ class TestScheduleBuilder:
         builder = ScheduleBuilder(instance)
         with pytest.raises(SchedulingError):
             builder.commit("a", "mars")
+
+    @pytest.mark.parametrize("query", ["est", "data_ready_time", "enabling_parent"])
+    def test_unknown_task_raises_canonical_error(self, instance, query):
+        builder = ScheduleBuilder(instance)
+        with pytest.raises(InvalidInstanceError, match=r"^unknown task 'ghost'$"):
+            getattr(builder, query)("ghost", "v")
 
     def test_est_accounts_for_communication(self, instance):
         builder = ScheduleBuilder(instance)
