@@ -183,8 +183,10 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help="units leased per claim request (default 1); batching "
-        "amortizes per-unit round trips on the coordinator backend while "
-        "results still record unit by unit",
+        "amortizes claim and record round trips on the coordinator "
+        "backend: finished units are recorded in one flush per batch (or "
+        "per heartbeat interval), so a worker killed mid-batch also loses "
+        "its unflushed finished units, which peers re-execute",
     )
     q.add_argument(
         "--profile",
@@ -224,8 +226,9 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument(
         "--until-complete",
         action="store_true",
-        help="exit once every unit of the run is recorded (default: serve "
-        "until interrupted)",
+        help="exit once every unit of the run is recorded, after a short "
+        "grace that lets workers' closing reads land (default: serve until "
+        "interrupted)",
     )
     q.add_argument(
         "--segment-bytes",
@@ -284,8 +287,10 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         help="units leased per claim request (default 1); batching "
-        "amortizes per-unit round trips while results still record unit "
-        "by unit",
+        "amortizes claim and record round trips: finished units are "
+        "recorded in one flush per batch (or per heartbeat interval), so "
+        "a worker killed mid-batch also loses its unflushed finished "
+        "units, which peers re-execute",
     )
     q.add_argument(
         "--no-wait",
@@ -793,9 +798,9 @@ def _cmd_sweep_work(args) -> int:
         return 2
     probe = HttpWorkBackend(args.coordinator, retry_timeout=2.0)
     try:
-        # Best-effort: a `serve --until-complete` coordinator may exit the
-        # moment the last unit records, which must not turn this worker's
-        # clean finish into a failure.
+        # Best-effort: a `serve --until-complete` coordinator exits a short
+        # grace after the last unit records, which must not turn a late
+        # worker's clean finish into a failure.
         payload = probe.status()
         complete = bool(payload.get("complete"))
         completed_units = payload.get("completed_units")
@@ -826,7 +831,7 @@ def _cmd_sweep_work(args) -> int:
 def _cmd_sweep_serve(args) -> int:
     from repro.runtime.checkpoint import CheckpointError, RunCheckpoint
     from repro.runtime.coordinator import serve_coordinator, standby_coordinator
-    from repro.runtime.distributed import DEFAULT_LEASE_TTL
+    from repro.runtime.distributed import COMPLETION_GRACE, DEFAULT_LEASE_TTL
     from repro.sweeps import SpecError, SweepSpec, load_run_plan, plan_sweep
 
     if args.ttl is not None and args.ttl <= 0:
@@ -909,6 +914,10 @@ def _cmd_sweep_serve(args) -> int:
         def _watch() -> None:
             while not coordinator.complete:
                 time.sleep(0.2)
+            # Keep serving a little longer: a worker's closing reads land
+            # after the last record, and a closed port would leave it
+            # retrying for its whole --retry budget.
+            time.sleep(COMPLETION_GRACE)
             server.shutdown()
 
         threading.Thread(target=_watch, daemon=True, name="serve-until-complete").start()

@@ -126,8 +126,9 @@ class WorkBackend(Protocol):
     # -------------------------------------------------------------- #
     # Batched claims: one request leases up to N units under one
     # ownership token, amortizing per-unit round trips.  Batch lease
-    # objects expose ``units`` (the *unfinished* members, shrinking as
-    # results land), ``ttl``, ``worker``, and ``reclaimed_units``.
+    # objects expose ``units`` (the members not yet recorded, shrinking
+    # as flushes are acknowledged), ``ttl``, ``worker``, and
+    # ``reclaimed_units``.
     # -------------------------------------------------------------- #
     def claim_batch(self, unit_keys: Any, worker: str) -> Any | None:
         """Try to claim every key in ``unit_keys`` at once; the grant may
@@ -136,25 +137,22 @@ class WorkBackend(Protocol):
         ...
 
     def renew_batch(self, batch: Any) -> Any | None:
-        """Refresh the heartbeat of a batch's unfinished units; ``None``
+        """Refresh the heartbeat of a batch's unrecorded units; ``None``
         if ownership of *all* of them was lost."""
         ...
 
     def release_batch(self, batch: Any) -> None:
-        """Give up the unfinished remainder of a batch."""
-        ...
-
-    def record_in_batch(self, batch: Any, unit_key: str, result: Any) -> None:
-        """Record one finished member and release its claim immediately,
-        so a crash later in the batch re-grants only unfinished units."""
+        """Give up the unrecorded remainder of a batch."""
         ...
 
     def record_batch(self, batch: Any, results: Any) -> None:
-        """Record several finished members (``{unit_key: result}``) in
-        one flush and release their claims.  Durability is batch-grained:
-        callers that need per-unit crash granularity (the drain loop)
-        use :meth:`record_in_batch` instead; callers pushing sub-second
-        units use this to amortize the per-record round trip."""
+        """Durably record finished members (``{unit_key: result}``) in
+        one flush and release their claims — the only record path of a
+        batch.  Members leave ``batch.units`` only once the flush is
+        acknowledged, so until then they keep being renewed and a failed
+        flush hands them back with :meth:`release_batch`.  Durability is
+        flush-grained: a worker killed before a flush loses its buffered
+        results, which peers re-execute after the TTL."""
         ...
 
 
@@ -410,7 +408,7 @@ class BatchClaimReply:
 @dataclass(frozen=True)
 class BatchLeaseRequest:
     """``POST /renew-batch`` and ``POST /release-batch`` body: the
-    unfinished remainder of a held batch, proven by its token."""
+    unrecorded remainder of a held batch, proven by its token."""
 
     units: tuple[str, ...]
     worker: str
@@ -528,9 +526,10 @@ class CoordinatorLease:
 class CoordinatorBatchLease:
     """A batch of claims granted under one token, held client-side.
 
-    ``units`` is the *unfinished* remainder: :meth:`HttpWorkBackend.
-    record_in_batch` drops each member as its result lands, so renewals
-    and the final release cover only what is still in flight."""
+    ``units`` is the unrecorded remainder: :meth:`HttpWorkBackend.
+    record_batch` drops each flushed member once the coordinator acks,
+    so renewals and the final release cover only what is not yet
+    recorded."""
 
     worker: str
     token: str
@@ -581,9 +580,10 @@ class HttpWorkBackend:
     url:
         The coordinator's base URL (``http://host:port``).
     encode:
-        Unit-result encoder applied before ``POST /record`` (the same
-        codec a :class:`RunCheckpoint` would hold); ``None`` records
-        results as-is (they must be JSON-serializable).
+        Unit-result encoder applied before ``POST /record`` and ``POST
+        /record-batch`` (the same codec a :class:`RunCheckpoint` would
+        hold); ``None`` records results as-is (they must be
+        JSON-serializable).
     retry_timeout:
         Seconds to keep retrying transient failures (connection refused,
         5xx, timeouts) before raising :class:`CoordinatorError`.  This
@@ -826,13 +826,6 @@ class HttpWorkBackend:
             return
         payload = BatchLeaseRequest(units=units, worker=batch.worker, token=batch.token)
         self._request("/release-batch", payload.to_dict())  # stale members: benign
-
-    def record_in_batch(self, batch: CoordinatorBatchLease, unit_key: str, result) -> None:
-        lease = CoordinatorLease(
-            unit=unit_key, worker=batch.worker, token=batch.token, ttl=batch.ttl
-        )
-        self.record(lease, result)  # the coordinator drops the member's lease
-        batch.drop(unit_key)
 
     def record_batch(self, batch: CoordinatorBatchLease, results) -> None:
         units = tuple(results)

@@ -79,11 +79,16 @@ renewal (or a holder re-claim) proves the worker alive.
 
 **Batched claims.**  ``POST /claim-batch`` leases up to N units to one
 worker under a single ownership token and a single journal record;
-``/renew-batch`` and ``/release-batch`` cover the unfinished remainder
-in one round trip each.  Members keep individual rows in the lease
-table and are dropped one by one as their ``/record`` calls land, so a
-worker that dies mid-batch leaks only the *unfinished* units to TTL
-expiry — completed members are already recorded and released.
+``/renew-batch`` and ``/release-batch`` cover the unrecorded remainder
+in one round trip each.  The drain loop records a batch's finished
+members with ``POST /record-batch`` flushes (one shard append, one
+journal event, one group commit each): at the end of the batch, and
+whenever a member finishes a heartbeat interval or more after the claim
+or the last flush.  Members keep individual rows in the lease table and
+are dropped as their flush lands, so a worker that dies mid-batch leaks
+its unflushed finished members (at most one heartbeat interval of work)
+and its unfinished ones to TTL expiry; peers re-execute them
+bit-identically, and flushed members never travel again.
 
 The server is an asyncio event loop speaking HTTP/1.1 with keep-alive
 (still stdlib-only).  Workers hold persistent connections, and a
@@ -945,8 +950,9 @@ class Coordinator:
         Units the *requesting worker* already holds — a retry after a
         lost reply, since its old token is now unreachable — are folded
         into the fresh batch token.  Each granted member keeps its own
-        row in the lease table, so records drop members one at a time
-        and a mid-batch death leaks only the unfinished remainder.
+        row in the lease table, so each record flush drops exactly its
+        members, and a mid-batch death leaks only the members no flush
+        has recorded yet.
         """
         with self._lock:
             for unit in request.units:

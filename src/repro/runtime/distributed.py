@@ -62,6 +62,7 @@ from repro.runtime.units import WorkUnit
 __all__ = [
     "DEFAULT_LEASE_TTL",
     "DEFAULT_POLL_INTERVAL",
+    "COMPLETION_GRACE",
     "LEASES_DIR",
     "STATUS_SCHEMA_VERSION",
     "Lease",
@@ -82,6 +83,11 @@ logger = logging.getLogger(__name__)
 DEFAULT_LEASE_TTL = 120.0
 #: Seconds between drain-loop passes while waiting on other workers.
 DEFAULT_POLL_INTERVAL = 0.5
+#: Seconds ``repro sweep serve --until-complete`` keeps answering after
+#: the last record lands, so the closing reads of workers (a final
+#: ``GET /completed``, a poll while waiting on a peer, a status or
+#: results fetch) are served instead of stranded on a closed port.
+COMPLETION_GRACE = 4 * DEFAULT_POLL_INTERVAL
 #: Lease directory name inside a run directory.
 LEASES_DIR = "leases"
 #: Version tag of the machine-readable status payload schema
@@ -274,7 +280,7 @@ def _renewing(backend, lease, interval: float, renew=None):
     WorkBackend`; transient errors (a coordinator restarting, a dropped
     connection) are retried on the next beat.  ``renew`` overrides the
     renewal callable (``backend.renew_batch`` for batch leases, whose
-    one round trip covers the batch's whole unfinished remainder)."""
+    one round trip covers every member not yet recorded)."""
     stop = threading.Event()
     renew_fn = backend.renew if renew is None else renew
 
@@ -379,10 +385,16 @@ def drain_units(
         Callback invoked with each unit key this worker finished.
     claim_batch:
         Units to lease per claim request (default 1: the per-unit
-        protocol).  Larger batches amortize claim/release round trips,
-        while results are still recorded (and members released) one by
-        one, so a worker that dies mid-batch leaks only the *unfinished*
-        remainder to TTL expiry.
+        protocol).  Larger batches amortize claim and record round
+        trips: finished members are buffered and recorded with one
+        ``record_batch`` flush when the batch ends, or right after a
+        member finishes once a heartbeat interval has passed since the
+        claim or the last flush.  A worker SIGKILLed mid-batch therefore
+        loses its unflushed finished members (at most one heartbeat
+        interval of work) as well as the unfinished remainder; peers
+        re-execute both after the TTL, bit-identically.  A Python
+        exception loses nothing: the finished members are flushed before
+        the remainder is released.
     telemetry_dir:
         Where this worker's ``telemetry-<worker>.jsonl`` trace shard
         goes.  Defaults to ``$REPRO_TELEMETRY_DIR`` (if set); ``None``
@@ -451,6 +463,33 @@ def drain_units(
         if on_unit is not None:
             on_unit(key)
 
+    def _flush(batch, buffered: dict[str, tuple[Any, float]], claim_share: float) -> None:
+        """Record a batch's finished members (``{key: (result,
+        execute_s)}``) with one ``record_batch`` flush.  The buffer is
+        emptied before the request, so a failed flush is never retried
+        here: its members stay in ``batch.units`` and are released with
+        the remainder.  Members count as finished only after the ack."""
+        if not buffered:
+            return
+        flushing = dict(buffered)
+        buffered.clear()
+        t0 = time.perf_counter()
+        backend.record_batch(batch, {key: result for key, (result, _) in flushing.items()})
+        # One flush covers every member in it; spans split its cost evenly.
+        record_share = (time.perf_counter() - t0) / len(flushing)
+        for key, (_, execute_s) in flushing.items():
+            _finished(key)
+            if telemetry is not None:
+                telemetry.span(
+                    key,
+                    claim_s=claim_share,
+                    execute_s=execute_s,
+                    record_s=record_share,
+                    release_s=0.0,  # released with the batch
+                    reclaimed=key in batch.reclaimed_units,
+                    batched=True,
+                )
+
     def _close_telemetry() -> None:
         if telemetry is None:
             return
@@ -489,36 +528,42 @@ def drain_units(
                     # One claim round trip covers the batch; spans amortize
                     # its cost evenly across the granted members.
                     claim_share = claim_s / max(len(batch.units), 1)
-                    reclaimed_units = set(batch.reclaimed_units)
+                    beat = _beat_for(batch)
+                    buffered: dict[str, tuple[Any, float]] = {}
+                    flushed_at = time.perf_counter()
                     try:
-                        with _renewing(
-                            backend, batch, _beat_for(batch), renew=backend.renew_batch
-                        ):
+                        with _renewing(backend, batch, beat, renew=backend.renew_batch):
                             for key in list(batch.units):
                                 t0 = time.perf_counter()
                                 result = _execute(key)
-                                execute_s = time.perf_counter() - t0
-                                # Record-and-release member by member: a crash
-                                # from here on costs peers only the *unfinished*
-                                # remainder after TTL expiry.
-                                t0 = time.perf_counter()
-                                backend.record_in_batch(batch, key, result)
-                                record_s = time.perf_counter() - t0
-                                _finished(key)
-                                if telemetry is not None:
-                                    telemetry.span(
-                                        key,
-                                        claim_s=claim_share,
-                                        execute_s=execute_s,
-                                        record_s=record_s,
-                                        release_s=0.0,  # released with the batch
-                                        reclaimed=key in reclaimed_units,
-                                        batched=True,
-                                    )
+                                buffered[key] = (result, time.perf_counter() - t0)
+                                # Flush once a heartbeat interval has passed: a
+                                # SIGKILL then loses under one interval of
+                                # finished work, which peers re-execute after
+                                # the TTL.
+                                if time.perf_counter() - flushed_at >= beat:
+                                    _flush(batch, buffered, claim_share)
+                                    flushed_at = time.perf_counter()
+                            _flush(batch, buffered, claim_share)
                     finally:
-                        # Success path: every member was recorded and released,
-                        # so this releases nothing.  Failure path: hands the
-                        # unfinished remainder back to peers immediately.
+                        if buffered:
+                            # Only a failing member leaves results buffered
+                            # (a flush empties the buffer before its request):
+                            # keep the finished ones, and never let a failed
+                            # flush mask the worker's own exception.
+                            count = len(buffered)
+                            try:
+                                _flush(batch, buffered, claim_share)
+                            except Exception:  # noqa: BLE001 - the original propagates
+                                logger.warning(
+                                    "could not record %d finished unit(s) of a failed "
+                                    "batch; they are released for peers to re-execute",
+                                    count,
+                                    exc_info=True,
+                                )
+                        # Success path: every member was recorded, so this
+                        # releases nothing.  Failure path: hands the
+                        # unrecorded remainder back to peers immediately.
                         backend.release_batch(batch)
             else:
                 for key in pending:

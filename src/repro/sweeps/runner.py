@@ -469,9 +469,11 @@ def run_sweep(
         errors (rides out a coordinator restart).
     claim_batch:
         Units leased per claim request (default 1).  Batching amortizes
-        per-unit round trips — the big win on the coordinator backend;
-        results still record unit by unit, so crash granularity is
-        unchanged.  Rejected under the local backend.
+        claim and record round trips — the big win on the coordinator
+        backend: finished units are recorded in one flush per batch (or
+        per heartbeat interval), so a worker SIGKILLed mid-batch also
+        loses its unflushed finished units, which peers re-execute
+        bit-identically after the TTL.  Rejected under the local backend.
     """
     if backend not in ("local", "coordinator"):
         raise ValueError(f"backend must be 'local' or 'coordinator', got {backend!r}")

@@ -61,7 +61,7 @@ from repro.runtime.coordinator import (
     UnknownUnitError,
     running_coordinator,
 )
-from repro.runtime.distributed import drain_units
+from repro.runtime.distributed import COMPLETION_GRACE, DEFAULT_POLL_INTERVAL, drain_units
 from repro.sweeps import (
     SourceSpec,
     SweepSpec,
@@ -1547,3 +1547,45 @@ class TestFaultInjection:
         finally:
             if coordinator.poll() is None:
                 coordinator.kill()
+
+
+class TestServeUntilComplete:
+    def test_late_read_after_the_last_record_is_answered(self, tmp_path):
+        """``sweep serve --until-complete`` keeps serving for
+        ``COMPLETION_GRACE`` after the last record: a worker's closing
+        read half a second later is answered instead of refused (which
+        would strand it for its whole retry budget), and the server
+        still exits 0 by itself."""
+        assert COMPLETION_GRACE >= 4 * DEFAULT_POLL_INTERVAL
+        spec = tiny_fig4_spec()
+        keys = [u.key for u in plan_sweep(spec).units]
+        assert len(keys) == 12
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(spec.to_json())
+        port = _free_port()
+        url = f"http://127.0.0.1:{port}"
+        coordinator = _start_serve(
+            tmp_path / "run", port, spec_path, extra=["--until-complete"]
+        )
+        try:
+            _wait_until(lambda: _status(url) is not None, 60, "coordinator to serve")
+            backend = HttpWorkBackend(url, retry_timeout=10)
+            try:
+                batch = backend.claim_batch(keys, "w1")
+                assert sorted(batch.units) == sorted(keys)
+                backend.record_batch(batch, {key: 0 for key in keys})
+            finally:
+                backend.close()
+            time.sleep(0.5)
+            late = HttpWorkBackend(url, retry_timeout=0.5)
+            try:
+                assert late.completed_keys() == set(keys)
+            finally:
+                late.close()
+            out, err = coordinator.communicate(timeout=60)
+            assert coordinator.returncode == 0, err
+            assert "run complete (12 units)" in out
+        finally:
+            if coordinator.poll() is None:
+                coordinator.kill()
+                coordinator.communicate(timeout=30)

@@ -6,9 +6,12 @@ runtime promises around it:
 
 * **the drain loop** — :func:`drain_units` against a live coordinator:
   exactly one execution per unit across concurrent workers, per-unit
-  and batched; a worker exception hands its unit back at once; a dead
-  worker's unit is re-granted after the coordinator's TTL; ``wait=False``
-  returns while a peer holds a live lease;
+  and batched; a batch is recorded in ``/record-batch`` flushes (one
+  per batch, plus one whenever a heartbeat interval has passed), and
+  members count as done only once their flush is acked; a worker
+  exception hands its unit back at once; a dead worker's unit is
+  re-granted after the coordinator's TTL; ``wait=False`` returns while
+  a peer holds a live lease;
 * **advisory leases** — :class:`LeaseDir` create/renew/release/list,
   the lease file format, and the :func:`lease_seems_live` rule that
   ``runs gc``, ``sweep status`` and fresh initialization share;
@@ -23,13 +26,15 @@ runtime promises around it:
   ``repro sweep serve`` coordinator, one SIGKILLed mid-unit (the
   ``REPRO_RUNTIME_UNIT_DELAY`` hook holds each unit open long enough to
   make "mid-unit" deterministic), merge bit-identically to
-  ``run_sweep(spec, jobs=1)``.
+  ``run_sweep(spec, jobs=1)``; so does a worker SIGKILLed mid-batch
+  before its first flush, whose finished members peers re-execute.
 """
 
 from __future__ import annotations
 
 import contextlib
 import json
+import logging
 import os
 import signal
 import socket
@@ -46,9 +51,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.__main__ import main
+from repro.observability.dashboard import parse_prometheus_text
 from repro.pisa import AnnealingConfig, PISAConfig
 from repro.runtime import RunCheckpoint, WorkUnit
-from repro.runtime.backends import HttpWorkBackend
+from repro.runtime.backends import CoordinatorProtocolError, HttpWorkBackend
 from repro.runtime.checkpoint import (
     CheckpointError,
     iter_result_records,
@@ -492,6 +498,33 @@ def _recorded_keys(run_dir: Path) -> list[str]:
     ]
 
 
+def _requests_served(client: HttpWorkBackend) -> dict[str, float]:
+    """Requests the coordinator has answered so far, by endpoint."""
+    series = parse_prometheus_text(client.metrics_text()).get(
+        "coordinator_request_seconds_count", {}
+    )
+    return {dict(labels)["op"]: count for labels, count in series.items()}
+
+
+class _RefusedFlush:
+    """A backend delegating to ``inner`` whose ``refuse``-th
+    ``record_batch`` call fails before anything is sent."""
+
+    def __init__(self, inner: HttpWorkBackend, refuse: int) -> None:
+        self.inner = inner
+        self.refuse = refuse
+        self.flushes = 0
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+    def record_batch(self, batch, results) -> None:
+        self.flushes += 1
+        if self.flushes == self.refuse:
+            raise CoordinatorProtocolError("flush refused")
+        self.inner.record_batch(batch, results)
+
+
 class TestDrainUnits:
     def test_single_worker_drains_everything(self, tmp_path):
         run_dir = tmp_path / "run"
@@ -623,6 +656,93 @@ class TestDrainUnits:
             stats = _drain(server, units, _square, worker_id="w2", claim_batch=4)
             assert stats.executed == 2 and stats.reclaimed == 0
             assert client.results() == {f"u{i}": i * i for i in range(4)}
+
+    def test_each_batch_is_recorded_with_one_flush(self, tmp_path):
+        """With the default heartbeat (ttl/4, far longer than a batch),
+        every claimed batch costs one ``/record-batch`` request, and no
+        member is recorded through the per-unit ``/record``."""
+        units = [WorkUnit(key=f"u{i}", payload=i) for i in range(12)]
+        with serving(tmp_path / "run", [u.key for u in units]) as (server, client):
+            stats = _drain(server, units, _square, worker_id="w1", claim_batch=4)
+            served = _requests_served(client)
+            assert client.results() == {f"u{i}": i * i for i in range(12)}
+        assert stats.executed == 12
+        assert served.get("/claim-batch") == 3
+        assert served.get("/record-batch") == 3
+        assert served.get("/record", 0) == 0
+
+    def test_short_heartbeat_flushes_each_member_before_the_next_starts(self, tmp_path):
+        """Once a heartbeat interval has passed since the claim or the
+        last flush, a finished member is flushed before the next one
+        runs, bounding what a SIGKILL can lose."""
+        units = [WorkUnit(key=f"u{i}", payload=i) for i in range(4)]
+        recorded_at_start: dict[str, set[str]] = {}
+        with serving(tmp_path / "run", [u.key for u in units]) as (server, client):
+
+            def slow_square(unit):
+                recorded_at_start[unit.key] = client.completed_keys()
+                time.sleep(0.1)  # longer than the heartbeat interval
+                return _square(unit)
+
+            _drain(
+                server, units, slow_square, worker_id="w1", claim_batch=4,
+                heartbeat_interval=0.05,
+            )
+            assert client.results() == {f"u{i}": i * i for i in range(4)}
+        order = list(recorded_at_start)
+        assert sorted(order) == [u.key for u in units]
+        for k, key in enumerate(order):
+            assert recorded_at_start[key] == set(order[:k])
+
+    def test_on_unit_fires_only_for_acked_members(self, tmp_path):
+        units = [WorkUnit(key=f"u{i}", payload=i) for i in range(4)]
+        fired: list[tuple[str, bool]] = []
+        with serving(tmp_path / "run", [u.key for u in units], ttl=3600) as (server, client):
+            backend = _RefusedFlush(HttpWorkBackend(server.url, retry_timeout=10), refuse=2)
+            try:
+                with pytest.raises(CoordinatorProtocolError, match="flush refused"):
+                    drain_units(
+                        units,
+                        _square,
+                        backend=backend,
+                        worker_id="w1",
+                        claim_batch=2,
+                        on_unit=lambda key: fired.append((key, key in client.completed_keys())),
+                    )
+            finally:
+                backend.close()
+            # The first batch's flush was acked: its members fired, each
+            # already recorded.  The refused flush's members never fired...
+            assert fired == [("u0", True), ("u1", True)]
+            assert client.results() == {"u0": 0, "u1": 1}
+            # ...and were handed back with the batch, not stranded.
+            assert client.status()["active_leases"] == []
+
+    def test_failed_flush_on_the_failure_path_keeps_the_worker_exception(
+        self, tmp_path, caplog
+    ):
+        units = [WorkUnit(key=f"u{i}", payload=i) for i in range(4)]
+
+        def breaks_on_u2(unit):
+            if unit.key == "u2":
+                raise OSError("mid-batch failure")
+            return _square(unit)
+
+        with serving(tmp_path / "run", [u.key for u in units], ttl=3600) as (server, client):
+            backend = _RefusedFlush(HttpWorkBackend(server.url, retry_timeout=10), refuse=1)
+            try:
+                with caplog.at_level(logging.WARNING, logger="repro.runtime.distributed"):
+                    with pytest.raises(OSError, match="mid-batch failure"):
+                        drain_units(
+                            units, breaks_on_u2, backend=backend, worker_id="w1", claim_batch=4
+                        )
+            finally:
+                backend.close()
+            assert "could not record 2 finished unit(s)" in caplog.text
+            # Nothing was recorded, and the whole batch went straight back
+            # to peers.
+            assert client.completed_keys() == set()
+            assert client.status()["active_leases"] == []
 
     def test_worker_exception_releases_the_lease_immediately(self, tmp_path):
         """A Python-level failure must not strand the lease like a SIGKILL
@@ -918,6 +1038,62 @@ class TestFaultInjection:
             best = merged.pairwise.results[pair].best_instance
             assert best.task_graph == res.best_instance.task_graph
             assert best.network == res.best_instance.network
+
+    def test_sigkill_before_a_flush_hands_finished_members_to_peers(self, tmp_path):
+        """A worker SIGKILLed mid-batch loses the members it finished but
+        had not flushed: the coordinator recorded none of its batch.
+        After the TTL a peer re-executes them, every unit is recorded
+        exactly once, and the results equal the serial ones."""
+        keys = [f"u{i}" for i in range(8)]
+
+        def spawned_units():
+            return [WorkUnit(key=key, rng=gen) for key, gen in zip(keys, spawn(11, len(keys)))]
+
+        serial = run_units(spawned_units(), _draw, jobs=1)
+        # The heartbeat (1.5 s) outlasts the batch, so nothing is flushed
+        # before the worker kills itself on the third member.
+        victim = (
+            "import os, signal, sys\n"
+            "from repro.runtime import WorkUnit\n"
+            "from repro.runtime.backends import HttpWorkBackend\n"
+            "from repro.runtime.distributed import drain_units\n"
+            "from repro.utils.rng import spawn\n"
+            "started = []\n"
+            "def worker(unit):\n"
+            "    started.append(unit.key)\n"
+            "    if len(started) == 3:\n"
+            "        os.kill(os.getpid(), signal.SIGKILL)\n"
+            "    return float(unit.rng.random())\n"
+            f"keys = {keys!r}\n"
+            "units = [WorkUnit(key=k, rng=g) for k, g in zip(keys, spawn(11, len(keys)))]\n"
+            "drain_units(units, worker, backend=HttpWorkBackend(sys.argv[1]),\n"
+            "            worker_id='victim', claim_batch=4, heartbeat_interval=1.5)\n"
+        )
+        run_dir = tmp_path / "run"
+        with serving(run_dir, keys, ttl=2.0) as (server, client):
+            killed = subprocess.run(
+                [sys.executable, "-c", victim, server.url],
+                env=_env(),
+                capture_output=True,
+                text=True,
+                timeout=120,
+            )
+            assert killed.returncode == -signal.SIGKILL, killed.stderr
+            # The victim still holds its whole batch, and none of it is
+            # recorded: its two finished members died in the buffer.
+            held = client.status()["active_leases"]
+            assert sorted(lease["unit"] for lease in held) == keys[:4]
+            assert {lease["worker"] for lease in held} == {"victim"}
+            assert client.completed_keys() == set()
+            assert _shard_lines(run_dir, "victim") == 0
+
+            stats = _drain(
+                server, spawned_units(), _draw, worker_id="peer", claim_batch=4,
+                poll_interval=0.05,
+            )
+            assert stats.executed == 8 and stats.reclaimed == 4
+            assert client.results() == serial
+        assert sorted(_recorded_keys(run_dir)) == keys
 
     def test_status_reports_progress_and_stale_lease(self, tmp_path):
         spec = tiny_benchmark_spec()
