@@ -19,19 +19,20 @@ and ``benchmarks/compare.py`` gates against the committed
   path must deliver >= 2x while producing bit-identical energies.
 * **Builder hot path** — a greedy batched-EFT scheduling loop through
   the compiled builder vs the same loop through the reference builder.
-* **Coordinator round-trip** — the claim→record→release cycle through
-  the HTTP coordinator (loopback), in units/second.  Not gated beyond a
+* **Coordinator round-trip** — the claim→record cycle of a batch of
+  one (two requests per unit, what ``--batch 1`` costs) through the
+  HTTP coordinator (loopback), in units/second.  Not gated beyond a
   20 units/s floor: it contextualizes coordination overhead against unit
   runtimes (PISA units run for seconds; the coordinator sustains
   hundreds of cycles per second, so coordination is noise).
 * **Coordinator scaling curve** — units/second through the coordinator
   across worker count x claim batch size, on persistent connections,
-  plus the pre-batching protocol (one unit per claim, one TCP
-  connection per request) as the legacy reference point.  Gated: the
-  ``speedup`` scalar — batched throughput over legacy throughput, both
-  at 8 workers — must stay >= 10x, which is the whole point of the
-  batched protocol + persistent connections + group-commit journaling
-  stack.  The full curve lands in ``runtime.json`` for trend tracking.
+  plus batches of one over one TCP connection per request as the legacy
+  reference point.  Gated: the ``speedup`` scalar — batched throughput
+  over legacy throughput, both at 8 workers — must stay >= 10x, which
+  is the whole point of the batched claims + persistent connections +
+  group-commit journaling stack.  The full curve lands in
+  ``runtime.json`` for trend tracking.
 * **Coordinator restart** — reconstructing coordinator state from a
   ~50k-event journal history: full replay (shard scan + every journal
   event, the pre-snapshot behavior) vs snapshot-seeded restart (newest
@@ -299,18 +300,18 @@ def test_builder_hot_path_speedup(report_dir):
 
 
 # ---------------------------------------------------------------------- #
-# Coordinator round-trip: HTTP claim/record/release
+# Coordinator round-trip: HTTP claim/record of a batch of one
 # ---------------------------------------------------------------------- #
 ROUNDTRIP_UNITS = 150
 
 
 def _drain_roundtrips(backend, keys, worker_id: str) -> None:
-    """The measured cycle: claim → record → release, once per unit."""
+    """The measured cycle: claim → record, once per unit.  The record
+    drops the unit's lease, so there is nothing left to release."""
     for key in keys:
-        lease = backend.claim(key, worker_id)
-        assert lease is not None, f"unit {key} unexpectedly contended"
-        backend.record(lease, {"k": key, "v": 1.0})
-        backend.release(lease)
+        batch = backend.claim_batch([key], worker_id)
+        assert batch is not None, f"unit {key} unexpectedly contended"
+        backend.record_batch(batch, {key: {"k": key, "v": 1.0}})
 
 
 def test_coordinator_roundtrip_throughput(report_dir, tmp_path):
@@ -368,8 +369,9 @@ def _drain_cell(url: str, keys, workers: int, batch_size: int, persistent: bool)
 
     One backend is shared (connections are per-thread); keys are
     statically sharded so the measurement is pure protocol throughput,
-    not contention resolution.  ``batch_size == 1`` uses the single-unit
-    claim/record/release protocol; larger batches use the batched one.
+    not contention resolution.  Every batch size drains the same way:
+    one claim and one record flush per batch; the release after a fully
+    recorded batch sends nothing.
     """
     from concurrent.futures import ThreadPoolExecutor
 
@@ -379,15 +381,17 @@ def _drain_cell(url: str, keys, workers: int, batch_size: int, persistent: bool)
     shards = [keys[i::workers] for i in range(workers)]
 
     def drain(worker_id: str, shard) -> None:
-        if batch_size == 1:
-            _drain_roundtrips(backend, shard, worker_id)
-            return
-        for start in range(0, len(shard), batch_size):
-            chunk = shard[start : start + batch_size]
-            batch = backend.claim_batch(chunk, worker_id)
-            assert batch is not None, "batch unexpectedly contended"
-            backend.record_batch(batch, {key: {"k": key, "v": 1.0} for key in batch.units})
-            backend.release_batch(batch)
+        try:
+            for start in range(0, len(shard), batch_size):
+                chunk = shard[start : start + batch_size]
+                batch = backend.claim_batch(chunk, worker_id)
+                assert batch is not None, "batch unexpectedly contended"
+                backend.record_batch(
+                    batch, {key: {"k": key, "v": 1.0} for key in batch.units}
+                )
+                backend.release_batch(batch)
+        finally:
+            backend.close()  # this pool thread's own connection
 
     start = time.perf_counter()
     with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -396,9 +400,7 @@ def _drain_cell(url: str, keys, workers: int, batch_size: int, persistent: bool)
         ]
         for future in futures:
             future.result()
-    elapsed = time.perf_counter() - start
-    backend.close()
-    return elapsed
+    return time.perf_counter() - start
 
 
 def test_coordinator_scaling_curve(report_dir, tmp_path):
@@ -406,10 +408,9 @@ def test_coordinator_scaling_curve(report_dir, tmp_path):
 
     Every cell drains the same number of trivial units through a fresh
     coordinator.  The batched cells use persistent connections (the
-    shipping configuration); the legacy cell replays the pre-batching
-    protocol — one unit per claim, a fresh TCP connection per request —
-    at 8 workers, and the gated ``speedup`` is best-batched-at-8-workers
-    over legacy.
+    shipping configuration); the legacy cell drains batches of one over
+    a fresh TCP connection per request at 8 workers, and the gated
+    ``speedup`` is best-batched-at-8-workers over legacy.
     """
     from repro.runtime import RunCheckpoint
     from repro.runtime.coordinator import running_coordinator

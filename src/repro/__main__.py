@@ -182,9 +182,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--batch",
         type=int,
         default=None,
-        help="units leased per claim request (default 1); batching "
-        "amortizes claim and record round trips on the coordinator "
-        "backend: finished units are recorded in one flush per batch (or "
+        help="units leased per claim request on the coordinator backend "
+        "(default 1: two requests per unit, each unit recorded as soon as "
+        "it finishes); larger batches amortize claim and record round "
+        "trips: finished units are recorded in one flush per batch (or "
         "per heartbeat interval), so a worker killed mid-batch also loses "
         "its unflushed finished units, which peers re-execute",
     )
@@ -286,10 +287,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--batch",
         type=int,
         default=1,
-        help="units leased per claim request (default 1); batching "
-        "amortizes claim and record round trips: finished units are "
-        "recorded in one flush per batch (or per heartbeat interval), so "
-        "a worker killed mid-batch also loses its unflushed finished "
+        help="units leased per claim request (default 1: two requests "
+        "per unit, each unit recorded as soon as it finishes); larger "
+        "batches amortize claim and record round trips: finished units "
+        "are recorded in one flush per batch (or per heartbeat interval), "
+        "so a worker killed mid-batch also loses its unflushed finished "
         "units, which peers re-execute",
     )
     q.add_argument(

@@ -1,18 +1,18 @@
 """Work backends: the claim/renew/release/record/completed seam.
 
 :func:`repro.runtime.distributed.drain_units` coordinates workers
-through five operations — *which units are done*, *claim one*, *keep the
-claim alive*, *record its result*, *let it go*.  This module makes that
-seam an explicit protocol (:class:`WorkBackend`, which tests substitute
-through) with one transport, :class:`HttpWorkBackend`: a JSON-over-HTTP
-client for the coordinator served by ``repro sweep serve``
-(:mod:`repro.runtime.coordinator`).  No shared filesystem is required:
-the coordinator owns the lease table, judges TTL staleness on its
-single clock, and stores results; the client only needs to reach its
-port.
+through five operations — *which units are done*, *claim a batch*,
+*keep it alive*, *record finished members*, *let the rest go*.  This
+module makes that seam an explicit protocol (:class:`WorkBackend`, which
+tests substitute through) with one transport, :class:`HttpWorkBackend`:
+a JSON-over-HTTP client for the coordinator served by ``repro sweep
+serve`` (:mod:`repro.runtime.coordinator`).  No shared filesystem is
+required: the coordinator owns the lease table, judges TTL staleness on
+its single clock, and stores results; the client only needs to reach
+its port.
 
 The wire protocol is defined here as typed request/reply payloads
-(:class:`ClaimRequest` … :class:`AckReply`) with validating
+(:class:`BatchClaimRequest` … :class:`BatchRecordReply`) with validating
 ``from_dict`` parsers used by *both* sides — the server parses requests
 through them and the client parses replies through them, so a malformed
 message is rejected at the edge instead of corrupting state.
@@ -20,9 +20,9 @@ message is rejected at the edge instead of corrupting state.
 Every client request is **idempotent**, which is what makes bounded
 retry safe when a response is lost (a coordinator SIGKILLed between
 applying a request and replying): a re-sent claim by the current holder
-re-grants the same token, a re-sent record of a completed unit is
-acknowledged as a duplicate, a re-sent release of a vanished lease is a
-no-op.  Transient failures (connection refused while the coordinator
+folds its units into a fresh token, a re-sent record of a completed unit
+is acknowledged as a duplicate, a re-sent release of a vanished lease is
+a no-op.  Transient failures (connection refused while the coordinator
 restarts, 5xx, timeouts) are retried with exponential backoff up to
 ``retry_timeout`` seconds; protocol violations (4xx) raise
 :class:`CoordinatorProtocolError` immediately.
@@ -46,13 +46,7 @@ __all__ = [
     "HttpWorkBackend",
     "CoordinatorError",
     "CoordinatorProtocolError",
-    "CoordinatorLease",
     "CoordinatorBatchLease",
-    "ClaimRequest",
-    "ClaimReply",
-    "LeaseRequest",
-    "RecordRequest",
-    "AckReply",
     "BatchClaimRequest",
     "BatchClaimReply",
     "BatchLeaseRequest",
@@ -93,43 +87,22 @@ class WorkBackend(Protocol):
     """What :func:`~repro.runtime.distributed.drain_units` needs from a
     coordination transport.
 
-    Lease objects are backend-specific and treated as opaque by the
-    drain loop except for three attributes every lease must expose:
-    ``unit`` (the claimed key), ``ttl`` (seconds of heartbeat silence
-    before peers may reclaim), and ``reclaimed`` (whether this claim
-    stole a dead worker's stale lease).  A claim of an already-completed
-    unit must be refused atomically: the drain loop executes every
-    granted claim without re-checking.
+    One request leases up to N units under one ownership token (a batch
+    of one is the smallest claim).  Batch lease objects are
+    backend-specific and treated as opaque by the drain loop except for
+    four attributes every batch must expose: ``units`` (the members not
+    yet recorded, shrinking as flushes are acknowledged), ``ttl``
+    (seconds of heartbeat silence before peers may reclaim), ``worker``,
+    and ``reclaimed_units`` (the members this claim stole from a dead
+    worker's stale leases).  A claim of an already-completed unit must
+    be refused atomically: the drain loop executes every granted member
+    without re-checking.
     """
 
     def completed_keys(self) -> set[str]:
         """The unit keys recorded so far, by any worker."""
         ...
 
-    def claim(self, unit_key: str, worker: str) -> Any | None:
-        """Try to claim ``unit_key``; ``None`` if it is held or done."""
-        ...
-
-    def renew(self, lease: Any) -> Any | None:
-        """Refresh a claim's heartbeat; ``None`` if ownership was lost."""
-        ...
-
-    def release(self, lease: Any) -> None:
-        """Give a claim up (after recording, or on failure)."""
-        ...
-
-    def record(self, lease: Any, result: Any) -> None:
-        """Durably record the claimed unit's result — always called
-        *before* :meth:`release` (the exactly-once ordering)."""
-        ...
-
-    # -------------------------------------------------------------- #
-    # Batched claims: one request leases up to N units under one
-    # ownership token, amortizing per-unit round trips.  Batch lease
-    # objects expose ``units`` (the members not yet recorded, shrinking
-    # as flushes are acknowledged), ``ttl``, ``worker``, and
-    # ``reclaimed_units``.
-    # -------------------------------------------------------------- #
     def claim_batch(self, unit_keys: Any, worker: str) -> Any | None:
         """Try to claim every key in ``unit_keys`` at once; the grant may
         be partial (held/completed units are skipped).  ``None`` if
@@ -166,8 +139,8 @@ def _require_str(data: dict, key: str) -> str:
     return value
 
 
-def _require_bool(data: dict, key: str, default: bool | None = None) -> bool:
-    value = data.get(key, default)
+def _require_bool(data: dict, key: str) -> bool:
+    value = data.get(key)
     if not isinstance(value, bool):
         raise ValueError(f"{key} must be a boolean, got {value!r}")
     return value
@@ -193,147 +166,6 @@ def _require_str_list(
     if unique and len(set(out)) != len(out):
         raise ValueError(f"{key} entries must be unique, got {out!r}")
     return tuple(out)
-
-
-@dataclass(frozen=True)
-class ClaimRequest:
-    """``POST /claim`` body: one worker asking for one unit."""
-
-    unit: str
-    worker: str
-
-    def to_dict(self) -> dict:
-        return {"unit": self.unit, "worker": self.worker}
-
-    @classmethod
-    def from_dict(cls, data: Any) -> "ClaimRequest":
-        data = _payload_dict(data, "claim request")
-        return cls(unit=_require_str(data, "unit"), worker=_require_str(data, "worker"))
-
-
-@dataclass(frozen=True)
-class ClaimReply:
-    """``POST /claim`` reply.
-
-    ``granted`` carries an ownership ``token`` the worker must present on
-    every later renew/release/record for this lease; ``completed`` means
-    the unit is already recorded (nothing to do); a plain denial means a
-    live peer holds it.
-    """
-
-    granted: bool
-    token: str = ""
-    ttl: float = 0.0
-    reclaimed: bool = False
-    completed: bool = False
-
-    def to_dict(self) -> dict:
-        return {
-            "granted": self.granted,
-            "token": self.token,
-            "ttl": self.ttl,
-            "reclaimed": self.reclaimed,
-            "completed": self.completed,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Any) -> "ClaimReply":
-        data = _payload_dict(data, "claim reply")
-        granted = _require_bool(data, "granted")
-        token = data.get("token", "")
-        if not isinstance(token, str) or (granted and not token):
-            raise ValueError(f"token must be a string (non-empty when granted), got {token!r}")
-        try:
-            ttl = float(data.get("ttl", 0.0))
-        except (TypeError, ValueError):
-            raise ValueError(f"ttl must be a number, got {data.get('ttl')!r}") from None
-        if granted and ttl <= 0:
-            raise ValueError(f"granted claim must carry a positive ttl, got {ttl}")
-        return cls(
-            granted=granted,
-            token=token,
-            ttl=ttl,
-            reclaimed=_require_bool(data, "reclaimed", default=False),
-            completed=_require_bool(data, "completed", default=False),
-        )
-
-
-@dataclass(frozen=True)
-class LeaseRequest:
-    """``POST /renew`` and ``POST /release`` body: a held lease, proven
-    by its ownership token."""
-
-    unit: str
-    worker: str
-    token: str
-
-    def to_dict(self) -> dict:
-        return {"unit": self.unit, "worker": self.worker, "token": self.token}
-
-    @classmethod
-    def from_dict(cls, data: Any) -> "LeaseRequest":
-        data = _payload_dict(data, "lease request")
-        return cls(
-            unit=_require_str(data, "unit"),
-            worker=_require_str(data, "worker"),
-            token=_require_str(data, "token"),
-        )
-
-
-@dataclass(frozen=True)
-class RecordRequest:
-    """``POST /record`` body: a finished unit's (encoded) result."""
-
-    unit: str
-    worker: str
-    token: str
-    result: Any
-
-    def to_dict(self) -> dict:
-        return {
-            "unit": self.unit,
-            "worker": self.worker,
-            "token": self.token,
-            "result": self.result,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Any) -> "RecordRequest":
-        data = _payload_dict(data, "record request")
-        if "result" not in data:
-            raise ValueError("record request must carry a result")
-        return cls(
-            unit=_require_str(data, "unit"),
-            worker=_require_str(data, "worker"),
-            token=_require_str(data, "token"),
-            result=data["result"],
-        )
-
-
-@dataclass(frozen=True)
-class AckReply:
-    """Reply to renew/release/record.
-
-    ``ok=False`` with ``stale=True`` means the presented token no longer
-    owns the lease (it expired and was re-granted); ``duplicate=True``
-    on a record ack means the unit was already recorded and this result
-    was dropped (first writer wins)."""
-
-    ok: bool
-    stale: bool = False
-    duplicate: bool = False
-
-    def to_dict(self) -> dict:
-        return {"ok": self.ok, "stale": self.stale, "duplicate": self.duplicate}
-
-    @classmethod
-    def from_dict(cls, data: Any) -> "AckReply":
-        data = _payload_dict(data, "ack reply")
-        return cls(
-            ok=_require_bool(data, "ok"),
-            stale=_require_bool(data, "stale", default=False),
-            duplicate=_require_bool(data, "duplicate", default=False),
-        )
 
 
 @dataclass(frozen=True)
@@ -507,21 +339,6 @@ class BatchRecordReply:
         )
 
 
-@dataclass(frozen=True)
-class CoordinatorLease:
-    """A claim granted by the coordinator, held client-side.
-
-    The ``token`` is the proof of ownership: the coordinator re-grants
-    an expired lease under a fresh token, so a stalled worker's renewals
-    and releases are rejected instead of clobbering the new holder."""
-
-    unit: str
-    worker: str
-    token: str
-    ttl: float
-    reclaimed: bool = False
-
-
 @dataclass
 class CoordinatorBatchLease:
     """A batch of claims granted under one token, held client-side.
@@ -536,11 +353,6 @@ class CoordinatorBatchLease:
     ttl: float
     units: list[str]
     reclaimed_units: frozenset[str] = frozenset()
-
-    @property
-    def unit(self) -> str:
-        """Log label standing in for the single-lease ``unit`` field."""
-        return f"batch[{len(self.units)} units]"
 
     def drop(self, unit_key: str) -> None:
         if unit_key in self.units:
@@ -580,10 +392,9 @@ class HttpWorkBackend:
     url:
         The coordinator's base URL (``http://host:port``).
     encode:
-        Unit-result encoder applied before ``POST /record`` and ``POST
-        /record-batch`` (the same codec a :class:`RunCheckpoint` would
-        hold); ``None`` records results as-is (they must be
-        JSON-serializable).
+        Unit-result encoder applied before ``POST /record-batch`` (the
+        same codec a :class:`RunCheckpoint` would hold); ``None`` records
+        results as-is (they must be JSON-serializable).
     retry_timeout:
         Seconds to keep retrying transient failures (connection refused,
         5xx, timeouts) before raising :class:`CoordinatorError`.  This
@@ -762,42 +573,8 @@ class HttpWorkBackend:
             )
         return set(keys)
 
-    def claim(self, unit_key: str, worker: str) -> CoordinatorLease | None:
-        payload = ClaimRequest(unit=unit_key, worker=worker).to_dict()
-        reply = ClaimReply.from_dict(self._request("/claim", payload))
-        if not reply.granted:
-            return None
-        return CoordinatorLease(
-            unit=unit_key,
-            worker=worker,
-            token=reply.token,
-            ttl=reply.ttl,
-            reclaimed=reply.reclaimed,
-        )
-
-    def renew(self, lease: CoordinatorLease) -> CoordinatorLease | None:
-        payload = LeaseRequest(unit=lease.unit, worker=lease.worker, token=lease.token)
-        ack = AckReply.from_dict(self._request("/renew", payload.to_dict()))
-        return lease if ack.ok else None
-
-    def release(self, lease: CoordinatorLease) -> None:
-        payload = LeaseRequest(unit=lease.unit, worker=lease.worker, token=lease.token)
-        self._request("/release", payload.to_dict())  # stale release: benign no-op
-
-    def record(self, lease: CoordinatorLease, result: Any) -> None:
-        encoded = result if self._encode is None else self._encode(result)
-        payload = RecordRequest(
-            unit=lease.unit, worker=lease.worker, token=lease.token, result=encoded
-        )
-        ack = AckReply.from_dict(self._request("/record", payload.to_dict()))
-        if not ack.ok:
-            raise CoordinatorProtocolError(
-                f"coordinator refused to record unit {lease.unit!r} "
-                f"(stale={ack.stale})"
-            )
-
     # ------------------------------------------------------------------ #
-    # Batched claims: one round trip per batch instead of per unit
+    # Leases: one round trip per batch, whatever its size
     # ------------------------------------------------------------------ #
     def claim_batch(self, unit_keys, worker: str) -> CoordinatorBatchLease | None:
         payload = BatchClaimRequest(units=tuple(unit_keys), worker=worker).to_dict()

@@ -17,14 +17,15 @@ release, and record must present it.  An expired lease is re-granted
 under a *fresh* token, so a stalled worker that wakes up cannot clobber
 the new holder — its renewals and releases are rejected as stale.
 
-**Record before release, exactly once.**  A result is durably appended to
-the recording worker's shard in the run directory (and journaled) before
-the coordinator acknowledges it; the worker releases its lease only
-after that acknowledgement.  A duplicate record — a stalled worker
-finishing a unit someone re-executed — is dropped server-side
-(first writer wins; both are bit-identical because every unit owns a
-deterministic RNG stream), so the shards on disk never need merge-time
-deduplication, though the merged read tolerates it anyway.
+**Record before release, exactly once.**  A result is durably appended
+to the recording worker's shard in the run directory (and journaled)
+before the coordinator acknowledges it; recording drops the unit's
+lease, and the worker releases only what is still unrecorded.  A
+duplicate record — a stalled worker finishing a unit someone
+re-executed — is dropped server-side (first writer wins; both are
+bit-identical because every unit owns a deterministic RNG stream), so
+the shards on disk never need merge-time deduplication, though the
+merged read tolerates it anyway.
 
 **Write-ahead journal with group commit.**  Every lease state transition
 (claim, expire, release, record) is appended to the active journal
@@ -77,18 +78,21 @@ outage.  Leases rebuilt from snapshot/journal therefore carry
 ``"restored": true`` in the status payload until their first real
 renewal (or a holder re-claim) proves the worker alive.
 
-**Batched claims.**  ``POST /claim-batch`` leases up to N units to one
-worker under a single ownership token and a single journal record;
-``/renew-batch`` and ``/release-batch`` cover the unrecorded remainder
-in one round trip each.  The drain loop records a batch's finished
-members with ``POST /record-batch`` flushes (one shard append, one
-journal event, one group commit each): at the end of the batch, and
-whenever a member finishes a heartbeat interval or more after the claim
-or the last flush.  Members keep individual rows in the lease table and
-are dropped as their flush lands, so a worker that dies mid-batch leaks
-its unflushed finished members (at most one heartbeat interval of work)
-and its unfinished ones to TTL expiry; peers re-execute them
-bit-identically, and flushed members never travel again.
+**Batched claims.**  Every claim is a batch: ``POST /claim-batch``
+leases up to N units (one, by default) to one worker under a single
+ownership token and a single journal record; ``/renew-batch`` and
+``/release-batch`` cover the unrecorded remainder in one round trip
+each.  The drain loop records a batch's finished members with ``POST
+/record-batch`` flushes (one shard append, one journal event, one group
+commit each): at the end of the batch, and whenever a member finishes a
+heartbeat interval or more after the claim or the last flush.  Members
+keep individual rows in the lease table and are dropped as their flush
+lands, so a worker that dies mid-batch leaks its unflushed finished
+members (at most one heartbeat interval of work) and its unfinished ones
+to TTL expiry; peers re-execute them bit-identically, and flushed
+members never travel again.  A batch of one is flushed as soon as its
+unit finishes, so crash granularity stays per unit, at two requests per
+unit.
 
 The server is an asyncio event loop speaking HTTP/1.1 with keep-alive
 (still stdlib-only).  Workers hold persistent connections, and a
@@ -116,17 +120,12 @@ from pathlib import Path
 from typing import Any
 
 from repro.runtime.backends import (
-    AckReply,
     BatchAckReply,
     BatchClaimReply,
     BatchClaimRequest,
     BatchLeaseRequest,
     BatchRecordReply,
     BatchRecordRequest,
-    ClaimReply,
-    ClaimRequest,
-    LeaseRequest,
-    RecordRequest,
 )
 from repro.runtime.checkpoint import (
     CheckpointError,
@@ -188,8 +187,9 @@ class UnknownUnitError(ValueError):
 
 
 def _event_units(event: dict) -> list[str] | None:
-    """The unit keys a journal event covers: singular ``unit`` (the
-    per-unit protocol) or plural ``units`` (batched claims/releases)."""
+    """The unit keys a journal event covers: plural ``units`` (claims,
+    releases and records) or singular ``unit`` (``expire`` events, and
+    every event of journals written before all claims were batches)."""
     unit = event.get("unit")
     if isinstance(unit, str):
         return [unit]
@@ -876,70 +876,6 @@ class Coordinator:
     # ------------------------------------------------------------------ #
     # The protocol operations
     # ------------------------------------------------------------------ #
-    def claim(self, request: ClaimRequest) -> ClaimReply:
-        """Grant ``request.unit`` to ``request.worker`` if it is free.
-
-        Exactly one winner per unit: the table mutation happens under the
-        lock, so concurrent claims of one unit serialize and the losers
-        see the winner's live lease.  An expired lease is journaled as an
-        ``expire`` and re-granted with ``reclaimed=True``; a re-claim by
-        the *current holder* (a retry after a lost reply) idempotently
-        re-grants the same token.
-        """
-        with self._lock:
-            reply, ticket = self._claim_locked(request)
-            pending = self._maybe_roll_locked() if ticket is not None else None
-        self._finish(ticket, pending)
-        return reply
-
-    def _claim_locked(self, request: ClaimRequest) -> tuple[ClaimReply, int | None]:
-        self._validate_unit(request.unit)
-        if request.unit in self._completed:
-            return ClaimReply(granted=False, completed=True), None
-        now = time.monotonic()
-        entry = self._leases.get(request.unit)
-        reclaimed = False
-        if entry is not None:
-            if entry.worker == request.worker:
-                entry.heartbeat = now
-                entry.restored = False  # a live re-claim is proof of life
-                self._m_claims.inc()
-                return (
-                    ClaimReply(
-                        granted=True,
-                        token=entry.token,
-                        ttl=entry.ttl,
-                        reclaimed=entry.reclaimed,
-                    ),
-                    None,
-                )
-            if now - entry.heartbeat <= entry.ttl:
-                return ClaimReply(granted=False), None
-            self._expire_locked(request.unit, entry, request.worker)
-            reclaimed = True
-        token = secrets.token_hex(8)
-        ticket = self._journal.enqueue(
-            {
-                "event": "claim",
-                "unit": request.unit,
-                "worker": request.worker,
-                "token": token,
-                "ttl": self.ttl,
-                "reclaimed": reclaimed,
-            }
-        )
-        self._leases[request.unit] = _LeaseEntry(
-            worker=request.worker,
-            token=token,
-            ttl=self.ttl,
-            reclaimed=reclaimed,
-            heartbeat=now,
-        )
-        self._m_claims.inc()
-        if reclaimed:
-            self._m_reclaims.inc()
-        return ClaimReply(granted=True, token=token, ttl=self.ttl, reclaimed=reclaimed), ticket
-
     def claim_batch(self, request: BatchClaimRequest) -> BatchClaimReply:
         """Grant as many of ``request.units`` as possible to one worker
         under **one token and one journal record**.
@@ -1015,25 +951,15 @@ class Coordinator:
         self._finish(ticket, pending)
         return reply
 
-    def renew(self, request: LeaseRequest) -> AckReply:
-        """Refresh a lease's heartbeat; stale tokens are rejected.
+    def renew_batch(self, request: BatchLeaseRequest) -> BatchAckReply:
+        """Refresh the heartbeat of every listed unit still owned by the
+        presented token; ``stale`` reports the rest (recorded, expired,
+        or re-granted members).
 
         Renewals are *not* journaled — after a restart every surviving
         lease's heartbeat resets to the restart instant anyway, so the
         per-beat write would buy nothing.
         """
-        with self._lock:
-            entry = self._leases.get(request.unit)
-            if entry is None or entry.token != request.token:
-                return AckReply(ok=False, stale=True)
-            entry.heartbeat = time.monotonic()
-            entry.restored = False  # first real beat after a restart
-            return AckReply(ok=True)
-
-    def renew_batch(self, request: BatchLeaseRequest) -> BatchAckReply:
-        """Refresh the heartbeat of every listed unit still owned by the
-        presented token; ``stale`` reports the rest (recorded, expired,
-        or re-granted members).  Not journaled, like single renew."""
         with self._lock:
             now = time.monotonic()
             stale: list[str] = []
@@ -1047,34 +973,6 @@ class Coordinator:
                     entry.restored = False  # first real beat after a restart
                     owned += 1
         return BatchAckReply(ok=owned > 0, stale=tuple(stale))
-
-    def release(self, request: LeaseRequest) -> AckReply:
-        """Drop a lease — only for its current token.
-
-        Releasing an already-gone lease acknowledges idempotently (the
-        retry-after-lost-reply case); releasing with a superseded token
-        is rejected so a stalled worker cannot unlink the new holder's
-        claim.
-        """
-        with self._lock:
-            entry = self._leases.get(request.unit)
-            if entry is None:
-                return AckReply(ok=True)
-            if entry.token != request.token:
-                return AckReply(ok=False, stale=True)
-            ticket = self._journal.enqueue(
-                {
-                    "event": "release",
-                    "unit": request.unit,
-                    "worker": request.worker,
-                    "token": request.token,
-                }
-            )
-            del self._leases[request.unit]
-            self._m_releases.inc()
-            pending = self._maybe_roll_locked()
-        self._finish(ticket, pending)
-        return AckReply(ok=True)
 
     def release_batch(self, request: BatchLeaseRequest) -> BatchAckReply:
         """Drop every listed unit still owned by the presented token,
@@ -1109,65 +1007,23 @@ class Coordinator:
         self._finish(ticket, pending)
         return BatchAckReply(ok=True, stale=tuple(stale))
 
-    def record(self, request: RecordRequest) -> AckReply:
-        """Durably record one unit's result, exactly once.
+    def record_batch(self, request: BatchRecordRequest) -> BatchRecordReply:
+        """Durably record finished units' results in one flush, exactly
+        once.
 
         The shard append (and journal line) happen before the
-        acknowledgement, and the worker releases only after being
-        acknowledged — record-before-release end to end.  A unit already
-        recorded acknowledges as a duplicate without writing (first
-        writer wins).  A *stale* token does not block recording as long
-        as the unit is unrecorded: a robbed worker that finishes first
-        contributes its (bit-identical) result rather than wasting it —
-        and the superseded holder's lease is dropped so the unit cannot
-        be claimed again.
-        """
-        with self._lock:
-            self._validate_unit(request.unit)
-            if request.unit in self._completed:
-                self._duplicates += 1
-                self._m_duplicates.inc()
-                logger.warning(
-                    "duplicate record for unit %r from worker %s dropped "
-                    "(first writer wins)",
-                    request.unit,
-                    request.worker,
-                )
-                return AckReply(ok=True, duplicate=True)
-            entry = self._leases.get(request.unit)
-            stale = entry is None or entry.token != request.token
-            if stale:
-                logger.warning(
-                    "recording unit %r from worker %s despite a stale lease "
-                    "token (its lease was reclaimed while it ran)",
-                    request.unit,
-                    request.worker,
-                )
-            shard_name = self.checkpoint.shard_path(request.worker).name
-            self.checkpoint.record(request.unit, request.result, shard=request.worker)
-            ticket = self._journal.enqueue(
-                {"event": "record", "unit": request.unit, "worker": request.worker}
-            )
-            self._completed.add(request.unit)
-            self._results[request.unit] = request.result
-            self._shard_counts[shard_name] = self._shard_counts.get(shard_name, 0) + 1
-            self._leases.pop(request.unit, None)
-            self._m_records.inc()
-            self._m_worker_records.labels(request.worker).inc()
-            pending = self._maybe_roll_locked()
-        self._finish(ticket, pending)
-        return AckReply(ok=True)
-
-    def record_batch(self, request: BatchRecordRequest) -> BatchRecordReply:
-        """Durably record several units' results in one flush.
-
-        Per-unit semantics match :meth:`record` — a unit already recorded
-        is dropped as a duplicate (first writer wins), a stale token does
-        not block recording, and every listed unit's lease is dropped.
-        The writes are batch-grained: one shard append (one open+flush
-        covering every line), one journal event, one group commit for
-        the whole flush — the amortization that lets sub-second units
-        keep the coordinator out of the critical path.
+        acknowledgement, and the worker drops a member from its batch
+        only after being acknowledged — record before release, end to
+        end.  A unit already recorded is dropped as a duplicate without
+        writing (first writer wins).  A *stale* token does not block
+        recording as long as the unit is unrecorded: a robbed worker that
+        finishes first contributes its (bit-identical) result rather
+        than wasting it, and every listed unit's lease is dropped so the
+        unit cannot be claimed again.  The writes are batch-grained: one
+        shard append (one open+flush covering every line), one journal
+        event, one group commit for the whole flush — the amortization
+        that lets sub-second units keep the coordinator out of the
+        critical path.
         """
         with self._lock:
             for unit in request.units:
@@ -1360,13 +1216,9 @@ _KNOWN_ENDPOINTS = frozenset(
         "/manifest",
         "/healthz",
         "/metrics",
-        "/claim",
         "/claim-batch",
-        "/renew",
         "/renew-batch",
-        "/release",
         "/release-batch",
-        "/record",
         "/record-batch",
     }
 )
@@ -1553,13 +1405,9 @@ class CoordinatorHTTPServer:
         if method != "POST":
             return 405, "Method Not Allowed", {"error": f"unsupported method {method}"}
         operations = {
-            "/claim": (ClaimRequest, coordinator.claim),
             "/claim-batch": (BatchClaimRequest, coordinator.claim_batch),
-            "/renew": (LeaseRequest, coordinator.renew),
             "/renew-batch": (BatchLeaseRequest, coordinator.renew_batch),
-            "/release": (LeaseRequest, coordinator.release),
             "/release-batch": (BatchLeaseRequest, coordinator.release_batch),
-            "/record": (RecordRequest, coordinator.record),
             "/record-batch": (BatchRecordRequest, coordinator.record_batch),
         }
         operation = operations.get(target)

@@ -10,11 +10,12 @@ run directory.  This module is the worker side plus the run-directory
 views that need no coordinator:
 
 :func:`drain_units`
-    One worker's loop — claim, execute, record, release — against a
-    :class:`~repro.runtime.backends.WorkBackend` until every unit of the
-    run is recorded by *someone*, sleeping ``poll_interval`` between
-    passes while live peers hold the rest.  A daemon thread renews each
-    claim's heartbeat while its unit runs.
+    One worker's loop — claim a batch, execute, record in flushes,
+    release the rest — against a :class:`~repro.runtime.backends.
+    WorkBackend` until every unit of the run is recorded by *someone*,
+    sleeping ``poll_interval`` between passes while live peers hold the
+    rest.  A daemon thread renews each batch's heartbeat while its
+    members run.
 :func:`run_units_coordinator`
     ``run_units(backend="coordinator")``: this process plus ``jobs - 1``
     sibling processes drain through the coordinator, then fetch the
@@ -274,43 +275,44 @@ class LeaseDir:
 
 
 @contextlib.contextmanager
-def _renewing(backend, lease, interval: float, renew=None):
-    """Renew ``lease`` on ``backend`` every ``interval`` seconds while the
+def _renewing(backend, batch, interval: float):
+    """Renew ``batch`` on ``backend`` every ``interval`` seconds while the
     body runs.  ``backend`` is any :class:`~repro.runtime.backends.
-    WorkBackend`; transient errors (a coordinator restarting, a dropped
-    connection) are retried on the next beat.  ``renew`` overrides the
-    renewal callable (``backend.renew_batch`` for batch leases, whose
-    one round trip covers every member not yet recorded)."""
+    WorkBackend`; one ``renew_batch`` round trip covers every member not
+    yet recorded.  Transient errors (a coordinator restarting, a dropped
+    connection) are retried on the next beat."""
     stop = threading.Event()
-    renew_fn = backend.renew if renew is None else renew
 
     def _beat() -> None:
-        current = lease
+        current = batch
         try:
             while not stop.wait(interval):
                 try:
-                    renewed = renew_fn(current)
+                    renewed = backend.renew_batch(current)
                 except OSError:
                     continue  # transient network hiccup; retry next beat
                 except Exception as exc:  # noqa: BLE001 - the beat must survive
                     # e.g. a protocol error from a version-skewed coordinator
                     # or an intermediary returning garbage: losing the thread
-                    # here would silently stop renewals and hand the unit to a
-                    # peer; keep beating — if the condition persists the lease
-                    # expires anyway, which is the same worst case, loudly.
+                    # here would silently stop renewals and hand the units to
+                    # a peer; keep beating — if the condition persists the
+                    # leases expire anyway, which is the same worst case,
+                    # loudly.
                     logger.warning(
-                        "heartbeat renewal for unit %r failed (%s); retrying next beat",
-                        lease.unit,
+                        "heartbeat renewal for a batch of %d unit(s) failed (%s); "
+                        "retrying next beat",
+                        len(batch.units),
                         exc,
                     )
                     continue
                 if renewed is None:
                     logger.warning(
-                        "lease on unit %r was reclaimed from worker %s while it "
-                        "was still running (stalled past its TTL?); finishing "
-                        "anyway — the duplicate result is deduplicated on merge",
-                        lease.unit,
-                        lease.worker,
+                        "leases on a batch of %d unit(s) were reclaimed from worker "
+                        "%s while it was still running (stalled past its TTL?); "
+                        "finishing anyway — duplicate results are deduplicated on "
+                        "merge",
+                        len(batch.units),
+                        batch.worker,
                     )
                     return
                 current = renewed
@@ -321,7 +323,7 @@ def _renewing(backend, lease, interval: float, renew=None):
             if close is not None:
                 close()
 
-    thread = threading.Thread(target=_beat, daemon=True, name=f"lease-renew-{lease.unit}")
+    thread = threading.Thread(target=_beat, daemon=True, name="lease-renew")
     thread.start()
     try:
         yield
@@ -358,8 +360,9 @@ def drain_units(
 ) -> WorkerStats:
     """Drain ``units`` through a work backend as one worker.
 
-    Claim a unit, execute it with ``worker``, record the result, release
-    the claim — against any :class:`~repro.runtime.backends.WorkBackend`
+    Claim a batch of units, execute its members with ``worker``, record
+    their results in flushes, release whatever is left unrecorded —
+    against any :class:`~repro.runtime.backends.WorkBackend`
     (in production an :class:`~repro.runtime.backends.HttpWorkBackend`
     speaking to a ``repro sweep serve`` coordinator).  Returns when every
     unit of the run is completed (by this worker or any peer); with
@@ -371,7 +374,7 @@ def drain_units(
     backend:
         The :class:`WorkBackend` to drain through.  It owns the lease
         TTL; the coordinator refuses claims of completed units
-        atomically, so every granted claim is live work.
+        atomically, so every granted member is live work.
     worker_id:
         Shard/lease identity; default :func:`worker_identity`.  Must be
         unique among concurrently running workers.
@@ -384,17 +387,19 @@ def drain_units(
     on_unit:
         Callback invoked with each unit key this worker finished.
     claim_batch:
-        Units to lease per claim request (default 1: the per-unit
-        protocol).  Larger batches amortize claim and record round
-        trips: finished members are buffered and recorded with one
-        ``record_batch`` flush when the batch ends, or right after a
+        Units to lease per claim request (default 1).  Every size takes
+        the same path: finished members are buffered and recorded with
+        one ``record_batch`` flush when the batch ends, or right after a
         member finishes once a heartbeat interval has passed since the
-        claim or the last flush.  A worker SIGKILLed mid-batch therefore
-        loses its unflushed finished members (at most one heartbeat
-        interval of work) as well as the unfinished remainder; peers
-        re-execute both after the TTL, bit-identically.  A Python
-        exception loses nothing: the finished members are flushed before
-        the remainder is released.
+        claim or the last flush, so larger batches amortize claim and
+        record round trips.  A batch of one costs two requests per unit
+        (claim and record) and keeps crash granularity per unit: its
+        only member is flushed as soon as it finishes.  A worker
+        SIGKILLed mid-batch loses its unflushed finished members (at most
+        one heartbeat interval of work) as well as the unfinished
+        remainder; peers re-execute both after the TTL, bit-identically.
+        A Python exception loses nothing: the finished members are
+        flushed before the remainder is released.
     telemetry_dir:
         Where this worker's ``telemetry-<worker>.jsonl`` trace shard
         goes.  Defaults to ``$REPRO_TELEMETRY_DIR`` (if set); ``None``
@@ -412,15 +417,15 @@ def drain_units(
     if beat_override is not None and beat_override <= 0:
         raise ValueError(f"heartbeat interval must be positive, got {beat_override}")
 
-    def _beat_for(lease) -> float:
-        beat = lease.ttl / 4.0 if beat_override is None else beat_override
-        if beat >= lease.ttl:
+    def _beat_for(batch) -> float:
+        beat = batch.ttl / 4.0 if beat_override is None else beat_override
+        if beat >= batch.ttl:
             # A heartbeat slower than the TTL lets every live lease expire
             # between renewals: the coordinator would re-grant mid-unit and
             # systematically re-execute every long unit.
             raise ValueError(
                 f"heartbeat interval ({beat}) must be smaller than the lease "
-                f"ttl ({lease.ttl}); leave it unset for the ttl/4 default"
+                f"ttl ({batch.ttl}); leave it unset for the ttl/4 default"
             )
         return beat
 
@@ -514,95 +519,58 @@ def drain_units(
             if not pending:
                 return stats
             progressed = False
-            if batch_size > 1:
-                for start in range(0, len(pending), batch_size):
-                    chunk = pending[start : start + batch_size]
-                    claim_t0 = time.perf_counter()
-                    batch = backend.claim_batch(chunk, wid)
-                    claim_s = time.perf_counter() - claim_t0
-                    if batch is None:
-                        continue
-                    progressed = True
-                    stats.reclaimed += len(batch.reclaimed_units)
-                    m_reclaimed.inc(len(batch.reclaimed_units))
-                    # One claim round trip covers the batch; spans amortize
-                    # its cost evenly across the granted members.
-                    claim_share = claim_s / max(len(batch.units), 1)
+            for start in range(0, len(pending), batch_size):
+                chunk = pending[start : start + batch_size]
+                claim_t0 = time.perf_counter()
+                batch = backend.claim_batch(chunk, wid)
+                claim_s = time.perf_counter() - claim_t0
+                if batch is None:
+                    continue
+                progressed = True
+                stats.reclaimed += len(batch.reclaimed_units)
+                m_reclaimed.inc(len(batch.reclaimed_units))
+                # One claim round trip covers the batch; spans amortize its
+                # cost evenly across the granted members.
+                claim_share = claim_s / max(len(batch.units), 1)
+                buffered: dict[str, tuple[Any, float]] = {}
+                try:
+                    # Inside the try: a refused heartbeat hands the granted
+                    # batch straight back instead of leaving it leased.
                     beat = _beat_for(batch)
-                    buffered: dict[str, tuple[Any, float]] = {}
                     flushed_at = time.perf_counter()
-                    try:
-                        with _renewing(backend, batch, beat, renew=backend.renew_batch):
-                            for key in list(batch.units):
-                                t0 = time.perf_counter()
-                                result = _execute(key)
-                                buffered[key] = (result, time.perf_counter() - t0)
-                                # Flush once a heartbeat interval has passed: a
-                                # SIGKILL then loses under one interval of
-                                # finished work, which peers re-execute after
-                                # the TTL.
-                                if time.perf_counter() - flushed_at >= beat:
-                                    _flush(batch, buffered, claim_share)
-                                    flushed_at = time.perf_counter()
-                            _flush(batch, buffered, claim_share)
-                    finally:
-                        if buffered:
-                            # Only a failing member leaves results buffered
-                            # (a flush empties the buffer before its request):
-                            # keep the finished ones, and never let a failed
-                            # flush mask the worker's own exception.
-                            count = len(buffered)
-                            try:
-                                _flush(batch, buffered, claim_share)
-                            except Exception:  # noqa: BLE001 - the original propagates
-                                logger.warning(
-                                    "could not record %d finished unit(s) of a failed "
-                                    "batch; they are released for peers to re-execute",
-                                    count,
-                                    exc_info=True,
-                                )
-                        # Success path: every member was recorded, so this
-                        # releases nothing.  Failure path: hands the
-                        # unrecorded remainder back to peers immediately.
-                        backend.release_batch(batch)
-            else:
-                for key in pending:
-                    claim_t0 = time.perf_counter()
-                    lease = backend.claim(key, wid)
-                    if lease is None:
-                        continue
-                    claim_s = time.perf_counter() - claim_t0
-                    progressed = True
-                    if lease.reclaimed:
-                        stats.reclaimed += 1
-                        m_reclaimed.inc()
-                    execute_s = record_s = release_s = 0.0
-                    try:
-                        t0 = time.perf_counter()
-                        with _renewing(backend, lease, _beat_for(lease)):
+                    with _renewing(backend, batch, beat):
+                        for key in list(batch.units):
+                            t0 = time.perf_counter()
                             result = _execute(key)
-                        execute_s = time.perf_counter() - t0
-                        t0 = time.perf_counter()
-                        backend.record(lease, result)
-                        record_s = time.perf_counter() - t0
-                    finally:
-                        # Success path: record-before-release (the correctness
-                        # ordering).  Failure path: nothing was recorded, so
-                        # releasing immediately lets peers re-claim the unit now
-                        # instead of waiting out this worker's full TTL.
-                        t0 = time.perf_counter()
-                        backend.release(lease)
-                        release_s = time.perf_counter() - t0
-                    _finished(key)
-                    if telemetry is not None:
-                        telemetry.span(
-                            key,
-                            claim_s=claim_s,
-                            execute_s=execute_s,
-                            record_s=record_s,
-                            release_s=release_s,
-                            reclaimed=lease.reclaimed,
-                        )
+                            buffered[key] = (result, time.perf_counter() - t0)
+                            # Flush once a heartbeat interval has passed: a
+                            # SIGKILL then loses under one interval of
+                            # finished work, which peers re-execute after the
+                            # TTL.
+                            if time.perf_counter() - flushed_at >= beat:
+                                _flush(batch, buffered, claim_share)
+                                flushed_at = time.perf_counter()
+                        _flush(batch, buffered, claim_share)
+                finally:
+                    if buffered:
+                        # Only a failing member leaves results buffered (a
+                        # flush empties the buffer before its request): keep
+                        # the finished ones, and never let a failed flush
+                        # mask the worker's own exception.
+                        count = len(buffered)
+                        try:
+                            _flush(batch, buffered, claim_share)
+                        except Exception:  # noqa: BLE001 - the original propagates
+                            logger.warning(
+                                "could not record %d finished unit(s) of a failed "
+                                "batch; they are released for peers to re-execute",
+                                count,
+                                exc_info=True,
+                            )
+                    # Success path: every member was recorded, so this
+                    # releases nothing.  Failure path: hands the unrecorded
+                    # remainder back to peers immediately.
+                    backend.release_batch(batch)
             if not progressed:
                 if not wait:
                     return stats

@@ -189,12 +189,16 @@ def run_units(
         Coordinator backend: the coordinator's base URL and the bounded
         retry budget for transient errors.
     claim_batch:
-        Units leased per claim request (default 1).  Batching amortizes
-        claim and record round trips — the big win on the coordinator
-        backend: finished units are recorded in one flush per batch (or
-        per heartbeat interval), so a worker SIGKILLed mid-batch also
-        loses its unflushed finished units, which peers re-execute
-        bit-identically after the TTL.  Rejected under the local backend.
+        Units leased per claim request (default 1); every size speaks
+        the same batch protocol.  A batch of one costs two coordinator
+        requests per unit (claim and record) and records its unit as
+        soon as it finishes, so crash granularity stays per unit.
+        Larger batches amortize claim and record round trips — the big
+        win on the coordinator backend: finished units are recorded in
+        one flush per batch (or per heartbeat interval), so a worker
+        SIGKILLed mid-batch also loses its unflushed finished units,
+        which peers re-execute bit-identically after the TTL.  Rejected
+        under the local backend.
     """
     units = list(units)
     if jobs < 1:

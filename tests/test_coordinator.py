@@ -5,23 +5,29 @@ What makes no-shared-filesystem draining trustworthy:
 * **wire robustness** — every request/reply payload round-trips
   losslessly through JSON, and malformed payloads are rejected at the
   edge by the validating parsers both sides share;
-* **mutual exclusion** — however many workers race ``POST /claim`` for
-  one unit, exactly one is granted (the lease table mutates under one
-  lock on one coordinator);
+* **mutual exclusion** — however many workers race ``POST
+  /claim-batch`` for one unit, exactly one is granted (the lease table
+  mutates under one lock on one coordinator);
 * **token fencing** — an expired lease is re-granted under a fresh
   token, and the superseded holder's renew/release are rejected as
   stale instead of clobbering the new holder;
 * **lossless restart** — a SIGKILLed coordinator rebuilds completed
   results from its shard files and in-flight leases from the
-  write-ahead journal, tolerating the torn trailing line the kill left;
+  write-ahead journal, tolerating the torn trailing line the kill left,
+  and still recovers journals written in the retired per-unit format;
 * **bit-identity** — the acceptance property: a fig4-preset sweep
   drained by two ``--coordinator`` workers, with one worker SIGKILLed
   mid-unit *and* the coordinator SIGKILLed and restarted mid-sweep,
   merges bit-identically to ``run_sweep(spec, jobs=1)``.
+
+Every in-process coordinator, client and subprocess a test opens is
+closed or reaped before it ends, so the suite runs clean under ``python
+-X dev -W error``.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import signal
@@ -30,6 +36,8 @@ import subprocess
 import sys
 import threading
 import time
+import urllib.error
+import urllib.request
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -37,22 +45,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.observability.dashboard import parse_prometheus_text
 from repro.pisa import AnnealingConfig, PISAConfig
 from repro.runtime import RunCheckpoint
 from repro.runtime.backends import (
-    AckReply,
     BatchAckReply,
     BatchClaimReply,
     BatchClaimRequest,
     BatchLeaseRequest,
     BatchRecordReply,
     BatchRecordRequest,
-    ClaimReply,
-    ClaimRequest,
     CoordinatorError,
+    CoordinatorProtocolError,
     HttpWorkBackend,
-    LeaseRequest,
-    RecordRequest,
 )
 from repro.runtime.checkpoint import CheckpointError
 from repro.runtime.coordinator import (
@@ -100,11 +105,62 @@ def init_run_dir(run_dir: Path, spec: SweepSpec):
 
 
 def make_coordinator(run_dir: Path, units: list[str], ttl: float = 30.0) -> Coordinator:
-    """A coordinator over a minimal hand-rolled manifest."""
+    """A coordinator over a minimal hand-rolled manifest.  Opening it
+    again over the same directory is a restart: the manifest matches, so
+    initialization resumes.  The caller closes it."""
     RunCheckpoint(run_dir).initialize(
         {"kind": "sweep", "spec": {"name": "t"}, "units": len(units)}, resume=True
     )
     return Coordinator(run_dir, ttl=ttl, unit_keys=units)
+
+
+@pytest.fixture
+def coordinators():
+    """:func:`make_coordinator` whose every coordinator — first start
+    and restarts alike — is closed at teardown.  An unclosed one leaves
+    its journal segment open."""
+    with contextlib.ExitStack() as stack:
+
+        def open_coordinator(run_dir: Path, units: list[str], ttl: float = 30.0):
+            return stack.enter_context(
+                contextlib.closing(make_coordinator(run_dir, units, ttl=ttl))
+            )
+
+        yield open_coordinator
+
+
+def _claim(coordinator: Coordinator, units, worker: str) -> BatchClaimReply:
+    return coordinator.claim_batch(BatchClaimRequest(units=tuple(units), worker=worker))
+
+
+def _lease(units, worker: str, token: str) -> BatchLeaseRequest:
+    return BatchLeaseRequest(units=tuple(units), worker=worker, token=token)
+
+
+def _record(coordinator: Coordinator, results: dict, worker: str, token: str):
+    return coordinator.record_batch(
+        BatchRecordRequest(
+            units=tuple(results), results=tuple(results.values()), worker=worker, token=token
+        )
+    )
+
+
+def _requests_served(url: str) -> dict[str, float]:
+    """Requests the coordinator at ``url`` has answered, by endpoint."""
+    with urllib.request.urlopen(f"{url}/metrics") as response:
+        families = parse_prometheus_text(response.read().decode())
+    series = families.get("coordinator_request_seconds_count", {})
+    return {dict(labels)["op"]: count for labels, count in series.items()}
+
+
+def _drain(url: str, units, worker, **kwargs):
+    """``drain_units`` as one worker with its own client, closed by the
+    thread that used it (connections are per-thread)."""
+    backend = HttpWorkBackend(url, retry_timeout=10)
+    try:
+        return drain_units(units, worker, backend=backend, **kwargs)
+    finally:
+        backend.close()
 
 
 def _ratios(result):
@@ -131,43 +187,6 @@ _json_values = st.recursive(
 
 
 class TestWirePayloads:
-    @given(unit=_ids, worker=_ids)
-    def test_claim_request_round_trip(self, unit, worker):
-        message = ClaimRequest(unit=unit, worker=worker)
-        assert ClaimRequest.from_dict(json.loads(json.dumps(message.to_dict()))) == message
-
-    @given(unit=_ids, worker=_ids, token=_ids)
-    def test_lease_request_round_trip(self, unit, worker, token):
-        message = LeaseRequest(unit=unit, worker=worker, token=token)
-        assert LeaseRequest.from_dict(json.loads(json.dumps(message.to_dict()))) == message
-
-    @given(unit=_ids, worker=_ids, token=_ids, result=_json_values)
-    def test_record_request_round_trip(self, unit, worker, token, result):
-        message = RecordRequest(unit=unit, worker=worker, token=token, result=result)
-        assert RecordRequest.from_dict(json.loads(json.dumps(message.to_dict()))) == message
-
-    @given(
-        granted=st.booleans(),
-        token=_ids,
-        ttl=_ttls,
-        reclaimed=st.booleans(),
-        completed=st.booleans(),
-    )
-    def test_claim_reply_round_trip(self, granted, token, ttl, reclaimed, completed):
-        message = ClaimReply(
-            granted=granted,
-            token=token,
-            ttl=ttl,
-            reclaimed=reclaimed,
-            completed=completed,
-        )
-        assert ClaimReply.from_dict(json.loads(json.dumps(message.to_dict()))) == message
-
-    @given(ok=st.booleans(), stale=st.booleans(), duplicate=st.booleans())
-    def test_ack_reply_round_trip(self, ok, stale, duplicate):
-        message = AckReply(ok=ok, stale=stale, duplicate=duplicate)
-        assert AckReply.from_dict(json.loads(json.dumps(message.to_dict()))) == message
-
     @given(
         payload=st.one_of(
             st.none(),
@@ -183,11 +202,6 @@ class TestWirePayloads:
     )
     def test_malformed_payloads_rejected(self, payload):
         for parser in (
-            ClaimRequest,
-            LeaseRequest,
-            RecordRequest,
-            ClaimReply,
-            AckReply,
             BatchClaimRequest,
             BatchClaimReply,
             BatchLeaseRequest,
@@ -200,11 +214,10 @@ class TestWirePayloads:
 
     def test_granted_claim_reply_requires_token_and_ttl(self):
         with pytest.raises(ValueError, match="token"):
-            ClaimReply.from_dict({"granted": True, "token": "", "ttl": 5.0})
+            BatchClaimReply.from_dict({"granted": ["a"], "token": "", "ttl": 1.0})
         with pytest.raises(ValueError, match="ttl"):
-            ClaimReply.from_dict({"granted": True, "token": "t", "ttl": 0})
+            BatchClaimReply.from_dict({"granted": ["a"], "token": "t", "ttl": 0})
 
-    # ------------------------- batched payloads ------------------------ #
     @given(units=st.lists(_ids, min_size=1, max_size=6, unique=True), worker=_ids)
     def test_batch_claim_request_round_trip(self, units, worker):
         message = BatchClaimRequest(units=tuple(units), worker=worker)
@@ -279,10 +292,6 @@ class TestWirePayloads:
             BatchClaimReply.from_dict(
                 {"granted": ["a"], "token": "t", "ttl": 1.0, "completed": ["a"]}
             )
-        with pytest.raises(ValueError, match="token"):
-            BatchClaimReply.from_dict({"granted": ["a"], "token": "", "ttl": 1.0})
-        with pytest.raises(ValueError, match="ttl"):
-            BatchClaimReply.from_dict({"granted": ["a"], "token": "t", "ttl": 0})
         with pytest.raises(ValueError, match="unique"):
             BatchClaimRequest.from_dict({"units": ["a", "a"], "worker": "w"})
         with pytest.raises(ValueError, match="parallel"):
@@ -295,129 +304,113 @@ class TestWirePayloads:
 # Coordinator state machine (no HTTP)
 # ---------------------------------------------------------------------- #
 class TestCoordinatorState:
-    def test_claim_renew_record_release_lifecycle(self, tmp_path):
-        coordinator = make_coordinator(tmp_path / "run", ["u0", "u1"])
-        grant = coordinator.claim(ClaimRequest(unit="u0", worker="w1"))
-        assert grant.granted and grant.token and grant.ttl == 30.0
-        assert not grant.reclaimed
-        lease = LeaseRequest(unit="u0", worker="w1", token=grant.token)
-        assert coordinator.renew(lease).ok
-        ack = coordinator.record(
-            RecordRequest(unit="u0", worker="w1", token=grant.token, result=42)
-        )
-        assert ack.ok and not ack.duplicate
-        assert coordinator.release(lease).ok
+    def test_claim_renew_record_release_lifecycle(self, tmp_path, coordinators):
+        coordinator = coordinators(tmp_path / "run", ["u0", "u1"])
+        grant = _claim(coordinator, ["u0"], "w1")
+        assert grant.granted == ("u0",) and grant.token and grant.ttl == 30.0
+        assert grant.reclaimed == () and grant.completed == ()
+        lease = _lease(["u0"], "w1", grant.token)
+        assert coordinator.renew_batch(lease).ok
+        ack = _record(coordinator, {"u0": 42}, "w1", grant.token)
+        assert ack.ok and ack.duplicates == ()
+        # Recording dropped the lease: the release that follows a batch
+        # has nothing left to hand back, and acknowledges idempotently.
+        release = coordinator.release_batch(lease)
+        assert release.ok and release.stale == ()
         assert coordinator.completed_keys() == ["u0"]
         assert coordinator.results() == {"u0": 42}
         # The result is durable in a normal per-worker shard.
         assert RunCheckpoint(tmp_path / "run").completed() == {"u0": 42}
 
-    def test_held_unit_denied_to_others_until_release(self, tmp_path):
-        coordinator = make_coordinator(tmp_path / "run", ["u0"])
-        grant = coordinator.claim(ClaimRequest(unit="u0", worker="w1"))
-        denied = coordinator.claim(ClaimRequest(unit="u0", worker="w2"))
-        assert not denied.granted and not denied.completed
-        coordinator.release(LeaseRequest(unit="u0", worker="w1", token=grant.token))
-        assert coordinator.claim(ClaimRequest(unit="u0", worker="w2")).granted
+    def test_held_unit_denied_to_others_until_release(self, tmp_path, coordinators):
+        coordinator = coordinators(tmp_path / "run", ["u0"])
+        grant = _claim(coordinator, ["u0"], "w1")
+        denied = _claim(coordinator, ["u0"], "w2")
+        assert denied.granted == () and denied.completed == ()
+        coordinator.release_batch(_lease(["u0"], "w1", grant.token))
+        assert _claim(coordinator, ["u0"], "w2").granted == ("u0",)
 
-    def test_completed_unit_claim_reports_completed(self, tmp_path):
-        coordinator = make_coordinator(tmp_path / "run", ["u0"])
-        grant = coordinator.claim(ClaimRequest(unit="u0", worker="w1"))
-        coordinator.record(
-            RecordRequest(unit="u0", worker="w1", token=grant.token, result=1)
-        )
-        reply = coordinator.claim(ClaimRequest(unit="u0", worker="w2"))
-        assert not reply.granted and reply.completed
+    def test_completed_unit_claim_reports_completed(self, tmp_path, coordinators):
+        coordinator = coordinators(tmp_path / "run", ["u0"])
+        grant = _claim(coordinator, ["u0"], "w1")
+        _record(coordinator, {"u0": 1}, "w1", grant.token)
+        reply = _claim(coordinator, ["u0"], "w2")
+        assert reply.granted == () and reply.completed == ("u0",)
 
-    def test_reclaim_by_holder_is_idempotent_same_token(self, tmp_path):
-        """A lost claim reply is retried; the holder must get its own
-        token back, not a denial (which would deadlock the unit)."""
-        coordinator = make_coordinator(tmp_path / "run", ["u0"])
-        first = coordinator.claim(ClaimRequest(unit="u0", worker="w1"))
-        again = coordinator.claim(ClaimRequest(unit="u0", worker="w1"))
-        assert again.granted and again.token == first.token
-
-    def test_expired_lease_regranted_with_fresh_token_and_stale_fencing(self, tmp_path):
-        coordinator = make_coordinator(tmp_path / "run", ["u0"], ttl=0.05)
-        old = coordinator.claim(ClaimRequest(unit="u0", worker="w1"))
+    def test_expired_lease_regranted_with_fresh_token_and_stale_fencing(
+        self, tmp_path, coordinators
+    ):
+        coordinator = coordinators(tmp_path / "run", ["u0"], ttl=0.05)
+        old = _claim(coordinator, ["u0"], "w1")
         time.sleep(0.1)
-        stolen = coordinator.claim(ClaimRequest(unit="u0", worker="w2"))
-        assert stolen.granted and stolen.reclaimed and stolen.token != old.token
+        stolen = _claim(coordinator, ["u0"], "w2")
+        assert stolen.granted == stolen.reclaimed == ("u0",)
+        assert stolen.token != old.token
         # The superseded holder's renew and release are rejected as stale.
-        old_lease = LeaseRequest(unit="u0", worker="w1", token=old.token)
-        renew = coordinator.renew(old_lease)
-        assert not renew.ok and renew.stale
-        release = coordinator.release(old_lease)
-        assert not release.ok and release.stale
+        old_lease = _lease(["u0"], "w1", old.token)
+        renew = coordinator.renew_batch(old_lease)
+        assert not renew.ok and renew.stale == ("u0",)
+        release = coordinator.release_batch(old_lease)
+        assert release.stale == ("u0",)
         # The thief's lease survives untouched.
-        new_lease = LeaseRequest(unit="u0", worker="w2", token=stolen.token)
-        assert coordinator.renew(new_lease).ok
+        assert coordinator.renew_batch(_lease(["u0"], "w2", stolen.token)).ok
 
-    def test_renew_keeps_a_lease_alive_past_its_ttl(self, tmp_path):
-        coordinator = make_coordinator(tmp_path / "run", ["u0"], ttl=0.15)
-        grant = coordinator.claim(ClaimRequest(unit="u0", worker="w1"))
-        lease = LeaseRequest(unit="u0", worker="w1", token=grant.token)
+    def test_renew_keeps_a_lease_alive_past_its_ttl(self, tmp_path, coordinators):
+        coordinator = coordinators(tmp_path / "run", ["u0"], ttl=0.15)
+        grant = _claim(coordinator, ["u0"], "w1")
+        lease = _lease(["u0"], "w1", grant.token)
         for _ in range(4):
             time.sleep(0.05)
-            assert coordinator.renew(lease).ok
-        assert not coordinator.claim(ClaimRequest(unit="u0", worker="w2")).granted
+            assert coordinator.renew_batch(lease).ok
+        assert _claim(coordinator, ["u0"], "w2").granted == ()
 
-    def test_release_of_vanished_lease_is_idempotent(self, tmp_path):
-        coordinator = make_coordinator(tmp_path / "run", ["u0"])
-        grant = coordinator.claim(ClaimRequest(unit="u0", worker="w1"))
-        lease = LeaseRequest(unit="u0", worker="w1", token=grant.token)
-        assert coordinator.release(lease).ok
-        assert coordinator.release(lease).ok  # retry after a lost reply
+    def test_release_of_vanished_lease_is_idempotent(self, tmp_path, coordinators):
+        coordinator = coordinators(tmp_path / "run", ["u0"])
+        grant = _claim(coordinator, ["u0"], "w1")
+        lease = _lease(["u0"], "w1", grant.token)
+        assert coordinator.release_batch(lease).ok
+        again = coordinator.release_batch(lease)  # retry after a lost reply
+        assert again.ok and again.stale == ()
 
-    def test_duplicate_record_dropped_first_writer_wins(self, tmp_path):
-        coordinator = make_coordinator(tmp_path / "run", ["u0"])
-        grant = coordinator.claim(ClaimRequest(unit="u0", worker="w1"))
-        coordinator.record(
-            RecordRequest(unit="u0", worker="w1", token=grant.token, result=1)
-        )
-        ack = coordinator.record(
-            RecordRequest(unit="u0", worker="w2", token="stale", result=999)
-        )
-        assert ack.ok and ack.duplicate
+    def test_duplicate_record_dropped_first_writer_wins(self, tmp_path, coordinators):
+        coordinator = coordinators(tmp_path / "run", ["u0"])
+        grant = _claim(coordinator, ["u0"], "w1")
+        _record(coordinator, {"u0": 1}, "w1", grant.token)
+        ack = _record(coordinator, {"u0": 999}, "w2", "stale")
+        assert ack.ok and ack.duplicates == ("u0",)
         assert coordinator.results() == {"u0": 1}
         assert coordinator.status_payload()["duplicate_records"] == 1
 
-    def test_stale_token_record_accepted_when_unit_unrecorded(self, tmp_path):
-        """Filesystem parity: a robbed worker that finishes first still
-        contributes its (bit-identical) result, and the unit can never be
-        claimed again afterwards."""
-        coordinator = make_coordinator(tmp_path / "run", ["u0"], ttl=0.05)
-        old = coordinator.claim(ClaimRequest(unit="u0", worker="w1"))
+    def test_stale_token_record_accepted_when_unit_unrecorded(self, tmp_path, coordinators):
+        """A robbed worker that finishes first still contributes its
+        (bit-identical) result, and the unit can never be claimed again
+        afterwards."""
+        coordinator = coordinators(tmp_path / "run", ["u0"], ttl=0.05)
+        old = _claim(coordinator, ["u0"], "w1")
         time.sleep(0.1)
-        coordinator.claim(ClaimRequest(unit="u0", worker="w2"))  # thief mid-run
-        ack = coordinator.record(
-            RecordRequest(unit="u0", worker="w1", token=old.token, result=7)
-        )
-        assert ack.ok and not ack.duplicate
+        _claim(coordinator, ["u0"], "w2")  # thief mid-run
+        ack = _record(coordinator, {"u0": 7}, "w1", old.token)
+        assert ack.ok and ack.duplicates == ()
         assert coordinator.results() == {"u0": 7}
-        reply = coordinator.claim(ClaimRequest(unit="u0", worker="w3"))
-        assert not reply.granted and reply.completed
+        reply = _claim(coordinator, ["u0"], "w3")
+        assert reply.granted == () and reply.completed == ("u0",)
 
-    def test_unknown_unit_rejected(self, tmp_path):
-        coordinator = make_coordinator(tmp_path / "run", ["u0"])
+    def test_unknown_unit_rejected(self, tmp_path, coordinators):
+        coordinator = coordinators(tmp_path / "run", ["u0"])
         with pytest.raises(UnknownUnitError):
-            coordinator.claim(ClaimRequest(unit="ghost", worker="w1"))
+            _claim(coordinator, ["ghost"], "w1")
         with pytest.raises(UnknownUnitError):
-            coordinator.record(
-                RecordRequest(unit="ghost", worker="w1", token="t", result=1)
-            )
+            _record(coordinator, {"ghost": 1}, "w1", "t")
 
     def test_uninitialized_run_dir_refused(self, tmp_path):
         with pytest.raises(CheckpointError, match="manifest"):
             Coordinator(tmp_path / "empty")
 
-    def test_status_payload_schema(self, tmp_path):
-        coordinator = make_coordinator(tmp_path / "run", ["u0", "u1"])
-        grant = coordinator.claim(ClaimRequest(unit="u0", worker="w1"))
-        coordinator.record(
-            RecordRequest(unit="u0", worker="w1", token=grant.token, result=1)
-        )
-        coordinator.claim(ClaimRequest(unit="u1", worker="w2"))
+    def test_status_payload_schema(self, tmp_path, coordinators):
+        coordinator = coordinators(tmp_path / "run", ["u0", "u1"])
+        grant = _claim(coordinator, ["u0"], "w1")
+        _record(coordinator, {"u0": 1}, "w1", grant.token)
+        _claim(coordinator, ["u1"], "w2")
         payload = coordinator.status_payload()
         assert payload["backend"] == "coordinator"
         assert payload["schema"] == 1
@@ -429,38 +422,30 @@ class TestCoordinatorState:
         json.dumps(payload)  # the payload is pure JSON
 
 
-# ---------------------------------------------------------------------- #
-# Restart recovery (journal replay)
-# ---------------------------------------------------------------------- #
 class TestBatchedClaims:
-    """The batched protocol's invariants: one token and one journal
-    record per grant, per-unit crash granularity, and the same fencing
-    and first-writer-wins rules as the single-unit protocol."""
+    """The batch protocol's invariants: one token and one journal record
+    per grant, partial grants, token fencing and first-writer-wins
+    recording member by member."""
 
-    def test_batch_claim_partitions_free_held_completed(self, tmp_path):
-        coordinator = make_coordinator(tmp_path / "run", ["u0", "u1", "u2", "u3"])
-        done = coordinator.claim(ClaimRequest(unit="u0", worker="w1"))
-        coordinator.record(
-            RecordRequest(unit="u0", worker="w1", token=done.token, result=1)
-        )
-        coordinator.release(LeaseRequest(unit="u0", worker="w1", token=done.token))
-        coordinator.claim(ClaimRequest(unit="u1", worker="w2"))  # live peer
+    def test_batch_claim_partitions_free_held_completed(self, tmp_path, coordinators):
+        coordinator = coordinators(tmp_path / "run", ["u0", "u1", "u2", "u3"])
+        done = _claim(coordinator, ["u0"], "w1")
+        _record(coordinator, {"u0": 1}, "w1", done.token)
+        _claim(coordinator, ["u1"], "w2")  # live peer
 
-        reply = coordinator.claim_batch(
-            BatchClaimRequest(units=("u0", "u1", "u2", "u3"), worker="w3")
-        )
+        reply = _claim(coordinator, ["u0", "u1", "u2", "u3"], "w3")
         assert sorted(reply.granted) == ["u2", "u3"]  # u1: held, omitted
         assert reply.completed == ("u0",)
         assert reply.reclaimed == ()
         assert reply.token and reply.ttl == 30.0
 
-    def test_one_journal_record_per_batch_claim(self, tmp_path):
+    def test_one_journal_record_per_batch_claim(self, tmp_path, coordinators):
         run_dir = tmp_path / "run"
         units = [f"u{i}" for i in range(6)]
-        coordinator = make_coordinator(run_dir, units)
+        coordinator = coordinators(run_dir, units)
         journal = run_dir / JOURNAL_NAME
         before = len(journal.read_text().splitlines()) if journal.exists() else 0
-        reply = coordinator.claim_batch(BatchClaimRequest(units=tuple(units), worker="w1"))
+        reply = _claim(coordinator, units, "w1")
         assert sorted(reply.granted) == units
         events = [json.loads(line) for line in journal.read_text().splitlines()]
         assert len(events) == before + 1
@@ -468,136 +453,103 @@ class TestBatchedClaims:
         assert sorted(events[-1]["units"]) == units
         assert events[-1]["token"] == reply.token
 
-    def test_partial_batch_expiry_regrants_only_unfinished_units(self, tmp_path):
-        coordinator = make_coordinator(tmp_path / "run", ["u0", "u1", "u2"], ttl=0.05)
-        batch = coordinator.claim_batch(
-            BatchClaimRequest(units=("u0", "u1", "u2"), worker="w1")
-        )
-        # w1 finishes u0 mid-batch (records drop members one at a time)...
-        coordinator.record(
-            RecordRequest(unit="u0", worker="w1", token=batch.token, result=0)
-        )
+    def test_partial_batch_expiry_regrants_only_unfinished_units(
+        self, tmp_path, coordinators
+    ):
+        coordinator = coordinators(tmp_path / "run", ["u0", "u1", "u2"], ttl=0.05)
+        batch = _claim(coordinator, ["u0", "u1", "u2"], "w1")
+        # w1 flushes u0 mid-batch (each flush drops only its members)...
+        _record(coordinator, {"u0": 0}, "w1", batch.token)
         time.sleep(0.1)  # ...then goes silent past the ttl.
-        steal = coordinator.claim_batch(
-            BatchClaimRequest(units=("u0", "u1", "u2"), worker="w2")
-        )
+        steal = _claim(coordinator, ["u0", "u1", "u2"], "w2")
         assert sorted(steal.granted) == ["u1", "u2"]  # only the unfinished remainder
         assert sorted(steal.reclaimed) == ["u1", "u2"]
         assert steal.completed == ("u0",)
         # The dead holder's token is fenced out of what it lost.
-        stale = coordinator.renew_batch(
-            BatchLeaseRequest(units=("u1", "u2"), worker="w1", token=batch.token)
-        )
+        stale = coordinator.renew_batch(_lease(["u1", "u2"], "w1", batch.token))
         assert not stale.ok and sorted(stale.stale) == ["u1", "u2"]
 
-    def test_holder_batch_reclaim_folds_into_fresh_token(self, tmp_path):
+    def test_holder_batch_reclaim_folds_into_fresh_token(self, tmp_path, coordinators):
         """A retry after a lost reply: the holder re-claims its own units
         and gets them all back under one fresh token; the old token is
         superseded, not left as a second live grant."""
-        coordinator = make_coordinator(tmp_path / "run", ["u0", "u1"])
-        first = coordinator.claim_batch(BatchClaimRequest(units=("u0", "u1"), worker="w1"))
-        second = coordinator.claim_batch(BatchClaimRequest(units=("u0", "u1"), worker="w1"))
+        coordinator = coordinators(tmp_path / "run", ["u0", "u1"])
+        first = _claim(coordinator, ["u0", "u1"], "w1")
+        second = _claim(coordinator, ["u0", "u1"], "w1")
         assert sorted(second.granted) == ["u0", "u1"]
         assert second.token != first.token
         assert second.reclaimed == ()  # self-fold is not a steal
-        old = coordinator.renew_batch(
-            BatchLeaseRequest(units=("u0", "u1"), worker="w1", token=first.token)
-        )
+        old = coordinator.renew_batch(_lease(["u0", "u1"], "w1", first.token))
         assert not old.ok
-        fresh = coordinator.renew_batch(
-            BatchLeaseRequest(units=("u0", "u1"), worker="w1", token=second.token)
-        )
+        fresh = coordinator.renew_batch(_lease(["u0", "u1"], "w1", second.token))
         assert fresh.ok and fresh.stale == ()
 
-    def test_renew_batch_reports_recorded_members_as_stale(self, tmp_path):
-        coordinator = make_coordinator(tmp_path / "run", ["u0", "u1"])
-        batch = coordinator.claim_batch(BatchClaimRequest(units=("u0", "u1"), worker="w1"))
-        coordinator.record(
-            RecordRequest(unit="u0", worker="w1", token=batch.token, result=0)
-        )
-        ack = coordinator.renew_batch(
-            BatchLeaseRequest(units=("u0", "u1"), worker="w1", token=batch.token)
-        )
+    def test_renew_batch_reports_recorded_members_as_stale(self, tmp_path, coordinators):
+        coordinator = coordinators(tmp_path / "run", ["u0", "u1"])
+        batch = _claim(coordinator, ["u0", "u1"], "w1")
+        _record(coordinator, {"u0": 0}, "w1", batch.token)
+        ack = coordinator.renew_batch(_lease(["u0", "u1"], "w1", batch.token))
         assert ack.ok and ack.stale == ("u0",)
 
-    def test_release_batch_idempotent_and_token_fenced(self, tmp_path):
-        coordinator = make_coordinator(tmp_path / "run", ["u0", "u1"], ttl=0.05)
-        batch = coordinator.claim_batch(BatchClaimRequest(units=("u0", "u1"), worker="w1"))
+    def test_release_batch_idempotent_and_token_fenced(self, tmp_path, coordinators):
+        coordinator = coordinators(tmp_path / "run", ["u0", "u1"], ttl=0.05)
+        batch = _claim(coordinator, ["u0", "u1"], "w1")
         time.sleep(0.1)
-        steal = coordinator.claim_batch(BatchClaimRequest(units=("u0",), worker="w2"))
+        steal = _claim(coordinator, ["u0"], "w2")
         assert steal.granted == ("u0",)
         # w1's release covers what it still owns; the stolen member is
         # reported stale and left with its new holder.
-        ack = coordinator.release_batch(
-            BatchLeaseRequest(units=("u0", "u1"), worker="w1", token=batch.token)
-        )
+        ack = coordinator.release_batch(_lease(["u0", "u1"], "w1", batch.token))
         assert ack.ok and ack.stale == ("u0",)
-        assert coordinator.renew(
-            LeaseRequest(unit="u0", worker="w2", token=steal.token)
-        ).ok
+        assert coordinator.renew_batch(_lease(["u0"], "w2", steal.token)).ok
         # Releasing again (retry after a lost reply) acknowledges idempotently.
-        again = coordinator.release_batch(
-            BatchLeaseRequest(units=("u1",), worker="w1", token=batch.token)
-        )
+        again = coordinator.release_batch(_lease(["u1"], "w1", batch.token))
         assert again.ok
         # u1 is free again.
-        assert coordinator.claim(ClaimRequest(unit="u1", worker="w3")).granted
+        assert _claim(coordinator, ["u1"], "w3").granted == ("u1",)
 
-    def test_duplicate_batch_record_first_writer_wins(self, tmp_path):
-        coordinator = make_coordinator(tmp_path / "run", ["u0", "u1"])
-        batch = coordinator.claim_batch(BatchClaimRequest(units=("u0", "u1"), worker="w1"))
-        first = coordinator.record_batch(
-            BatchRecordRequest(
-                units=("u0", "u1"), results=(1, 2), worker="w1", token=batch.token
-            )
-        )
+    def test_duplicate_batch_record_first_writer_wins(self, tmp_path, coordinators):
+        coordinator = coordinators(tmp_path / "run", ["u0", "u1"])
+        batch = _claim(coordinator, ["u0", "u1"], "w1")
+        first = _record(coordinator, {"u0": 1, "u1": 2}, "w1", batch.token)
         assert first.ok and first.duplicates == ()
         # The identical flush retried after a lost reply (or a robbed
         # peer's late flush) acks as duplicates without overwriting.
-        again = coordinator.record_batch(
-            BatchRecordRequest(
-                units=("u0", "u1"), results=(7, 8), worker="w2", token="stale"
-            )
-        )
+        again = _record(coordinator, {"u0": 7, "u1": 8}, "w2", "stale")
         assert again.ok and sorted(again.duplicates) == ["u0", "u1"]
         assert coordinator.results() == {"u0": 1, "u1": 2}
 
-    def test_batch_record_with_stale_token_accepted_when_unrecorded(self, tmp_path):
-        """Like the single-unit protocol: a robbed worker that finishes
-        first contributes its bit-identical results rather than wasting
-        them, and the listed leases are dropped."""
-        coordinator = make_coordinator(tmp_path / "run", ["u0", "u1"], ttl=0.05)
-        batch = coordinator.claim_batch(BatchClaimRequest(units=("u0", "u1"), worker="w1"))
+    def test_batch_record_with_stale_token_accepted_when_unrecorded(
+        self, tmp_path, coordinators
+    ):
+        """A robbed worker that finishes first contributes its
+        bit-identical results rather than wasting them, and the listed
+        leases are dropped."""
+        coordinator = coordinators(tmp_path / "run", ["u0", "u1"], ttl=0.05)
+        batch = _claim(coordinator, ["u0", "u1"], "w1")
         time.sleep(0.1)
-        coordinator.claim_batch(BatchClaimRequest(units=("u0", "u1"), worker="w2"))
-        late = coordinator.record_batch(
-            BatchRecordRequest(
-                units=("u0", "u1"), results=(1, 2), worker="w1", token=batch.token
-            )
-        )
+        _claim(coordinator, ["u0", "u1"], "w2")
+        late = _record(coordinator, {"u0": 1, "u1": 2}, "w1", batch.token)
         assert late.ok and late.duplicates == ()
         assert coordinator.results() == {"u0": 1, "u1": 2}
-        assert coordinator.claim(ClaimRequest(unit="u0", worker="w3")).completed
+        assert _claim(coordinator, ["u0"], "w3").completed == ("u0",)
 
-    def test_restart_restores_batch_leases_and_flushed_records(self, tmp_path):
+    def test_restart_restores_batch_leases_and_flushed_records(
+        self, tmp_path, coordinators
+    ):
         run_dir = tmp_path / "run"
         units = ["u0", "u1", "u2"]
-        first = make_coordinator(run_dir, units)
-        batch = first.claim_batch(BatchClaimRequest(units=tuple(units), worker="w1"))
-        first.record_batch(
-            BatchRecordRequest(units=("u0",), results=(5,), worker="w1", token=batch.token)
-        )
+        first = coordinators(run_dir, units)
+        batch = _claim(first, units, "w1")
+        _record(first, {"u0": 5}, "w1", batch.token)
         # "SIGKILL": no shutdown handshake.
-        restarted = Coordinator(run_dir, ttl=30.0, unit_keys=units)
+        restarted = coordinators(run_dir, units)
         assert restarted.results() == {"u0": 5}
         # The unfinished remainder survives under the same batch token...
-        ack = restarted.renew_batch(
-            BatchLeaseRequest(units=("u1", "u2"), worker="w1", token=batch.token)
-        )
+        ack = restarted.renew_batch(_lease(["u1", "u2"], "w1", batch.token))
         assert ack.ok and ack.stale == ()
         # ...and peers cannot steal it.
-        denied = restarted.claim_batch(BatchClaimRequest(units=("u1", "u2"), worker="w2"))
-        assert denied.granted == ()
+        assert _claim(restarted, ["u1", "u2"], "w2").granted == ()
 
     @given(cut=st.integers(min_value=0, max_value=600))
     @settings(max_examples=25, deadline=None)
@@ -607,62 +559,65 @@ class TestBatchedClaims:
         in full and leases are at worst forgotten — never wedged."""
         import tempfile
 
-        with tempfile.TemporaryDirectory() as td:
+        with tempfile.TemporaryDirectory() as td, contextlib.ExitStack() as stack:
             run_dir = Path(td) / "run"
             units = ["u0", "u1", "u2"]
-            first = make_coordinator(run_dir, units)
-            batch = first.claim_batch(BatchClaimRequest(units=tuple(units), worker="w1"))
-            first.record_batch(
-                BatchRecordRequest(
-                    units=("u0", "u1"), results=(1, 2), worker="w1", token=batch.token
-                )
-            )
+            first = stack.enter_context(contextlib.closing(make_coordinator(run_dir, units)))
+            batch = _claim(first, units, "w1")
+            _record(first, {"u0": 1, "u1": 2}, "w1", batch.token)
             journal = run_dir / JOURNAL_NAME
             blob = journal.read_bytes()
             journal.write_bytes(blob[: min(cut, len(blob))])
 
-            restarted = Coordinator(run_dir, ttl=30.0, unit_keys=units)
+            restarted = stack.enter_context(
+                contextlib.closing(make_coordinator(run_dir, units))
+            )
             assert restarted.results() == {"u0": 1, "u1": 2}
             # u2 is either still leased to w1 (the claim line survived) or
             # claimable; the flushed units can never be re-granted.
-            reply = restarted.claim_batch(
-                BatchClaimRequest(units=tuple(units), worker="w2")
-            )
+            reply = _claim(restarted, units, "w2")
             assert sorted(reply.completed) == ["u0", "u1"]
             assert reply.granted in ((), ("u2",))
 
 
 class TestCoordinatorRecovery:
-    def test_restart_restores_results_and_leases(self, tmp_path):
+    def test_restart_restores_results_and_leases(self, tmp_path, coordinators):
         run_dir = tmp_path / "run"
-        first = make_coordinator(run_dir, ["u0", "u1", "u2"])
-        done = first.claim(ClaimRequest(unit="u0", worker="w1"))
-        first.record(RecordRequest(unit="u0", worker="w1", token=done.token, result=5))
-        first.release(LeaseRequest(unit="u0", worker="w1", token=done.token))
-        inflight = first.claim(ClaimRequest(unit="u1", worker="w2"))
+        units = ["u0", "u1", "u2"]
+        first = coordinators(run_dir, units)
+        done = _claim(first, ["u0"], "w1")
+        _record(first, {"u0": 5}, "w1", done.token)
+        inflight = _claim(first, ["u1"], "w2")
         # "SIGKILL": drop the object without any shutdown handshake.
-        restarted = Coordinator(run_dir, ttl=30.0, unit_keys=["u0", "u1", "u2"])
+        restarted = coordinators(run_dir, units)
         assert restarted.completed_keys() == ["u0"]
         assert restarted.results() == {"u0": 5}
         # The in-flight lease survived under the same token: its holder's
         # renewals keep working across the restart...
-        lease = LeaseRequest(unit="u1", worker="w2", token=inflight.token)
-        assert restarted.renew(lease).ok
+        assert restarted.renew_batch(_lease(["u1"], "w2", inflight.token)).ok
         # ...and nobody else can steal the unit.
-        assert not restarted.claim(ClaimRequest(unit="u1", worker="w3")).granted
-        assert restarted.claim(ClaimRequest(unit="u2", worker="w3")).granted
+        assert _claim(restarted, ["u1"], "w3").granted == ()
+        assert _claim(restarted, ["u2"], "w3").granted == ("u2",)
 
-    def test_restart_drops_lease_left_on_completed_unit(self, tmp_path):
-        """A worker that recorded but was killed before releasing leaves a
-        lease husk; restart must not resurrect it as in-flight work."""
+    def test_restart_drops_lease_left_on_completed_unit(self, tmp_path, coordinators):
+        """A worker killed after its flush but before releasing leaves its
+        unit done; restart must not resurrect the unit's claim as
+        in-flight work — not even when the kill tore the record's
+        journal line away and only the shard line survived."""
         run_dir = tmp_path / "run"
-        first = make_coordinator(run_dir, ["u0"])
-        grant = first.claim(ClaimRequest(unit="u0", worker="w1"))
-        first.record(RecordRequest(unit="u0", worker="w1", token=grant.token, result=1))
-        restarted = Coordinator(run_dir, ttl=30.0, unit_keys=["u0"])
-        payload = restarted.status_payload()
-        assert payload["complete"]
-        assert payload["active_leases"] == [] and payload["stale_leases"] == []
+        first = coordinators(run_dir, ["u0"])
+        grant = _claim(first, ["u0"], "w1")
+        _record(first, {"u0": 1}, "w1", grant.token)
+        journal = run_dir / JOURNAL_NAME
+        for tear in (False, True):
+            if tear:
+                lines = journal.read_bytes().splitlines(keepends=True)
+                assert json.loads(lines[-1])["event"] == "record"
+                journal.write_bytes(b"".join(lines[:-1]))
+            restarted = coordinators(run_dir, ["u0"])
+            payload = restarted.status_payload()
+            assert payload["complete"]
+            assert payload["active_leases"] == [] and payload["stale_leases"] == []
 
     @given(cut=st.integers(min_value=0, max_value=400))
     @settings(max_examples=25, deadline=None)
@@ -673,42 +628,89 @@ class TestCoordinatorRecovery:
         forgotten — i.e. claimable again, never wedged."""
         import tempfile
 
-        with tempfile.TemporaryDirectory() as td:
+        with tempfile.TemporaryDirectory() as td, contextlib.ExitStack() as stack:
             run_dir = Path(td) / "run"
-            first = make_coordinator(run_dir, ["u0", "u1"])
-            done = first.claim(ClaimRequest(unit="u0", worker="w1"))
-            first.record(RecordRequest(unit="u0", worker="w1", token=done.token, result=9))
-            first.release(LeaseRequest(unit="u0", worker="w1", token=done.token))
-            first.claim(ClaimRequest(unit="u1", worker="w2"))
+            first = stack.enter_context(
+                contextlib.closing(make_coordinator(run_dir, ["u0", "u1"]))
+            )
+            done = _claim(first, ["u0"], "w1")
+            _record(first, {"u0": 9}, "w1", done.token)
+            _claim(first, ["u1"], "w2")
             journal = run_dir / JOURNAL_NAME
             blob = journal.read_bytes()
             journal.write_bytes(blob[: min(cut, len(blob))])
 
-            restarted = Coordinator(run_dir, ttl=30.0, unit_keys=["u0", "u1"])
+            restarted = stack.enter_context(
+                contextlib.closing(make_coordinator(run_dir, ["u0", "u1"]))
+            )
             assert restarted.results() == {"u0": 9}  # shards are the truth
             # u1 is either still leased by w2 (its claim line survived) or
             # forgotten (torn away) — in which case it is claimable.
-            reply = restarted.claim(ClaimRequest(unit="u1", worker="w3"))
-            if not reply.granted:
-                assert not reply.completed  # held by w2, not lost
+            reply = _claim(restarted, ["u1"], "w3")
+            assert reply.completed == ()  # held by w2 or free, never lost
             # u0 can never be re-granted: it is complete.
-            assert restarted.claim(ClaimRequest(unit="u0", worker="w3")).completed
+            assert _claim(restarted, ["u0"], "w3").completed == ("u0",)
 
-    def test_journal_survives_append_after_torn_line(self, tmp_path):
+    def test_journal_survives_append_after_torn_line(self, tmp_path, coordinators):
         """The shared torn-line repair: a fresh event appended after torn
         bytes must not be glued onto them."""
         run_dir = tmp_path / "run"
-        first = make_coordinator(run_dir, ["u0", "u1"])
-        first.claim(ClaimRequest(unit="u0", worker="w1"))
+        first = coordinators(run_dir, ["u0", "u1"])
+        _claim(first, ["u0"], "w1")
         journal = run_dir / JOURNAL_NAME
         with journal.open("ab") as fh:
             fh.write(b'{"event": "claim", "unit": "u1"')  # torn write
-        second = Coordinator(run_dir, ttl=30.0, unit_keys=["u0", "u1"])
-        grant = second.claim(ClaimRequest(unit="u1", worker="w2"))
-        assert grant.granted
-        third = Coordinator(run_dir, ttl=30.0, unit_keys=["u0", "u1"])
-        lease = LeaseRequest(unit="u1", worker="w2", token=grant.token)
-        assert third.renew(lease).ok
+        second = coordinators(run_dir, ["u0", "u1"])
+        grant = _claim(second, ["u1"], "w2")
+        assert grant.granted == ("u1",)
+        third = coordinators(run_dir, ["u0", "u1"])
+        assert third.renew_batch(_lease(["u1"], "w2", grant.token)).ok
+
+    def test_recovers_a_journal_written_in_the_per_unit_format(
+        self, tmp_path, coordinators
+    ):
+        """Coordinators that served the retired per-unit endpoints
+        journaled singular ``unit`` events.  Nothing writes those claims,
+        releases or records any more, but ``sweep serve`` must still
+        recover a run directory they left behind."""
+        run_dir = tmp_path / "run"
+        units = ["u0", "u1", "u2"]
+        checkpoint = RunCheckpoint(run_dir)
+        checkpoint.initialize(
+            {"kind": "sweep", "spec": {"name": "t"}, "units": len(units)}, resume=True
+        )
+        checkpoint.record("u0", 5, shard="w1")  # u0's shard line
+        events = [
+            {"event": "claim", "unit": "u0", "worker": "w1", "token": "t0",
+             "ttl": 30.0, "reclaimed": False},
+            {"event": "record", "unit": "u0", "worker": "w1"},
+            {"event": "claim", "unit": "u1", "worker": "w2", "token": "t1",
+             "ttl": 30.0, "reclaimed": False},
+            {"event": "release", "unit": "u1", "worker": "w2", "token": "t1"},
+            {"event": "claim", "unit": "u2", "worker": "dead", "token": "t-dead",
+             "ttl": 30.0, "reclaimed": False},
+            {"event": "expire", "unit": "u2", "worker": "dead", "token": "t-dead"},
+            {"event": "claim", "unit": "u2", "worker": "w3", "token": "t2",
+             "ttl": 30.0, "reclaimed": True},
+        ]
+        (run_dir / JOURNAL_NAME).write_text(
+            "".join(json.dumps(event) + "\n" for event in events)
+        )
+
+        restarted = coordinators(run_dir, units)
+        assert restarted.completed_keys() == ["u0"]
+        assert restarted.results() == {"u0": 5}
+        payload = restarted.status_payload()
+        assert payload["shard_counts"] == {checkpoint.shard_path("w1").name: 1}
+        # Only u2's claim is still held, and it is flagged as replayed.
+        [lease] = payload["active_leases"]
+        assert (lease["unit"], lease["worker"], lease["restored"]) == ("u2", "w3", True)
+        # Its holder's old token still renews through the batch request...
+        ack = restarted.renew_batch(_lease(["u2"], "w3", "t2"))
+        assert ack.ok and ack.stale == ()
+        # ...a peer cannot take it, and the released u1 is free.
+        assert _claim(restarted, ["u2"], "w4").granted == ()
+        assert _claim(restarted, ["u1"], "w4").granted == ("u1",)
 
 
 # ---------------------------------------------------------------------- #
@@ -731,13 +733,17 @@ class TestHttpBackend:
 
                 def attempt(i: int):
                     barrier.wait()
-                    return backend.claim("u0", f"w{i}")
+                    try:
+                        return backend.claim_batch(["u0"], f"w{i}")
+                    finally:
+                        backend.close()  # this pool thread's own connection
 
                 with ThreadPoolExecutor(max_workers=contenders) as pool:
                     results = list(pool.map(attempt, range(contenders)))
-                winners = [lease for lease in results if lease is not None]
+                winners = [batch for batch in results if batch is not None]
                 assert len(winners) == 1
-                assert not winners[0].reclaimed
+                assert winners[0].units == ["u0"]
+                assert winners[0].reclaimed_units == frozenset()
 
     def test_record_before_release_visible_to_peers(self, tmp_path):
         run_dir = tmp_path / "run"
@@ -746,13 +752,18 @@ class TestHttpBackend:
         )
         with running_coordinator(run_dir, unit_keys=["u0", "u1"]) as server:
             backend = HttpWorkBackend(server.url, retry_timeout=10)
-            lease = backend.claim("u0", "w1")
-            assert backend.completed_keys() == set()
-            backend.record(lease, {"x": 1})
-            # Recorded before released: peers already see it done.
-            assert backend.completed_keys() == {"u0"}
-            backend.release(lease)
-            assert backend.results() == {"u0": {"x": 1}}
+            try:
+                batch = backend.claim_batch(["u0"], "w1")
+                assert backend.completed_keys() == set()
+                backend.record_batch(batch, {"u0": {"x": 1}})
+                # Recorded before released: peers already see it done, and
+                # nothing is left for the release to hand back.
+                assert backend.completed_keys() == {"u0"}
+                assert batch.units == []
+                backend.release_batch(batch)
+                assert backend.results() == {"u0": {"x": 1}}
+            finally:
+                backend.close()
 
     def test_renew_and_release_with_stale_token_rejected_over_http(self, tmp_path):
         run_dir = tmp_path / "run"
@@ -761,13 +772,48 @@ class TestHttpBackend:
         )
         with running_coordinator(run_dir, ttl=0.05, unit_keys=["u0"]) as server:
             backend = HttpWorkBackend(server.url, retry_timeout=10)
-            old = backend.claim("u0", "w1")
-            time.sleep(0.1)
-            stolen = backend.claim("u0", "w2")
-            assert stolen is not None and stolen.reclaimed
-            assert backend.renew(old) is None  # stale: rejected
-            backend.release(old)  # stale release: benign no-op...
-            assert backend.renew(stolen) is stolen  # ...thief unaffected
+            try:
+                old = backend.claim_batch(["u0"], "w1")
+                time.sleep(0.1)
+                stolen = backend.claim_batch(["u0"], "w2")
+                assert stolen is not None and stolen.reclaimed_units == {"u0"}
+                assert backend.renew_batch(old) is None  # stale: rejected
+                backend.release_batch(old)  # stale release: benign no-op...
+                assert backend.renew_batch(stolen) is stolen  # ...thief unaffected
+            finally:
+                backend.close()
+
+    def test_retired_per_unit_endpoints_answer_404_without_retry(self, tmp_path):
+        """Every claim is a batch now: ``/claim``, ``/renew``, ``/release``
+        and ``/record`` are gone.  A worker from before that change fails
+        loudly at its first request instead of hanging: 4xx is never
+        retried."""
+        run_dir = tmp_path / "run"
+        RunCheckpoint(run_dir).initialize(
+            {"kind": "sweep", "spec": {"name": "t"}, "units": 1}, resume=True
+        )
+        with running_coordinator(run_dir, unit_keys=["u0"]) as server:
+            for path in ("/claim", "/renew", "/release", "/record"):
+                request = urllib.request.Request(
+                    f"{server.url}{path}",
+                    data=json.dumps({"unit": "u0", "worker": "w1"}).encode(),
+                    headers={"Content-Type": "application/json"},
+                )
+                with pytest.raises(urllib.error.HTTPError) as refused:
+                    urllib.request.urlopen(request)
+                refused.value.close()
+                assert refused.value.code == 404, path
+            before = _requests_served(server.url).get("other", 0)
+            backend = HttpWorkBackend(server.url, retry_timeout=30)
+            try:
+                start = time.monotonic()
+                with pytest.raises(CoordinatorProtocolError, match="404"):
+                    backend._request("/claim", {"unit": "u0", "worker": "w1"})
+                assert time.monotonic() - start < 5
+            finally:
+                backend.close()
+            # Unknown targets share the "other" series: one request, no retry.
+            assert _requests_served(server.url)["other"] == before + 1
 
     def test_unreachable_coordinator_raises_after_bounded_retries(self):
         # Grab a port nothing listens on.
@@ -791,18 +837,14 @@ class TestHttpBackend:
         )
         units = [WorkUnit(key=k, payload=i) for i, k in enumerate(keys)]
 
-        def square(unit):
-            return int(unit.payload) ** 2
-
         with running_coordinator(run_dir, unit_keys=keys) as server:
-            stats_list = []
             with ThreadPoolExecutor(max_workers=3) as pool:
                 futures = [
                     pool.submit(
-                        drain_units,
+                        _drain,
+                        server.url,
                         units,
-                        square,
-                        backend=HttpWorkBackend(server.url, retry_timeout=10),
+                        _square_payload,
                         worker_id=f"w{i}",
                         poll_interval=0.01,
                     )
@@ -811,14 +853,17 @@ class TestHttpBackend:
                 stats_list = [f.result() for f in futures]
             assert sum(s.executed for s in stats_list) == len(keys)
             backend = HttpWorkBackend(server.url, retry_timeout=10)
-            assert backend.results() == {f"u{i}": i * i for i in range(8)}
+            try:
+                assert backend.results() == {f"u{i}": i * i for i in range(8)}
+            finally:
+                backend.close()
         # Exactly-once on disk too: no duplicate records across shards.
         merged = RunCheckpoint(run_dir).completed()
         assert merged == {f"u{i}": i * i for i in range(8)}
 
     def test_drain_units_batched_over_http_backend(self, tmp_path):
         """Several workers draining with claim_batch > 1: every unit
-        exactly once, end to end, through the batched wire protocol."""
+        exactly once, end to end."""
         from repro.runtime import WorkUnit
 
         run_dir = tmp_path / "run"
@@ -832,10 +877,10 @@ class TestHttpBackend:
             with ThreadPoolExecutor(max_workers=3) as pool:
                 futures = [
                     pool.submit(
-                        drain_units,
+                        _drain,
+                        server.url,
                         units,
                         _square_payload,
-                        backend=HttpWorkBackend(server.url, retry_timeout=10),
                         worker_id=f"w{i}",
                         poll_interval=0.01,
                         claim_batch=3,
@@ -845,7 +890,10 @@ class TestHttpBackend:
                 stats_list = [f.result() for f in futures]
             assert sum(s.executed for s in stats_list) == len(keys)
             backend = HttpWorkBackend(server.url, retry_timeout=10)
-            assert backend.results() == {f"u{i}": i * i for i in range(14)}
+            try:
+                assert backend.results() == {f"u{i}": i * i for i in range(14)}
+            finally:
+                backend.close()
         merged = RunCheckpoint(run_dir).completed()
         assert merged == {f"u{i}": i * i for i in range(14)}
 
@@ -857,15 +905,18 @@ class TestHttpBackend:
         )
         with running_coordinator(run_dir, unit_keys=keys) as server:
             backend = HttpWorkBackend(server.url, retry_timeout=10)
-            batch = backend.claim_batch(keys, "w1")
-            assert sorted(batch.units) == keys
-            backend.record_batch(batch, {"u0": 1, "u1": 2})
-            # The flush dropped its members from the unfinished remainder.
-            assert batch.units == ["u2"]
-            assert backend.completed_keys() == {"u0", "u1"}
-            backend.record_batch(batch, {"u2": 3})
-            backend.release_batch(batch)  # empty remainder: no-op
-            assert backend.results() == {"u0": 1, "u1": 2, "u2": 3}
+            try:
+                batch = backend.claim_batch(keys, "w1")
+                assert sorted(batch.units) == keys
+                backend.record_batch(batch, {"u0": 1, "u1": 2})
+                # The flush dropped its members from the unfinished remainder.
+                assert batch.units == ["u2"]
+                assert backend.completed_keys() == {"u0", "u1"}
+                backend.record_batch(batch, {"u2": 3})
+                backend.release_batch(batch)  # empty remainder: no-op
+                assert backend.results() == {"u0": 1, "u1": 2, "u2": 3}
+            finally:
+                backend.close()
         assert RunCheckpoint(run_dir).completed() == {"u0": 1, "u1": 2, "u2": 3}
 
     def test_persistent_connection_reused_across_requests(self, tmp_path):
@@ -1023,22 +1074,21 @@ class TestCoordinatorSweep:
         """A renew blowing up with a non-OSError (version-skewed
         coordinator, proxy garbage) must not kill the renewal thread —
         the next beat retries."""
-        from repro.runtime.backends import CoordinatorProtocolError
         from repro.runtime.distributed import _renewing
 
         class FlakyBackend:
             def __init__(self):
                 self.calls = 0
 
-            def renew(self, lease):
+            def renew_batch(self, batch):
                 self.calls += 1
                 if self.calls == 1:
                     raise CoordinatorProtocolError("garbage ack")
-                return lease
+                return batch
 
         backend = FlakyBackend()
-        lease = type("L", (), {"unit": "u0", "ttl": 1.0})()
-        with _renewing(backend, lease, 0.02):
+        batch = type("B", (), {"units": ["u0"], "worker": "w1", "ttl": 1.0})()
+        with _renewing(backend, batch, 0.02):
             time.sleep(0.15)
         assert backend.calls >= 2  # kept beating past the protocol error
 
@@ -1245,10 +1295,24 @@ def _wait_until(predicate, timeout: float, message: str) -> None:
 
 
 def _status(url: str) -> dict | None:
+    client = HttpWorkBackend(url, retry_timeout=0.2, request_timeout=2)
     try:
-        return HttpWorkBackend(url, retry_timeout=0.2, request_timeout=2).status()
+        return client.status()
     except Exception:  # noqa: BLE001 - a down coordinator is an expected state here
         return None
+    finally:
+        client.close()
+
+
+def _reap(*procs: subprocess.Popen | None) -> None:
+    """Kill whatever still runs and close every pipe, so no process or
+    pipe outlives the test."""
+    for proc in procs:
+        if proc is None:
+            continue
+        if proc.poll() is None:
+            proc.kill()
+        proc.communicate(timeout=30)
 
 
 class TestFaultInjection:
@@ -1300,7 +1364,7 @@ class TestFaultInjection:
             # Kill the victim mid-unit: its lease must expire on the
             # coordinator's clock and be re-granted to the survivor.
             os.kill(victim.pid, signal.SIGKILL)
-            victim.wait(timeout=30)
+            victim.communicate(timeout=30)
 
             # Let the survivor make real progress, then SIGKILL the
             # coordinator mid-sweep and restart it on the same port.
@@ -1313,7 +1377,7 @@ class TestFaultInjection:
                 "coordinator kill must land mid-sweep; slow the workers down"
             )
             os.kill(coordinator.pid, signal.SIGKILL)
-            coordinator.wait(timeout=30)
+            coordinator.communicate(timeout=30)
 
             restarted = _start_serve(run_dir, port, spec_path=None, ttl=2.0)
             _wait_until(lambda: _status(url) is not None, 60, "coordinator to restart")
@@ -1323,9 +1387,7 @@ class TestFaultInjection:
             # The survivor reclaimed the victim's mid-unit lease.
             assert "reclaimed" in out or "reclaimed" in err
         finally:
-            for proc in [coordinator, restarted, *workers]:
-                if proc is not None and proc.poll() is None:
-                    proc.kill()
+            _reap(coordinator, restarted, *workers)
 
         # Every unit recorded exactly once across the coordinator's shards.
         recorded = []
@@ -1395,7 +1457,7 @@ class TestFaultInjection:
             assert standby.poll() is None, "standby died while the primary lived"
 
             os.kill(primary.pid, signal.SIGKILL)
-            primary.wait(timeout=30)
+            primary.communicate(timeout=30)
 
             # The standby must take over the same port and keep serving
             # the same run (workers rejoin via their reconnect probes).
@@ -1411,9 +1473,7 @@ class TestFaultInjection:
                 "takeover coordinator to see the sweep complete",
             )
         finally:
-            for proc in [primary, standby, *workers]:
-                if proc is not None and proc.poll() is None:
-                    proc.kill()
+            _reap(primary, standby, *workers)
 
         # Every unit recorded exactly once across the shards.
         recorded = []
@@ -1477,6 +1537,8 @@ class TestFaultInjection:
                     time.sleep(0.002)  # keep the kill landing mid-load
             except Exception:  # noqa: BLE001 - the kill is the expected ending
                 return  # anything unacked is fair game
+            finally:
+                backend.close()
         threads = [
             threading.Thread(target=hammer, args=(f"w{i}", keys[i::4])) for i in range(4)
         ]
@@ -1486,13 +1548,12 @@ class TestFaultInjection:
                 thread.start()
             _wait_until(lambda: len(acked) >= 40, 60, "real load before the kill")
             os.kill(coordinator.pid, signal.SIGKILL)
-            coordinator.wait(timeout=30)
+            coordinator.communicate(timeout=30)
             for thread in threads:
                 thread.join(timeout=120)
             assert not any(thread.is_alive() for thread in threads)
         finally:
-            if coordinator.poll() is None:
-                coordinator.kill()
+            _reap(coordinator)
 
         with acked_lock:
             flushed = set(acked)
@@ -1506,8 +1567,8 @@ class TestFaultInjection:
             "no snapshot was published before the kill; the restart below "
             "would not exercise the snapshot path"
         )
-        restarted = Coordinator(run_dir, ttl=30.0, unit_keys=keys)
-        survived = set(restarted.results())
+        with contextlib.closing(Coordinator(run_dir, ttl=30.0, unit_keys=keys)) as restarted:
+            survived = set(restarted.results())
         missing = flushed - survived
         assert not missing, f"{len(missing)} acked unit(s) lost by the kill"
 
@@ -1545,8 +1606,7 @@ class TestFaultInjection:
             assert payload["total_units"] == 4
             assert payload["completed_units"] == 0
         finally:
-            if coordinator.poll() is None:
-                coordinator.kill()
+            _reap(coordinator)
 
 
 class TestServeUntilComplete:
@@ -1586,6 +1646,4 @@ class TestServeUntilComplete:
             assert coordinator.returncode == 0, err
             assert "run complete (12 units)" in out
         finally:
-            if coordinator.poll() is None:
-                coordinator.kill()
-                coordinator.communicate(timeout=30)
+            _reap(coordinator)

@@ -5,10 +5,11 @@ The HTTP coordinator owns the only lease table (its own suite is
 runtime promises around it:
 
 * **the drain loop** — :func:`drain_units` against a live coordinator:
-  exactly one execution per unit across concurrent workers, per-unit
-  and batched; a batch is recorded in ``/record-batch`` flushes (one
-  per batch, plus one whenever a heartbeat interval has passed), and
-  members count as done only once their flush is acked; a worker
+  exactly one execution per unit across concurrent workers, at batch 1
+  and larger; a batch is recorded in ``/record-batch`` flushes (one per
+  batch, plus one whenever a heartbeat interval has passed), and
+  members count as done only once their flush is acked; a batch of one
+  costs exactly one claim and one record request per unit; a worker
   exception hands its unit back at once; a dead worker's unit is
   re-granted after the coordinator's TTL; ``wait=False`` returns while
   a peer holds a live lease;
@@ -194,22 +195,22 @@ class TestClaimRace:
         the workers racing for it, flagged as a reclaim."""
         with tempfile.TemporaryDirectory() as td:
             with serving(Path(td) / "run", ["u"], ttl=0.05) as (_, client):
-                assert client.claim("u", "dead") is not None
+                assert client.claim_batch(["u"], "dead") is not None
                 time.sleep(0.1)  # the holder stays silent past its TTL
                 barrier = threading.Barrier(contenders)
 
                 def attempt(i: int):
                     barrier.wait()
                     try:
-                        return client.claim("u", f"w{i}")
+                        return client.claim_batch(["u"], f"w{i}")
                     finally:
                         client.close()  # this pool thread's own connection
 
                 with ThreadPoolExecutor(max_workers=contenders) as pool:
                     results = list(pool.map(attempt, range(contenders)))
-                winners = [lease for lease in results if lease is not None]
+                winners = [batch for batch in results if batch is not None]
                 assert len(winners) == 1
-                assert winners[0].reclaimed
+                assert winners[0].reclaimed_units == {"u"}
 
 
 class TestLeaseLifecycle:
@@ -226,22 +227,22 @@ class TestLeaseLifecycle:
         clock has watched a full TTL pass: a contender is refused before
         that and re-granted the unit, flagged as a reclaim, after."""
         with serving(tmp_path / "run", ["u0"], ttl=0.6) as (_, client):
-            assert client.claim("u0", "dead") is not None
-            assert client.claim("u0", "w1") is None
+            assert client.claim_batch(["u0"], "dead") is not None
+            assert client.claim_batch(["u0"], "w1") is None
             time.sleep(0.8)
-            stolen = client.claim("u0", "w1")
-            assert stolen is not None and stolen.reclaimed
+            stolen = client.claim_batch(["u0"], "w1")
+            assert stolen is not None and stolen.reclaimed_units == {"u0"}
 
     def test_heartbeat_change_resets_the_staleness_watch(self, tmp_path):
         with serving(tmp_path / "run", ["u0"], ttl=0.6) as (_, client):
-            slow = client.claim("u0", "slow")
+            slow = client.claim_batch(["u0"], "slow")
             time.sleep(0.4)
-            assert client.renew(slow) is not None  # just before the TTL lapses
+            assert client.renew_batch(slow) is not None  # just before the TTL lapses
             time.sleep(0.4)  # a full TTL since the claim, not since the beat
-            assert client.claim("u0", "w1") is None
+            assert client.claim_batch(["u0"], "w1") is None
             time.sleep(0.8)  # now silent past its TTL
-            stolen = client.claim("u0", "w1")
-            assert stolen is not None and stolen.reclaimed
+            stolen = client.claim_batch(["u0"], "w1")
+            assert stolen is not None and stolen.reclaimed_units == {"u0"}
 
     def test_torn_lease_is_respected_until_watched_for_a_full_ttl(self, tmp_path):
         """A torn lease file (its writer died mid-write) has no heartbeat:
@@ -281,14 +282,17 @@ class TestLeaseLifecycle:
         leases.release(mine)
         assert leases.load(leases.lease_path(ADVISORY_LEASE_UNIT)).worker == "coordinator-2"
 
-    def test_heartbeat_slower_than_ttl_rejected(self, tmp_path):
+    @pytest.mark.parametrize("claim_batch", [1, 4])
+    def test_heartbeat_slower_than_ttl_rejected(self, tmp_path, claim_batch):
         """A heartbeat slower than the coordinator's TTL would let every
         live lease expire mid-unit; the first grant refuses it, and the
-        refused claim goes straight back to the coordinator."""
-        with serving(tmp_path / "run", ["u0"], ttl=2.0) as (server, client):
+        whole refused batch goes straight back to the coordinator."""
+        units = [WorkUnit(key=f"u{i}", payload=i) for i in range(4)]
+        with serving(tmp_path / "run", [u.key for u in units], ttl=2.0) as (server, client):
             with pytest.raises(ValueError, match="smaller than the lease"):
-                _drain(server, [WorkUnit(key="u0", payload=1)], _square, heartbeat_interval=10)
+                _drain(server, units, _square, heartbeat_interval=10, claim_batch=claim_batch)
             assert client.status()["active_leases"] == []
+            assert client.completed_keys() == set()
 
     def test_renew_after_release_does_not_resurrect_the_lease(self, tmp_path):
         """A straggler heartbeat (blocked in a slow fs call while its
@@ -559,7 +563,7 @@ class TestDrainUnits:
     def test_no_wait_returns_while_peer_holds_a_live_lease(self, tmp_path):
         units = [WorkUnit(key="u0", payload=1)]
         with serving(tmp_path / "run", ["u0"]) as (server, client):
-            assert client.claim("u0", "peer") is not None
+            assert client.claim_batch(["u0"], "peer") is not None
             stats = _drain(server, units, _square, worker_id="w1", wait=False)
             assert stats.executed == 0
             assert client.completed_keys() == set()
@@ -567,7 +571,7 @@ class TestDrainUnits:
     def test_dead_workers_stale_lease_is_reclaimed_and_unit_executed(self, tmp_path):
         units = [WorkUnit(key="u0", payload=3)]
         with serving(tmp_path / "run", ["u0"], ttl=0.2) as (server, client):
-            assert client.claim("u0", "dead") is not None  # and never renewed
+            assert client.claim_batch(["u0"], "dead") is not None  # and never renewed
             # The drain loop polls until the coordinator's TTL lapses, then
             # the re-grant comes back flagged as a reclaim.
             stats = _drain(server, units, _square, worker_id="w1", poll_interval=0.05)
@@ -585,8 +589,8 @@ class TestDrainUnits:
 
         units = [WorkUnit(key="u0", payload=0), WorkUnit(key="u1", payload=1)]
         with serving(tmp_path / "run", ["u0", "u1"], ttl=0.2) as (server, client):
-            lease = client.claim("u0", "dead")
-            client.record(lease, 42)  # ...and dies before releasing
+            batch = client.claim_batch(["u0"], "dead")
+            client.record_batch(batch, {"u0": 42})  # ...and dies before releasing
             time.sleep(0.3)  # well past the dead worker's TTL
             stats = _drain(server, units, worker, worker_id="w1")
             assert executed == ["u1"]
@@ -659,8 +663,7 @@ class TestDrainUnits:
 
     def test_each_batch_is_recorded_with_one_flush(self, tmp_path):
         """With the default heartbeat (ttl/4, far longer than a batch),
-        every claimed batch costs one ``/record-batch`` request, and no
-        member is recorded through the per-unit ``/record``."""
+        every claimed batch costs one ``/record-batch`` request."""
         units = [WorkUnit(key=f"u{i}", payload=i) for i in range(12)]
         with serving(tmp_path / "run", [u.key for u in units]) as (server, client):
             stats = _drain(server, units, _square, worker_id="w1", claim_batch=4)
@@ -669,7 +672,21 @@ class TestDrainUnits:
         assert stats.executed == 12
         assert served.get("/claim-batch") == 3
         assert served.get("/record-batch") == 3
-        assert served.get("/record", 0) == 0
+
+    def test_batch_of_one_costs_one_claim_and_one_record_per_unit(self, tmp_path):
+        """The default ``claim_batch=1`` speaks the same batch protocol:
+        each unit is one ``/claim-batch`` and one ``/record-batch``, and
+        the release that follows a fully recorded batch sends nothing."""
+        units = [WorkUnit(key=f"u{i}", payload=i) for i in range(5)]
+        with serving(tmp_path / "run", [u.key for u in units]) as (server, client):
+            stats = _drain(server, units, _square, worker_id="w1")
+            served = _requests_served(client)
+            assert client.results() == {f"u{i}": i * i for i in range(5)}
+        assert stats.executed == 5
+        assert served.get("/claim-batch") == 5
+        assert served.get("/record-batch") == 5
+        for op in ("/claim", "/record", "/release", "/renew", "/release-batch", "other"):
+            assert op not in served, op
 
     def test_short_heartbeat_flushes_each_member_before_the_next_starts(self, tmp_path):
         """Once a heartbeat interval has passed since the claim or the
@@ -798,9 +815,8 @@ class TestRunUnitsDistributedBackend:
         units = [WorkUnit(key="u0", payload=0), WorkUnit(key="u1", payload=3)]
         seen = []
         with serving(tmp_path / "run", ["u0", "u1"]) as (server, client):
-            lease = client.claim("u0", "peer")  # a peer already did u0
-            client.record(lease, 0)
-            client.release(lease)
+            batch = client.claim_batch(["u0"], "peer")  # a peer already did u0
+            client.record_batch(batch, {"u0": 0})
             run_units_coordinator(
                 units,
                 _square,

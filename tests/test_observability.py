@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 import threading
+import time
 import urllib.request
 
 import pytest
@@ -423,9 +424,12 @@ class TestCoordinatorMetrics:
         _init_minimal_run_dir(run_dir, 2)
         with running_coordinator(run_dir, unit_keys=["u0", "u1"]) as server:
             backend = HttpWorkBackend(server.url, retry_timeout=10)
-            lease = backend.claim("u0", "w1")
-            backend.record(lease, {"x": 1})
-            backend.release(lease)
+            try:
+                batch = backend.claim_batch(["u0"], "w1")
+                backend.record_batch(batch, {"u0": {"x": 1}})
+                backend.release_batch(batch)  # all recorded: sends nothing
+            finally:
+                backend.close()
             with urllib.request.urlopen(f"{server.url}/metrics") as response:
                 assert response.headers["Content-Type"].startswith(
                     "text/plain; version=0.0.4"
@@ -439,8 +443,9 @@ class TestCoordinatorMetrics:
         # The request-latency histogram saw every HTTP round trip above,
         # labeled per endpoint.
         latency = families["coordinator_request_seconds_count"]
-        assert latency[(("op", "/claim"),)] == 1.0
-        assert latency[(("op", "/record"),)] == 1.0
+        assert latency[(("op", "/claim-batch"),)] == 1.0
+        assert latency[(("op", "/record-batch"),)] == 1.0
+        assert (("op", "/release-batch"),) not in latency
 
     def test_metrics_survive_restart_and_takeover(self, tmp_path):
         """A fresh coordinator over the same run dir — what both a
@@ -451,48 +456,53 @@ class TestCoordinatorMetrics:
         unit_keys = ["u0", "u1", "u2"]
         with running_coordinator(run_dir, unit_keys=unit_keys) as server:
             backend = HttpWorkBackend(server.url, retry_timeout=10)
-            for key in ("u0", "u1"):
-                lease = backend.claim(key, "early-bird")
-                backend.record(lease, {"k": key})
-                backend.release(lease)
-            before = parse_prometheus_text(backend.metrics_text())
+            try:
+                for key in ("u0", "u1"):
+                    batch = backend.claim_batch([key], "early-bird")
+                    backend.record_batch(batch, {key: {"k": key}})
+                before = parse_prometheus_text(backend.metrics_text())
+            finally:
+                backend.close()
         assert before["coordinator_records_total"][()] == 2.0
 
         with running_coordinator(run_dir, unit_keys=unit_keys) as server:
             backend = HttpWorkBackend(server.url, retry_timeout=10)
-            families = parse_prometheus_text(backend.metrics_text())
-            # Seeded from recovery: cumulative records match completions.
-            assert families["coordinator_records_total"][()] == 2.0
-            assert families["coordinator_completed_units"][()] == 2.0
-            assert families["coordinator_recoveries_total"][()] == 1.0
-            # Per-worker attribution is live-traffic only; recovery
-            # cannot map shard files back to worker ids.
-            assert "coordinator_worker_records_total" not in families
+            try:
+                families = parse_prometheus_text(backend.metrics_text())
+                # Seeded from recovery: cumulative records match completions.
+                assert families["coordinator_records_total"][()] == 2.0
+                assert families["coordinator_completed_units"][()] == 2.0
+                assert families["coordinator_recoveries_total"][()] == 1.0
+                # Per-worker attribution is live-traffic only; recovery
+                # cannot map shard files back to worker ids.
+                assert "coordinator_worker_records_total" not in families
 
-            lease = backend.claim("u2", "finisher")
-            backend.record(lease, {"k": "u2"})
-            backend.release(lease)
-            families = parse_prometheus_text(backend.metrics_text())
-            assert families["coordinator_records_total"][()] == 3.0
-            assert families["coordinator_completed_units"][()] == 3.0
-            assert families["coordinator_worker_records_total"] == {
-                (("worker", "finisher"),): 1.0
-            }
+                batch = backend.claim_batch(["u2"], "finisher")
+                backend.record_batch(batch, {"u2": {"k": "u2"}})
+                families = parse_prometheus_text(backend.metrics_text())
+            finally:
+                backend.close()
+        assert families["coordinator_records_total"][()] == 3.0
+        assert families["coordinator_completed_units"][()] == 3.0
+        assert families["coordinator_worker_records_total"] == {
+            (("worker", "finisher"),): 1.0
+        }
 
     def test_duplicate_records_counted(self, tmp_path):
         run_dir = tmp_path / "run"
         _init_minimal_run_dir(run_dir, 1)
         with running_coordinator(run_dir, unit_keys=["u0"], ttl=0.1) as server:
             backend = HttpWorkBackend(server.url, retry_timeout=10)
-            first = backend.claim("u0", "w1")
-            import time as _time
-
-            _time.sleep(0.3)  # let w1's lease expire so w2 reclaims it
-            second = backend.claim("u0", "w2")
-            assert second is not None
-            backend.record(second, {"winner": "w2"})
-            backend.record(first, {"winner": "w1"})  # dropped, first wins
-            families = parse_prometheus_text(backend.metrics_text())
+            try:
+                first = backend.claim_batch(["u0"], "w1")
+                time.sleep(0.3)  # let w1's lease expire so w2 reclaims it
+                second = backend.claim_batch(["u0"], "w2")
+                assert second is not None
+                backend.record_batch(second, {"u0": {"winner": "w2"}})
+                backend.record_batch(first, {"u0": {"winner": "w1"}})  # dropped, first wins
+                families = parse_prometheus_text(backend.metrics_text())
+            finally:
+                backend.close()
         assert families["coordinator_duplicate_records_total"][()] == 1.0
         assert families["coordinator_claims_reclaimed_total"][()] == 1.0
 
@@ -561,9 +571,11 @@ class TestDashboard:
         _init_minimal_run_dir(run_dir, 2)
         with running_coordinator(run_dir, unit_keys=["u0", "u1"]) as server:
             backend = HttpWorkBackend(server.url, retry_timeout=10)
-            lease = backend.claim("u0", "w1")
-            backend.record(lease, {"x": 1})
-            backend.release(lease)
+            try:
+                batch = backend.claim_batch(["u0"], "w1")
+                backend.record_batch(batch, {"u0": {"x": 1}})
+            finally:
+                backend.close()
             frame = collect_coordinator_frame(server.url)
         assert frame.backend == "coordinator"
         assert frame.completed == 1 and frame.total == 2

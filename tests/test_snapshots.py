@@ -38,7 +38,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.runtime import RunCheckpoint
-from repro.runtime.backends import ClaimRequest, LeaseRequest, RecordRequest
+from repro.runtime.backends import BatchClaimRequest, BatchLeaseRequest, BatchRecordRequest
 from repro.runtime.checkpoint import (
     journal_segment_path,
     journal_segments,
@@ -67,12 +67,17 @@ def _coordinator(run_dir: Path, segment_bytes: int = 300, ttl: float = 60.0) -> 
 
 
 def _claim(c: Coordinator, unit: str, worker: str = "w0"):
-    reply = c.claim(ClaimRequest(unit=unit, worker=worker))
-    return reply
+    return c.claim_batch(BatchClaimRequest(units=(unit,), worker=worker))
 
 
 def _record(c: Coordinator, unit: str, token: str, worker: str = "w0") -> None:
-    c.record(RecordRequest(unit=unit, worker=worker, token=token, result={"k": unit}))
+    c.record_batch(
+        BatchRecordRequest(units=(unit,), results=({"k": unit},), worker=worker, token=token)
+    )
+
+
+def _renew(c: Coordinator, unit: str, token: str, worker: str = "w0") -> bool:
+    return c.renew_batch(BatchLeaseRequest(units=(unit,), worker=worker, token=token)).ok
 
 
 def _state(c: Coordinator) -> tuple:
@@ -160,7 +165,7 @@ class TestRestart:
         assert _state(restarted) == expected
         # Tokens survive, so the holder's renewal still lands.
         for unit, token in held.items():
-            assert restarted.renew(LeaseRequest(unit=unit, worker="w0", token=token)).ok
+            assert _renew(restarted, unit, token)
         restarted.close()
 
     def test_restored_flag_until_first_renewal(self, tmp_path):
@@ -170,7 +175,7 @@ class TestRestart:
         flags = {item["unit"]: item["restored"] for item in payload["active_leases"]}
         assert flags and all(flags.values()), "every replayed lease must be flagged"
         unit, token = next(iter(held.items()))
-        assert restarted.renew(LeaseRequest(unit=unit, worker="w0", token=token)).ok
+        assert _renew(restarted, unit, token)
         payload = restarted.status_payload()
         flags = {item["unit"]: item["restored"] for item in payload["active_leases"]}
         assert flags[unit] is False, "a real renewal proves the worker alive"
@@ -258,13 +263,13 @@ def test_restart_survives_boundary_corruption(script, segment_bytes, corruption)
         for index, (unit_index, fate) in enumerate(script):
             unit = UNITS[unit_index]
             worker = f"w{index % 3}"
-            reply = c.claim(ClaimRequest(unit=unit, worker=worker))
-            if not reply.granted or reply.completed:
+            reply = _claim(c, unit, worker=worker)
+            if not reply.granted:
                 continue
             if fate == "record":
                 _record(c, unit, reply.token, worker=worker)
             elif fate == "release":
-                c.release(LeaseRequest(unit=unit, worker=worker, token=reply.token))
+                c.release_batch(BatchLeaseRequest(units=(unit,), worker=worker, token=reply.token))
         if corruption == "drop_active":
             # The only active segment safe to lose is a freshly-rolled
             # (still empty, lazily-created) one.
@@ -361,10 +366,7 @@ class TestStandby:
                 assert set(replayed.completed_keys()) == set(UNITS[:4])
                 # The held lease survived with its token: the in-flight
                 # worker's renewals keep working across the handoff.
-                reply = replayed.renew(
-                    LeaseRequest(unit="u4", worker="w0", token=held_token)
-                )
-                assert reply.ok
+                assert _renew(replayed, "u4", held_token)
             finally:
                 takeover.server_close()
         finally:
