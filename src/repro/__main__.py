@@ -189,14 +189,6 @@ def build_parser() -> argparse.ArgumentParser:
         "per heartbeat interval), so a worker killed mid-batch also loses "
         "its unflushed finished units, which peers re-execute",
     )
-    q.add_argument(
-        "--profile",
-        action="store_true",
-        help="print per-phase timings (compile / schedule / perturb) "
-        "after the run; works at any --jobs and on every backend — "
-        "worker processes serialize their phase accumulators into "
-        "telemetry shards, which are merged here",
-    )
 
     q = sweep_sub.add_parser(
         "serve",
@@ -299,11 +291,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="exit when nothing is claimable instead of waiting for the "
         "whole run to complete",
-    )
-    q.add_argument(
-        "--profile",
-        action="store_true",
-        help="print this worker's per-phase timings after draining",
     )
 
     q = sweep_sub.add_parser(
@@ -630,113 +617,27 @@ def _cmd_sweep(args) -> int:
             return 2
     from repro.runtime.backends import CoordinatorError, CoordinatorProtocolError
 
-    profile_dir: Path | None = None
-    profile_tmp: str | None = None
-    if args.profile:
-        profile_dir, profile_tmp = _profile_begin(args.run_dir)
-
     try:
-        try:
-            result = run_sweep(
-                spec,
-                jobs=args.jobs,
-                run_dir=args.run_dir,
-                resume=args.resume,
-                progress=progress,
-                backend=args.backend,
-                coordinator=args.coordinator,
-                claim_batch=args.batch,
-            )
-        except (SpecError, CheckpointError, CoordinatorError, CoordinatorProtocolError) as exc:
-            # CheckpointError covers the run-dir refusals (existing run dir
-            # without --resume, manifest mismatch on --resume) and the
-            # coordinator-manifest mismatch; the coordinator errors cover an
-            # unreachable or foreign coordinator.  Anything else is a real
-            # failure and keeps its traceback.
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        print(render_report(result))
-        if args.profile:
-            print(_profile_render_merged(profile_dir), file=sys.stderr)
-        return 0
-    finally:
-        if args.profile:
-            _profile_cleanup(profile_tmp)
-
-
-def _profile_begin(run_dir: str | None) -> tuple[Path, str | None]:
-    """Arm ``--profile`` for a multi-process run.
-
-    Worker processes (pool children, forked/spawned drain workers, remote
-    backends' local workers) read ``REPRO_PROFILE`` and serialize their
-    phase accumulators into telemetry shards; the merge in
-    :func:`_profile_render_merged` folds them back together — this is
-    what lets ``--profile`` run at any ``--jobs`` and backend.  Returns
-    ``(shard_dir, tempdir_to_clean_up)``; the tempdir is created (and
-    exported as ``REPRO_TELEMETRY_DIR``) only when there is no run
-    directory for the shards to land in.
-    """
-    import os
-
-    from repro.utils import phases
-
-    os.environ["REPRO_PROFILE"] = "1"
-    tmp: str | None = None
-    if run_dir is not None:
-        profile_dir = Path(run_dir)
-    else:
-        import tempfile
-
-        tmp = tempfile.mkdtemp(prefix="repro-telemetry-")
-        os.environ["REPRO_TELEMETRY_DIR"] = tmp
-        profile_dir = Path(tmp)
-    phases.reset()
-    phases.enable()
-    return profile_dir, tmp
-
-
-def _profile_render_merged(profile_dir: Path | None) -> str:
-    """Merge shard-dumped phase tables with this process's accumulators."""
-    from repro.observability.aggregate import merge_phase_tables, summarize_run_dir
-    from repro.utils import phases
-
-    phases.disable()
-    # Shard-dumped tables (any worker process, any backend) plus whatever
-    # is still in this process's accumulators (jobs=1 local work never
-    # leaves the process).
-    tables = []
-    if profile_dir is not None:
-        tables.append(summarize_run_dir(profile_dir).phases)
-    tables.append(phases.snapshot())
-    return _render_phase_profile(merge_phase_tables(tables))
-
-
-def _profile_cleanup(profile_tmp: str | None) -> None:
-    import os
-
-    os.environ.pop("REPRO_PROFILE", None)
-    if profile_tmp is not None:
-        import shutil
-
-        os.environ.pop("REPRO_TELEMETRY_DIR", None)
-        shutil.rmtree(profile_tmp, ignore_errors=True)
-
-
-def _render_phase_profile(snapshot: dict) -> str:
-    """Format the compile/schedule/perturb accumulators as a small table."""
-    if not snapshot:
-        return "profile: no instrumented phases ran"
-    total = sum(entry["seconds"] for entry in snapshot.values())
-    lines = ["profile (per-phase wall time inside work units):"]
-    for name, entry in sorted(snapshot.items(), key=lambda kv: -kv[1]["seconds"]):
-        secs, calls = entry["seconds"], int(entry["calls"])
-        share = 100.0 * secs / total if total > 0 else 0.0
-        lines.append(
-            f"  {name:<10} {secs:9.3f}s  {share:5.1f}%  "
-            f"{calls:>8} calls  {secs / calls * 1e6:9.1f} us/call"
+        result = run_sweep(
+            spec,
+            jobs=args.jobs,
+            run_dir=args.run_dir,
+            resume=args.resume,
+            progress=progress,
+            backend=args.backend,
+            coordinator=args.coordinator,
+            claim_batch=args.batch,
         )
-    lines.append(f"  {'total':<10} {total:9.3f}s")
-    return "\n".join(lines)
+    except (SpecError, CheckpointError, CoordinatorError, CoordinatorProtocolError) as exc:
+        # CheckpointError covers the run-dir refusals (existing run dir
+        # without --resume, manifest mismatch on --resume) and the
+        # coordinator-manifest mismatch; the coordinator errors cover an
+        # unreachable or foreign coordinator.  Anything else is a real
+        # failure and keeps its traceback.
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    print(render_report(result))
+    return 0
 
 
 def _cmd_sweep_work(args) -> int:
@@ -778,10 +679,6 @@ def _cmd_sweep_work(args) -> int:
         # print) so fleet operators can set levels / redirect per host.
         worker_log.info("[%s] completed %s", wid, key)
 
-    profile_dir = profile_tmp = None
-    if args.profile:
-        profile_dir, profile_tmp = _profile_begin(None)
-
     try:
         plan, stats = work_coordinator(
             args.coordinator,
@@ -794,8 +691,6 @@ def _cmd_sweep_work(args) -> int:
             claim_batch=args.batch,
         )
     except (SpecError, CheckpointError, CoordinatorError, CoordinatorProtocolError) as exc:
-        if args.profile:
-            _profile_cleanup(profile_tmp)
         print(f"error: {exc}", file=sys.stderr)
         return 2
     probe = HttpWorkBackend(args.coordinator, retry_timeout=2.0)
@@ -813,9 +708,6 @@ def _cmd_sweep_work(args) -> int:
         total_units = len(plan.units)
     finally:
         probe.close()
-    if args.profile:
-        print(_profile_render_merged(profile_dir), file=sys.stderr)
-        _profile_cleanup(profile_tmp)
     reclaimed = f", reclaimed {stats.reclaimed} stale lease(s)" if stats.reclaimed else ""
     print(
         f"worker {wid}: executed {stats.executed} unit(s){reclaimed}; "

@@ -50,13 +50,11 @@ from __future__ import annotations
 
 import math
 from collections.abc import Hashable
-from time import perf_counter
 
 import numpy as np
 
 from repro.core.exceptions import InvalidInstanceError
 from repro.core.instance import ProblemInstance
-from repro.utils import phases
 
 __all__ = [
     "CompiledInstance",
@@ -336,7 +334,6 @@ class CompiledInstance:
         case the caller falls back to a full compile (which raises the
         canonical validation error if the value really is illegal).
         """
-        t0 = perf_counter() if phases.enabled else 0.0
         kind = delta.kind
         value = delta.value
         clone = CompiledInstance.__new__(CompiledInstance)
@@ -421,8 +418,6 @@ class CompiledInstance:
         clone._net_version = instance.network.version
         instance._compiled_cache = clone
         _STATS["delta"] += 1
-        if phases.enabled:
-            phases.add("compile", perf_counter() - t0)
         return clone
 
     # ------------------------------------------------------------------ #
@@ -543,9 +538,6 @@ def compile_instance(instance: ProblemInstance) -> CompiledInstance:
     if cached is not None:
         _STATS["cache_hits"] += 1
         return cached
-    t0 = perf_counter() if phases.enabled else 0.0
     compiled = CompiledInstance(instance)
-    if phases.enabled:
-        phases.add("compile", perf_counter() - t0)
     instance._compiled_cache = compiled
     return compiled

@@ -24,7 +24,7 @@ from pathlib import Path
 
 from repro.benchmarking.harness import BenchmarkResult
 from repro.benchmarking.heatmap import format_gradient, render_matrix
-from repro.experiments.config import pick, resolve_run_dir
+from repro.experiments.config import pick
 from repro.pisa.app_specific import PAPER_CCRS
 from repro.pisa.pisa import PISAConfig, PairwiseResult
 from repro.sweeps import fig10_19_bench_spec, fig10_19_pisa_spec, run_sweep
@@ -72,15 +72,12 @@ def run_panel(
     jobs: int = 1,
     run_dir=None,
     resume: bool = False,
-    checkpoint_dir=None,
 ) -> Panel:
     """One Figs. 10-19 panel.
 
     With a ``run_dir``, the panel's two sweeps checkpoint to
-    ``run_dir/bench`` and ``run_dir/pisa``.  ``checkpoint_dir`` is a
-    deprecated alias for ``run_dir``.
+    ``run_dir/bench`` and ``run_dir/pisa``.
     """
-    run_dir = resolve_run_dir(run_dir, checkpoint_dir, "fig10_19_app_specific.run_panel")
     bench_spec = fig10_19_bench_spec(
         workflow, ccr, schedulers=schedulers, bench_instances=bench_instances, seed=rng
     )

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.benchmarking.heatmap import render_matrix
-from repro.experiments.config import resolve_run_dir
 from repro.pisa.pisa import PairwiseResult, PISAConfig
 from repro.sweeps import fig4_spec, run_sweep
 from repro.utils.rng import as_generator
@@ -46,17 +45,14 @@ def run(
     jobs: int = 1,
     run_dir=None,
     resume: bool = False,
-    checkpoint_dir=None,
 ) -> Fig4Result:
     """Regenerate the Fig. 4 matrix (reduced annealing schedule by default).
 
     ``jobs`` fans the (pair, restart) work units over worker processes;
     ``run_dir``/``resume`` stream completed units to a run directory so
     an interrupted sweep continues where it stopped (see
-    :func:`repro.sweeps.run_sweep`).  ``checkpoint_dir`` is a deprecated
-    alias for ``run_dir``.
+    :func:`repro.sweeps.run_sweep`).
     """
-    run_dir = resolve_run_dir(run_dir, checkpoint_dir, "fig4_pisa_heatmap.run")
     # Generator rngs and None (fresh OS entropy, interactive use) ride
     # through as a runner override; integer seeds live in the spec so the
     # run-dir manifest records them.

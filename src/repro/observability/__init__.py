@@ -7,16 +7,21 @@ off on every backend):
 
 * :mod:`repro.observability.metrics` — a thread-safe registry of labeled
   counters, gauges, and fixed-bucket histograms with a Prometheus text
-  exposition renderer.  The coordinator serves its registry at
-  ``GET /metrics``; workers record into a process-global registry.
+  exposition renderer.  Each coordinator serves its own registry at
+  ``GET /metrics``; that is where fleet health lives.
 * :mod:`repro.observability.trace` — per-unit trace spans
   (claim → execute → record → release) appended to per-worker
-  ``telemetry-<worker>.jsonl`` shards in the run directory, plus
-  per-worker phase-accumulator dumps (``repro.utils.phases``) that let
-  ``--profile`` work at any ``--jobs`` and on remote backends.
+  ``telemetry-<worker>.jsonl`` shards in the run directory; that is
+  where per-worker time lives.
 * :mod:`repro.observability.aggregate` — torn-line-tolerant merge of the
-  telemetry shards into a fleet summary (per-worker rates, span phase
-  totals, merged profile).
+  telemetry shards into a fleet summary (per-worker rates and span
+  stage totals).
+
+Per-layer time (compile, schedule, perturb, ...) is measured from
+outside the package by the end-to-end tracer,
+``python3 benchmarks/e2e/run.py --workload W --trace 1``; for a custom
+spec, ``python -m cProfile -s tottime -m repro sweep run spec.json``
+at ``--jobs 1``.
 
 ``repro sweep top`` (see ``repro.__main__``) is the live dashboard built
 on these: it polls status + metrics on an interval and renders
@@ -31,7 +36,6 @@ from repro.observability.metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    global_registry,
 )
 from repro.observability.trace import (
     TELEMETRY_GLOB,
@@ -63,7 +67,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "global_registry",
     "TELEMETRY_GLOB",
     "TelemetryWriter",
     "telemetry_enabled",

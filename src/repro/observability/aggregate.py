@@ -3,11 +3,12 @@
 The inverse of :mod:`repro.observability.trace`: read every
 ``telemetry-<worker>.jsonl`` shard of a run directory (torn-line
 tolerant — a SIGKILLed worker's last buffered lines are skipped, never
-fatal) and fold the records into per-worker unit counts, span-stage
-totals, observed rates, and a merged ``--profile`` phase table.
+fatal) and fold the span records into per-worker unit counts,
+span-stage totals and observed rates.  Other record kinds (lifecycle
+events, and the ``phases`` records older versions wrote) are skipped.
 
-Used by the ``sweep run``/``sweep work`` profile merge, the ``sweep
-top`` dashboard's filesystem mode, and the CI coordinator smoke (which
+Used by the ``sweep top`` dashboard's filesystem mode, the end-to-end
+benchmark's ``runtime.*`` metrics, and the CI coordinator smoke (which
 cross-checks ``GET /metrics`` against the merged report).
 """
 
@@ -24,7 +25,6 @@ __all__ = [
     "TelemetrySummary",
     "WorkerTelemetry",
     "iter_telemetry_records",
-    "merge_phase_tables",
     "summarize_records",
     "summarize_run_dir",
     "telemetry_shard_paths",
@@ -54,7 +54,7 @@ def iter_telemetry_records(run_dir: str | Path) -> Iterator[dict]:
 
 @dataclass
 class WorkerTelemetry:
-    """One worker's folded span/phase records."""
+    """One worker's folded span records."""
 
     worker: str
     units: int = 0
@@ -95,28 +95,11 @@ class WorkerTelemetry:
         }
 
 
-def merge_phase_tables(
-    tables: Iterable[Mapping[str, Mapping[str, float]]],
-) -> dict[str, dict[str, float]]:
-    """Sum ``{phase: {"seconds": ..., "calls": ...}}`` tables across workers."""
-    merged: dict[str, dict[str, float]] = {}
-    for table in tables:
-        for name, stats in table.items():
-            slot = merged.setdefault(str(name), {"seconds": 0.0, "calls": 0})
-            try:
-                slot["seconds"] += float(stats.get("seconds", 0.0))
-                slot["calls"] += int(stats.get("calls", 0))
-            except (TypeError, ValueError, AttributeError):
-                continue
-    return {name: merged[name] for name in sorted(merged)}
-
-
 @dataclass
 class TelemetrySummary:
     """Fleet-wide fold of every telemetry shard in a run directory."""
 
     workers: dict[str, WorkerTelemetry] = field(default_factory=dict)
-    phases: dict[str, dict[str, float]] = field(default_factory=dict)
     spans: int = 0
 
     @property
@@ -136,18 +119,15 @@ class TelemetrySummary:
                 worker: stats.to_payload()
                 for worker, stats in sorted(self.workers.items())
             },
-            "phases": self.phases,
         }
 
 
 def summarize_records(records: Iterable[Mapping[str, Any]]) -> TelemetrySummary:
     """Fold telemetry records (any workers, any order) into one summary."""
     summary = TelemetrySummary()
-    phase_tables: list[Mapping[str, Mapping[str, float]]] = []
     for record in records:
-        kind = record.get("kind")
-        worker = str(record.get("worker", "<unknown>"))
-        if kind == "span":
+        if record.get("kind") == "span":
+            worker = str(record.get("worker", "<unknown>"))
             stats = summary.workers.setdefault(worker, WorkerTelemetry(worker))
             stats.units += 1
             summary.spans += 1
@@ -166,11 +146,6 @@ def summarize_records(records: Iterable[Mapping[str, Any]]) -> TelemetrySummary:
                     stats.first_ts = float(ts)
                 if stats.last_ts is None or ts > stats.last_ts:
                     stats.last_ts = float(ts)
-        elif kind == "phases":
-            table = record.get("phases")
-            if isinstance(table, Mapping):
-                phase_tables.append(table)
-    summary.phases = merge_phase_tables(phase_tables)
     return summary
 
 

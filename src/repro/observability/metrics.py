@@ -16,29 +16,29 @@ Design constraints, in order:
   benchmark gate in ``benchmarks/bench_runtime.py`` bounds the total
   telemetry overhead on the coordinator scaling curve at ≤5%.
 * **Thread-safe.**  Instruments are written from coordinator executor
-  threads, the asyncio loop, worker drain threads, and heartbeat
-  daemons.  Each instrument owns one lock; there is no global registry
-  lock on the record path.
+  threads, the asyncio loop, and the group-commit leader.  Each
+  instrument owns one lock; there is no global registry lock on the
+  record path.
 * **Inert.**  Nothing here touches RNG streams or result bytes —
   metrics are observations about work, never inputs to it.
 
-Registries are instances, not module globals, so the coordinator can own
+Registries are instances, not module globals, so the coordinator owns
 one per ``Coordinator`` (a standby promotes with a fresh registry seeded
-from recovered state — see ``Coordinator._recover``) while workers share
-the process-global :func:`global_registry`.
+from recovered state — see ``Coordinator._recover``).  Workers keep no
+registry: what they did is in their trace spans
+(:mod:`repro.observability.trace`).
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Iterable, Mapping
+from typing import Iterable
 
 __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "global_registry",
     "DEFAULT_LATENCY_BUCKETS",
 ]
 
@@ -407,29 +407,3 @@ class MetricsRegistry:
         with self._lock:
             instruments = [self._instruments[name] for name in sorted(self._instruments)]
         return "\n".join(i.render() for i in instruments) + "\n" if instruments else ""
-
-    def record_phases(self, snapshot: Mapping[str, Mapping[str, float]]) -> None:
-        """Bridge a ``repro.utils.phases`` snapshot into the registry.
-
-        The annealing hot loop records through the phase accumulators
-        (one branch when disabled); this folds those totals into
-        ``repro_phase_seconds_total`` / ``repro_phase_calls_total``
-        without adding a second instrumentation seam to the hot path.
-        """
-        seconds = self.counter(
-            "repro_phase_seconds_total", "Seconds spent per instrumented phase.", ("phase",)
-        )
-        calls = self.counter(
-            "repro_phase_calls_total", "Calls per instrumented phase.", ("phase",)
-        )
-        for phase, stats in snapshot.items():
-            seconds.labels(phase).inc(float(stats.get("seconds", 0.0)))
-            calls.labels(phase).inc(float(stats.get("calls", 0)))
-
-
-_GLOBAL = MetricsRegistry()
-
-
-def global_registry() -> MetricsRegistry:
-    """The process-global registry workers and backends record into."""
-    return _GLOBAL

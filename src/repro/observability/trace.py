@@ -1,4 +1,4 @@
-"""Per-unit trace spans and per-worker phase dumps.
+"""Per-unit trace spans and worker lifecycle events.
 
 Every worker that drains units appends telemetry records to its own
 ``telemetry-<worker>.jsonl`` shard in the run directory — the same
@@ -6,8 +6,9 @@ one-writer-per-file rule, torn-tail repair, and torn-line-tolerant
 reader (:mod:`repro.runtime.checkpoint`) as the result shards, so a
 SIGKILLed worker can tear at most its last buffered lines and never
 corrupts anyone else's telemetry.  The shards are an *output artifact*
-of the run: ``repro sweep top`` and the ``--profile`` merge read them,
-and they survive for post-hoc analysis.
+of the run: ``repro sweep top`` and
+:func:`repro.observability.aggregate.summarize_run_dir` read them, and
+they survive for post-hoc analysis.
 
 Record kinds (one JSON object per line, ``"v": 1``):
 
@@ -17,12 +18,6 @@ Record kinds (one JSON object per line, ``"v": 1``):
     "record_s": ..., "release_s": ..., "reclaimed": bool, "batched":
     bool}`` — the claim → execute → record → release lifecycle with
     per-stage wall seconds.
-``phases``
-    One worker's ``repro.utils.phases`` accumulator snapshot
-    (``{"compile": {"seconds": ..., "calls": ...}, ...}``), serialized
-    when the worker finishes draining.  This is what lifts the old
-    ``--profile`` single-process restriction: every worker process dumps
-    its own accumulators and the parent merges the shards.
 ``event``
     Free-form worker lifecycle notes (``{"kind": "event", "event":
     name, ...}``), currently ``drain_start`` / ``drain_end``.
@@ -32,6 +27,9 @@ Telemetry is **inert by construction**: records are derived from
 here reads or advances an RNG stream or alters result bytes.  Disable it
 entirely with ``REPRO_TELEMETRY=0`` — ``tests/test_observability.py``
 pins that the merged sweep results are bit-identical either way.
+
+Readers skip record kinds they do not know, so shards holding kinds
+that older versions wrote (such as ``phases``) still fold.
 """
 
 from __future__ import annotations
@@ -40,7 +38,7 @@ import os
 import threading
 import time
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any
 
 from repro.runtime.checkpoint import append_jsonl_many, safe_filename
 
@@ -48,7 +46,6 @@ __all__ = [
     "TELEMETRY_GLOB",
     "TELEMETRY_SCHEMA_VERSION",
     "TelemetryWriter",
-    "profile_requested",
     "telemetry_enabled",
     "telemetry_shard_path",
 ]
@@ -71,15 +68,6 @@ _FALSEY = {"0", "false", "off", "no"}
 def telemetry_enabled() -> bool:
     """Telemetry is on unless ``REPRO_TELEMETRY`` says otherwise."""
     return os.environ.get("REPRO_TELEMETRY", "1").strip().lower() not in _FALSEY
-
-
-def profile_requested() -> bool:
-    """True when ``--profile`` asked every worker for phase accounting.
-
-    Carried in the environment (``REPRO_PROFILE=1``) so it survives both
-    fork and spawn into pool children and ``sweep work`` processes.
-    """
-    return os.environ.get("REPRO_PROFILE", "").strip().lower() not in ("", *_FALSEY)
 
 
 def telemetry_shard_path(run_dir: str | Path, worker_id: str) -> Path:
@@ -178,24 +166,6 @@ class TelemetryWriter:
                 "release_s": round(release_s, 9),
                 "reclaimed": bool(reclaimed),
                 "batched": bool(batched),
-            }
-        )
-
-    def phases(self, snapshot: Mapping[str, Mapping[str, float]]) -> None:
-        """Record this worker's phase-accumulator snapshot (may be empty)."""
-        self._append(
-            {
-                "kind": "phases",
-                "v": TELEMETRY_SCHEMA_VERSION,
-                "worker": self.worker_id,
-                "ts": time.time(),
-                "phases": {
-                    name: {
-                        "seconds": float(stats.get("seconds", 0.0)),
-                        "calls": int(stats.get("calls", 0)),
-                    }
-                    for name, stats in snapshot.items()
-                },
             }
         )
 

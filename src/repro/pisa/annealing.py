@@ -67,6 +67,11 @@ class AnnealingConfig:
     acceptance: str = "paper"  # "paper" | "metropolis"
 
     def __post_init__(self) -> None:
+        # NaN passes every comparison below, so finiteness comes first.
+        if not (math.isfinite(self.t_max) and math.isfinite(self.t_min)):
+            raise ValueError(
+                f"temperatures must be finite, got t_max={self.t_max}, t_min={self.t_min}"
+            )
         if self.t_max <= 0 or self.t_min <= 0:
             raise ValueError("temperatures must be positive")
         if self.t_min > self.t_max:

@@ -16,6 +16,7 @@ problem instances of a known application:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -69,8 +70,8 @@ class AppSpecificSpace:
     _recipe: object = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.ccr <= 0:
-            raise ValueError("ccr must be positive")
+        if not (math.isfinite(self.ccr) and self.ccr > 0):
+            raise ValueError(f"ccr must be positive and finite, got {self.ccr}")
         self._recipe = get_recipe(self.workflow)
         if self.trace is None:
             self.trace = self._recipe.trace(self.trace_seed)
@@ -173,15 +174,15 @@ def app_specific_pairwise(
     rng: int | np.random.Generator | None = None,
     progress=None,
     jobs: int = 1,
-    checkpoint_dir=None,
-    resume: bool = False,
 ) -> PairwiseResult:
     """The PISA half of one Figs. 10-19 panel: all ordered pairs in-family.
 
     Runs on the work-unit runtime: one unit per (pair, restart), each on
     its own spawned RNG stream, optionally fanned out over ``jobs``
-    worker processes and checkpointed to ``checkpoint_dir`` (see
-    :func:`repro.pisa.pisa.pairwise_comparison`).
+    worker processes (see :func:`repro.pisa.pisa.pairwise_comparison`).
+    A checkpointed, resumable panel goes through
+    :func:`repro.sweeps.fig10_19_pisa_spec` and
+    :func:`repro.sweeps.run_sweep`.
     """
     from repro.runtime.pairwise import run_pairwise
 
@@ -194,6 +195,4 @@ def app_specific_pairwise(
         constraints=SearchConstraints(),
         progress=progress,
         jobs=jobs,
-        checkpoint_dir=checkpoint_dir,
-        resume=resume,
     )

@@ -50,13 +50,11 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from time import perf_counter
 
 import numpy as np
 
 from repro.core.compiled import current_compilation
 from repro.core.instance import ProblemInstance
-from repro.utils import phases
 from repro.utils.topo import is_dag_after_edge
 
 __all__ = [
@@ -319,11 +317,7 @@ class PerturbationSet:
         self.operators = list(operators)
 
     def perturb(self, instance: ProblemInstance, rng: np.random.Generator) -> ProblemInstance:
-        t0 = perf_counter() if phases.enabled else 0.0
-        mutated = self.plan(instance, rng).materialize(instance)
-        if phases.enabled:
-            phases.add("perturb", perf_counter() - t0)
-        return mutated
+        return self.plan(instance, rng).materialize(instance)
 
     def plan(self, instance: ProblemInstance, rng: np.random.Generator) -> PlannedMove:
         """Draw one move (same RNG stream as :meth:`perturb`) without copying.

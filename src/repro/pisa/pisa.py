@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from time import perf_counter
 
 import numpy as np
 
@@ -33,7 +32,6 @@ from repro.pisa.constraints import (
 )
 from repro.pisa.initial import random_chain_instance
 from repro.pisa.perturbations import PerturbationSet, default_perturbations
-from repro.utils import phases
 from repro.utils.rng import as_generator, spawn
 
 __all__ = ["PISAConfig", "PISAResult", "PISA", "pairwise_comparison", "PairwiseResult"]
@@ -146,11 +144,8 @@ class PISA:
         :class:`~repro.core.compiled.CompiledInstance` kernel — the
         candidate is compiled once and scheduled twice.
         """
-        t0 = perf_counter() if phases.enabled else 0.0
         target_ms = self.target.schedule(instance).makespan
         baseline_ms = self.baseline.schedule(instance).makespan
-        if phases.enabled:
-            phases.add("schedule", perf_counter() - t0)
         return makespan_ratio(target_ms, baseline_ms)
 
     def run_restart(self, rng: int | np.random.Generator | None = None) -> AnnealingResult:
@@ -219,8 +214,6 @@ def pairwise_comparison(
     initial_factory: Callable[[np.random.Generator], ProblemInstance] | None = None,
     progress: Callable[[str, str, float], None] | None = None,
     jobs: int = 1,
-    checkpoint_dir=None,
-    resume: bool = False,
 ) -> PairwiseResult:
     """Run PISA for every ordered pair of ``schedulers`` (Fig. 4).
 
@@ -230,10 +223,9 @@ def pairwise_comparison(
 
     * ``jobs`` fans units out over that many worker processes; for a
       fixed seed the ratio matrix is identical at any ``jobs``.
-    * ``checkpoint_dir`` records completed units to a JSON-lines run
-      directory as they finish; ``resume=True`` skips units already
-      recorded there, so an interrupted sweep continues instead of
-      restarting (requires the same schedulers/config/seed).
+    * A checkpointed, resumable run goes through a spec instead
+      (:func:`repro.sweeps.fig4_spec` and :func:`repro.sweeps.run_sweep`
+      with ``run_dir=``), whose manifest records the whole search space.
 
     ``progress(target, baseline, ratio)`` is invoked as each pair's last
     restart completes — paper-scale runs take a while and the experiment
@@ -249,6 +241,4 @@ def pairwise_comparison(
         initial_factory=initial_factory,
         progress=progress,
         jobs=jobs,
-        checkpoint_dir=checkpoint_dir,
-        resume=resume,
     )

@@ -438,20 +438,6 @@ class HttpWorkBackend:
         self._secure = split.scheme == "https"
         self._address = (split.hostname or "localhost", split.port or (443 if self._secure else 80))
         self._local = threading.local()
-        # Client-side transport telemetry (process-global registry): how
-        # many wire requests this worker issued and how many were retried
-        # after a transient failure — the worker-side mirror of the
-        # coordinator's request metrics.
-        from repro.observability.metrics import global_registry
-
-        registry = global_registry()
-        self._m_requests = registry.counter(
-            "repro_backend_requests_total", "Coordinator wire requests issued."
-        )
-        self._m_retries = registry.counter(
-            "repro_backend_retries_total",
-            "Coordinator wire requests retried after a transient failure.",
-        )
 
     # ------------------------------------------------------------------ #
     # Transport
@@ -483,7 +469,6 @@ class HttpWorkBackend:
         reused = conn is not None
         if conn is None:
             conn = self._new_connection()
-        self._m_requests.inc()
         try:
             conn.request(
                 "GET" if body is None else "POST",
@@ -528,7 +513,6 @@ class HttpWorkBackend:
                 return self._roundtrip(path, body, raw=raw)
             except _TransientError as exc:
                 last = exc
-                self._m_retries.inc()
                 if exc.retry_now:
                     continue  # stale keep-alive: next attempt opens fresh, no pause
             remaining = deadline - time.monotonic()

@@ -438,23 +438,11 @@ def drain_units(
     stats = WorkerStats(worker_id=wid)
     by_key = {u.key: u for u in units}
 
-    from repro.observability.metrics import global_registry
-    from repro.observability.trace import TelemetryWriter, profile_requested
-    from repro.utils import phases
+    from repro.observability.trace import TelemetryWriter
 
     if telemetry_dir is None:
         telemetry_dir = os.environ.get("REPRO_TELEMETRY_DIR") or None
     telemetry = TelemetryWriter.open(telemetry_dir, wid)
-    if profile_requested():
-        phases.enable()
-    registry = global_registry()
-    # Children resolved once: steady-state recording is one lock + add.
-    m_executed = registry.counter(
-        "repro_worker_units_total", "Units this process executed.", ("worker",)
-    ).labels(wid)
-    m_reclaimed = registry.counter(
-        "repro_worker_reclaims_total", "Stale leases this process stole.", ("worker",)
-    ).labels(wid)
 
     def _execute(key: str) -> Any:
         if delay > 0:
@@ -464,7 +452,6 @@ def drain_units(
     def _finished(key: str) -> None:
         stats.executed += 1
         stats.executed_keys.add(key)
-        m_executed.inc()
         if on_unit is not None:
             on_unit(key)
 
@@ -498,15 +485,6 @@ def drain_units(
     def _close_telemetry() -> None:
         if telemetry is None:
             return
-        # Serialize-and-reset: this worker's phase accumulators travel in
-        # its telemetry shard (which is what lets --profile work at any
-        # --jobs and on remote backends), and the reset keeps the parent
-        # process's in-memory snapshot from double-counting what it
-        # already shipped.
-        snap = phases.snapshot()
-        if snap:
-            telemetry.phases(snap)
-            phases.reset()
         telemetry.event("drain_end", executed=stats.executed, reclaimed=stats.reclaimed)
         telemetry.close()
 
@@ -528,7 +506,6 @@ def drain_units(
                     continue
                 progressed = True
                 stats.reclaimed += len(batch.reclaimed_units)
-                m_reclaimed.inc(len(batch.reclaimed_units))
                 # One claim round trip covers the batch; spans amortize its
                 # cost evenly across the granted members.
                 claim_share = claim_s / max(len(batch.units), 1)

@@ -36,43 +36,14 @@ from repro.runtime.units import WorkUnit
 __all__ = ["run_units", "default_jobs", "reject_distributed_options"]
 
 
-def _pool_child_init(telemetry_dir: str | None) -> None:
-    """Pool-child initializer: arm ``--profile`` accounting.
+def _pool_child_init() -> None:
+    """Pool-child initializer; intentionally empty.
 
-    Runs once per worker process (fork or spawn).  When profiling is
-    requested the child enables the phase accumulators and registers an
-    exit hook that serializes its snapshot into a per-process telemetry
-    shard — the same serialize-and-merge seam ``drain_units`` uses, which
-    is what lets ``--profile`` work at any ``--jobs``.
+    It stays as the pool's ``initializer`` because it is the one hook
+    that runs once in every pool child (fork or spawn) before any unit:
+    ``benchmarks/e2e/tracing.py`` wraps it to trace forked children, and
+    ``tests/test_runtime.py`` pins that every child runs it.
     """
-    from repro.observability.trace import profile_requested
-
-    if not profile_requested():
-        return
-    from repro.utils import phases
-
-    phases.enable()
-    if telemetry_dir is None:
-        return
-    from multiprocessing import util as _mp_util
-
-    def _dump() -> None:
-        from repro.observability.trace import TelemetryWriter
-
-        snap = phases.snapshot()
-        if not snap:
-            return
-        writer = TelemetryWriter.open(
-            telemetry_dir, f"pool-{socket.gethostname()}-{os.getpid()}"
-        )
-        if writer is not None:
-            writer.phases(snap)
-            writer.close()
-
-    # Pool children never run atexit hooks (multiprocessing bootstrap
-    # ends in os._exit); util.Finalize registrations DO run on the way
-    # out, which is the only reliable per-child exit seam.
-    _mp_util.Finalize(None, _dump, exitpriority=10)
 
 
 def _timed_call(worker: Callable[[WorkUnit], Any], unit: WorkUnit) -> tuple[Any, float]:
@@ -255,8 +226,7 @@ def run_units(
                     on_result(unit, done[unit.key], True)
     pending = [u for u in units if u.key not in results]
 
-    from repro.observability.trace import TelemetryWriter, profile_requested
-    from repro.utils import phases
+    from repro.observability.trace import TelemetryWriter
 
     telemetry_dir: str | Path | None
     if checkpoint is not None:
@@ -265,8 +235,6 @@ def run_units(
         telemetry_dir = os.environ.get("REPRO_TELEMETRY_DIR") or None
     wid = f"local-{socket.gethostname()}-{os.getpid()}"
     telemetry = TelemetryWriter.open(telemetry_dir, wid) if pending else None
-    if profile_requested():
-        phases.enable()
 
     def _finish(unit: WorkUnit, result: Any, execute_s: float) -> None:
         results[unit.key] = result
@@ -293,24 +261,16 @@ def run_units(
         elif pending:
             _ensure_child_importable()
             max_workers = min(jobs, len(pending))
-            child_dir = None if telemetry_dir is None else str(telemetry_dir)
             with ProcessPoolExecutor(
                 max_workers=max_workers,
                 mp_context=_mp_context(),
                 initializer=_pool_child_init,
-                initargs=(child_dir,),
             ) as pool:
                 futures = {pool.submit(_timed_call, worker, unit): unit for unit in pending}
                 for future in as_completed(futures):
                     result, execute_s = future.result()
                     _finish(futures[future], result, execute_s)
-            # Pool children dumped their phase snapshots at exit (the
-            # shutdown above joins them); nothing to collect here.
     finally:
         if telemetry is not None:
-            snap = phases.snapshot()
-            if snap:
-                telemetry.phases(snap)
-                phases.reset()
             telemetry.close()
     return results

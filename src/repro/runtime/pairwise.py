@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import asdict, dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -187,8 +186,8 @@ def run_pair_sweep(
     owns the two-level spawn tree, the unit keys, and the aggregation
     into a :class:`~repro.pisa.pisa.PairwiseResult` — so every entry
     point produces bit-identical matrices for the same pair list and
-    seed.  The caller owns checkpoint initialization (the manifest is
-    what distinguishes the entry points).
+    seed.  Only :func:`repro.sweeps.run_sweep` passes a ``checkpoint``,
+    already initialized with its spec manifest.
     """
     units = pair_sweep_units(pairs, restarts, rng)
     key_to_pair = {
@@ -228,16 +227,16 @@ def run_pairwise(
     constraints: SearchConstraints | None = None,
     progress: Callable[[str, str, float], None] | None = None,
     jobs: int = 1,
-    checkpoint_dir: str | Path | None = None,
-    resume: bool = False,
 ) -> PairwiseResult:
     """PISA over every ordered pair of ``schedulers`` as a unit sweep.
 
     ``progress(target, baseline, ratio)`` fires when a pair's last
-    restart completes (including pairs restored from a checkpoint).
+    restart completes.  Nothing is checkpointed: a durable, resumable
+    sweep goes through a :class:`~repro.sweeps.SweepSpec` and
+    :func:`repro.sweeps.run_sweep`, whose manifest records the whole
+    search space.
     """
     config = config or PISAConfig()
-    seed = int(rng) if isinstance(rng, (int, np.integer)) else None
     gen = as_generator(rng)
 
     pairs: list[tuple[str, str, PISA]] = []
@@ -260,27 +259,11 @@ def run_pairwise(
                 )
             )
 
-    checkpoint = None
-    if checkpoint_dir is not None:
-        checkpoint = RunCheckpoint(
-            checkpoint_dir, encode=encode_unit_result, decode=decode_unit_result
-        )
-        manifest = {
-            "kind": "pairwise",
-            "schedulers": [str(s) for s in schedulers],
-            "restarts": config.restarts,
-            "annealing": asdict(config.annealing),
-            "seed": seed,
-            "units": len(pairs) * config.restarts,
-        }
-        checkpoint.initialize(manifest, resume=resume)
-
     return run_pair_sweep(
         pairs,
         config.restarts,
         gen,
         schedulers=[str(s) for s in schedulers],
         jobs=jobs,
-        checkpoint=checkpoint,
         progress=progress,
     )

@@ -81,13 +81,16 @@ class WBAScheduler(Scheduler):
             values = rows[np.arange(len(ready)), positions]
             options: list[tuple[float, object, object]] = []
             for task, value, vid in zip(ready, values.tolist(), vids.tolist()):
-                increase = max(value - current, 0.0)
+                # An unreachable placement (dead links) costs inf, never
+                # the NaN of inf - inf.
+                increase = math.inf if math.isinf(value) else max(value - current, 0.0)
                 options.append((increase, task, nodes[vid]))
             finite = [o for o in options if not math.isinf(o[0])]
             pool = finite if finite else options
             lo = min(o[0] for o in pool)
             hi = max(o[0] for o in pool)
-            threshold = lo + self.alpha * (hi - lo)
+            # hi == lo also covers an all-inf pool, whose width is NaN.
+            threshold = lo if hi == lo else lo + self.alpha * (hi - lo)
             # Scale-relative tolerance: membership in the candidate list
             # must be invariant under rescaling the instance's weights.
             tol = 1e-12 * hi if math.isfinite(hi) else 0.0

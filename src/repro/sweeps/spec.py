@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import difflib
 import json
+import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any
@@ -203,8 +204,8 @@ class SourceSpec:
                     _fail(f"{path}.{high}", f"must be >= {low} ({out[low]}), got {out[high]}")
         elif kind == "workflow":
             out["ccr"] = float(out["ccr"])
-            if out["ccr"] <= 0:
-                _fail(f"{path}.ccr", f"must be positive, got {out['ccr']}")
+            if not (math.isfinite(out["ccr"]) and out["ccr"] > 0):
+                _fail(f"{path}.ccr", f"must be positive and finite, got {out['ccr']}")
             if out["min_nodes"] < 1:
                 _fail(f"{path}.min_nodes", f"must be >= 1, got {out['min_nodes']}")
             if out["max_nodes"] < out["min_nodes"]:

@@ -37,7 +37,14 @@ def task_graphs(draw, min_tasks: int = 1, max_tasks: int = 6) -> TaskGraph:
 
 
 @st.composite
-def networks(draw, min_nodes: int = 1, max_nodes: int = 4) -> Network:
+def networks(
+    draw,
+    min_nodes: int = 1,
+    max_nodes: int = 4,
+    strengths: st.SearchStrategy[float] = _strengths,
+) -> Network:
+    """Complete networks; link strengths come from ``strengths``
+    (positive by default — the dynamics suites rely on that)."""
     n = draw(st.integers(min_nodes, max_nodes))
     names = [f"v{i}" for i in range(n)]
     net = Network()
@@ -45,7 +52,7 @@ def networks(draw, min_nodes: int = 1, max_nodes: int = 4) -> Network:
         net.add_node(name, draw(_speeds))
     for i in range(n):
         for j in range(i + 1, n):
-            net.set_strength(names[i], names[j], draw(_strengths))
+            net.set_strength(names[i], names[j], draw(strengths))
     return net
 
 

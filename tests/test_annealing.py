@@ -51,6 +51,9 @@ class TestConfig:
             {"alpha": 1.0},
             {"max_iterations": -1},
             {"acceptance": "bogus"},
+            {"t_max": float("nan")},
+            {"t_min": float("nan")},
+            {"t_max": float("inf")},
         ],
     )
     def test_invalid_configs(self, kwargs):

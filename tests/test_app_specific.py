@@ -20,6 +20,9 @@ class TestSpaceBasics:
     def test_invalid_ccr(self):
         with pytest.raises(ValueError):
             AppSpecificSpace("blast", ccr=0.0)
+        for ccr in (float("inf"), float("nan")):
+            with pytest.raises(ValueError, match="finite"):
+                AppSpecificSpace("blast", ccr=ccr)
 
     def test_unknown_workflow(self):
         from repro import DatasetError

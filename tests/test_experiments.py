@@ -137,18 +137,18 @@ class TestFig4:
         ).report
 
     def test_checkpoint_dir_is_deprecated_alias_for_run_dir(self, tmp_path):
-        with pytest.warns(DeprecationWarning, match="run_dir"):
-            old = fig4_pisa_heatmap.run(
-                schedulers=["HEFT", "CPoP"],
-                config=MICRO,
-                rng=0,
-                checkpoint_dir=tmp_path / "old",
+        """The ``checkpoint_dir`` alias is gone; ``run_dir`` checkpoints
+        without changing the report."""
+        with pytest.raises(TypeError, match="checkpoint_dir"):
+            fig4_pisa_heatmap.run(
+                schedulers=["HEFT", "CPoP"], config=MICRO, rng=0, checkpoint_dir=tmp_path
             )
-        assert (tmp_path / "old" / "units.jsonl").exists()
+        plain = fig4_pisa_heatmap.run(schedulers=["HEFT", "CPoP"], config=MICRO, rng=0)
         new = fig4_pisa_heatmap.run(
             schedulers=["HEFT", "CPoP"], config=MICRO, rng=0, run_dir=tmp_path / "new"
         )
-        assert old.report == new.report
+        assert (tmp_path / "new" / "units.jsonl").exists()
+        assert plain.report == new.report
 
 
 class TestFig5Fig6:
@@ -235,16 +235,19 @@ class TestFig1019:
         assert result.report
 
     def test_panel_checkpoint_dir_deprecated_and_layout(self, tmp_path):
-        with pytest.warns(DeprecationWarning, match="run_dir"):
-            fig10_19_app_specific.run_panel(
-                "blast",
-                1.0,
-                schedulers=["HEFT", "FastestNode"],
-                bench_instances=2,
-                config=MICRO,
-                rng=0,
-                checkpoint_dir=tmp_path,
-            )
+        """The ``checkpoint_dir`` alias is gone; ``run_dir`` holds both
+        halves of the panel."""
+        with pytest.raises(TypeError, match="checkpoint_dir"):
+            fig10_19_app_specific.run_panel("blast", 1.0, checkpoint_dir=tmp_path)
+        fig10_19_app_specific.run_panel(
+            "blast",
+            1.0,
+            schedulers=["HEFT", "FastestNode"],
+            bench_instances=2,
+            config=MICRO,
+            rng=0,
+            run_dir=tmp_path,
+        )
         # The panel checkpoints both halves under the one run directory.
         assert (tmp_path / "bench" / "units.jsonl").exists()
         assert (tmp_path / "pisa" / "units.jsonl").exists()

@@ -2,9 +2,10 @@
 
 What makes telemetry trustworthy enough to leave on by default:
 
-* **exact under concurrency** — the metrics registry is written from
-  executor threads, heartbeat daemons, and the asyncio loop; counters
-  and histograms must not lose increments under contention;
+* **exact under concurrency** — the coordinator's metrics registry is
+  written from executor threads, the group-commit leader, and the
+  asyncio loop; counters and histograms must not lose increments under
+  contention;
 * **standard on the wire** — ``GET /metrics`` speaks the Prometheus
   text exposition format 0.0.4 (escaping, cumulative ``le`` buckets,
   ``+Inf``), so any scraper ingests it — pinned by rendering through
@@ -30,7 +31,6 @@ import pytest
 from repro.__main__ import main
 from repro.observability.aggregate import (
     iter_telemetry_records,
-    merge_phase_tables,
     summarize_records,
     summarize_run_dir,
     telemetry_shard_paths,
@@ -42,7 +42,7 @@ from repro.observability.dashboard import (
     parse_prometheus_text,
     render_frame,
 )
-from repro.observability.metrics import MetricsRegistry, global_registry
+from repro.observability.metrics import MetricsRegistry
 from repro.observability.trace import (
     FLUSH_EVERY,
     TELEMETRY_SCHEMA_VERSION,
@@ -167,9 +167,6 @@ class TestMetricsRegistry:
         assert histogram.count() == threads * per_thread
         assert histogram.total() == pytest.approx(threads * per_thread * 0.5)
 
-    def test_global_registry_is_one_shared_instance(self):
-        assert global_registry() is global_registry()
-
 
 # ---------------------------------------------------------------------- #
 # Prometheus text exposition
@@ -213,14 +210,6 @@ class TestPrometheusExposition:
         assert buckets == {"0.1": 1.0, "1": 2.0, "+Inf": 3.0}
         assert families["lat_seconds_count"][()] == 3.0
         assert families["lat_seconds_sum"][()] == pytest.approx(5.55)
-
-    def test_record_phases_bridges_the_profile_accumulators(self):
-        registry = MetricsRegistry()
-        registry.record_phases({"compile": {"seconds": 1.5, "calls": 3}})
-        registry.record_phases({"compile": {"seconds": 0.5, "calls": 1}})
-        families = parse_prometheus_text(registry.render_prometheus())
-        assert families["repro_phase_seconds_total"][(("phase", "compile"),)] == 2.0
-        assert families["repro_phase_calls_total"][(("phase", "compile"),)] == 4.0
 
 
 # ---------------------------------------------------------------------- #
@@ -292,23 +281,6 @@ class TestTraceShards:
         assert summary.workers["alpha"].batched == 3
         assert summary.workers["alpha"].stage_seconds["execute_s"] == pytest.approx(3.0)
         assert summary.to_payload()["workers"]["beta"]["units"] == 1
-
-    def test_phase_tables_merge_across_shards_and_memory(self, tmp_path):
-        with TelemetryWriter(tmp_path, "w1") as writer:
-            writer.phases({"compile": {"seconds": 1.0, "calls": 2}})
-        with TelemetryWriter(tmp_path, "w2") as writer:
-            writer.phases({"compile": {"seconds": 0.5, "calls": 1}, "anneal": {"seconds": 3.0, "calls": 4}})
-        merged = merge_phase_tables(
-            [summarize_run_dir(tmp_path).phases, {"anneal": {"seconds": 1.0, "calls": 1}}]
-        )
-        assert merged == {
-            "anneal": {"seconds": 4.0, "calls": 5},
-            "compile": {"seconds": 1.5, "calls": 3},
-        }
-        # Garbage stats are skipped per-entry, not fatal.
-        assert merge_phase_tables([{"x": {"seconds": "nan?", "calls": None}}]) == {
-            "x": {"seconds": 0.0, "calls": 0}
-        }
 
     def test_rate_needs_two_spans_and_a_positive_window(self):
         records = [
@@ -619,37 +591,25 @@ class TestDashboard:
 
 
 # ---------------------------------------------------------------------- #
-# --profile at any --jobs: shards from pool children merge into one table
+# --profile is gone: per-worker time is in the spans, per-layer time in
+# the end-to-end tracer (benchmarks/e2e/run.py --trace 1)
 # ---------------------------------------------------------------------- #
 class TestProfileLift:
-    def test_profile_merges_pool_children(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.delenv("REPRO_PROFILE", raising=False)
-        monkeypatch.delenv("REPRO_TELEMETRY_DIR", raising=False)
+    def test_profile_flag_is_rejected(self, tmp_path):
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(tiny_fig4_spec().to_json())
-        run_dir = tmp_path / "run"
-        assert (
-            main(
-                [
-                    "sweep", "run", str(spec_path),
-                    "--run-dir", str(run_dir),
-                    "--jobs", "2",
-                    "--profile",
-                ]
-            )
-            == 0
-        )
-        err = capsys.readouterr().err
-        assert "profile (per-phase wall time inside work units):" in err
-        assert "total" in err
-        # The request is not left armed in the parent's environment.
-        import os
+        for argv in (
+            ["sweep", "run", str(spec_path), "--profile"],
+            ["sweep", "work", "--coordinator", "http://127.0.0.1:9", "--profile"],
+        ):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
 
-        assert "REPRO_PROFILE" not in os.environ
-        assert "REPRO_TELEMETRY_DIR" not in os.environ
-
-    def test_drain_units_serializes_phase_snapshots(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_PROFILE", "1")
+    def test_drain_units_serializes_phase_snapshots(self, tmp_path):
+        """A drain writes one span per unit between its ``drain_start`` and
+        ``drain_end`` events, and no ``phases`` record (phase accounting
+        is gone; shards that older versions wrote still fold)."""
         run_dir = tmp_path / "run"
         _init_minimal_run_dir(run_dir, 2)
         units = [WorkUnit(key=f"u{i}", payload=i) for i in range(2)]
@@ -664,10 +624,16 @@ class TestProfileLift:
                 telemetry_dir=run_dir,
             )
             backend.close()
+        records = [r for r in iter_telemetry_records(run_dir) if r.get("worker") == "w1"]
+        assert [r["kind"] for r in records] == ["event", "span", "span", "event"]
+        assert [records[0]["event"], records[-1]["event"]] == ["drain_start", "drain_end"]
+        assert records[-1]["executed"] == 2
+        assert sorted(r["unit"] for r in records if r["kind"] == "span") == ["u0", "u1"]
         summary = summarize_run_dir(run_dir)
         assert summary.units == 2
-        # A phases record landed (possibly empty if no instrumented phase
-        # ran inside the trivial worker) — the span records are the pinned
-        # part; phase content is covered by the CLI merge test above.
-        kinds = {r["kind"] for r in iter_telemetry_records(run_dir)}
-        assert "span" in kinds
+        assert "phases" not in summary.to_payload()
+        # An old shard's phases record is skipped, not fatal.
+        with telemetry_shard_path(run_dir, "old").open("w") as fh:
+            fh.write(json.dumps({"kind": "phases", "v": 1, "worker": "old",
+                                 "phases": {"compile": {"seconds": 1.0, "calls": 2}}}) + "\n")
+        assert summarize_run_dir(run_dir).units == 2

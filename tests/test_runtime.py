@@ -18,12 +18,16 @@ The properties that make the runtime trustworthy:
 from __future__ import annotations
 
 import json
+import os
+from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.pisa import PISA, AnnealingConfig, PISAConfig, pairwise_comparison
 from repro.runtime import (
+    CheckpointError,
     RunCheckpoint,
     WorkUnit,
     decode_unit_result,
@@ -32,6 +36,7 @@ from repro.runtime import (
     run_units,
     unit_key,
 )
+from repro.sweeps import fig4_spec, run_sweep
 from repro.utils.rng import as_generator, spawn
 
 FAST = PISAConfig(annealing=AnnealingConfig(max_iterations=25, alpha=0.9), restarts=2)
@@ -120,6 +125,43 @@ class TestRunUnits:
             on_result=lambda u, r, cached: seen.append((u.key, cached)),
         )
         assert seen == [("u0", True), ("u1", True), ("u2", False)]
+
+
+# ---------------------------------------------------------------------- #
+# The pool-child initializer seam
+# ---------------------------------------------------------------------- #
+_MARKER_DIR_ENV = "REPRO_TEST_POOL_MARKERS"
+
+
+def _mark_pool_child() -> None:
+    """Stand-in pool initializer: one marker line per process that runs it."""
+    marker = Path(os.environ[_MARKER_DIR_ENV]) / f"child-{os.getpid()}"
+    with marker.open("a") as fh:
+        fh.write("init\n")
+
+
+def _pid_unit(unit: WorkUnit) -> int:
+    return os.getpid()
+
+
+class TestPoolChildInit:
+    """``run_units`` runs ``executor._pool_child_init`` once in every pool
+    child, looked up at call time.  The end-to-end tracer
+    (``benchmarks/e2e/tracing.py``) replaces it to trace forked children;
+    without this seam its per-layer numbers silently lose them."""
+
+    def test_initializer_runs_once_in_every_pool_child(self, tmp_path, monkeypatch):
+        from repro.runtime import executor
+
+        monkeypatch.setenv(_MARKER_DIR_ENV, str(tmp_path))
+        monkeypatch.setattr(executor, "_pool_child_init", _mark_pool_child)
+        units = [WorkUnit(key=f"u{i}", payload=i) for i in range(6)]
+        worker_pids = set(run_units(units, _pid_unit, jobs=2).values())
+        markers = {int(p.name.split("-")[1]): p.read_text() for p in tmp_path.glob("child-*")}
+        assert os.getpid() not in markers  # never the parent
+        assert worker_pids <= set(markers)  # every child that ran a unit
+        assert 1 <= len(markers) <= 2  # one marker per pool child
+        assert all(text == "init\n" for text in markers.values())
 
 
 # ---------------------------------------------------------------------- #
@@ -243,12 +285,15 @@ class TestPairwiseParallel:
 
 
 class TestCheckpointResume:
+    """Durable runs go through a spec and ``run_sweep`` (the pairwise
+    entry points keep no checkpoint): a chains spec of the same
+    schedulers, config and seed."""
+
     def test_resume_after_partial_run(self, tmp_path):
         """Kill after N units, resume, same final matrix."""
         run_dir = tmp_path / "sweep"
-        full = pairwise_comparison(
-            SCHEDULERS, config=FAST, rng=5, checkpoint_dir=run_dir
-        )
+        spec = fig4_spec(schedulers=SCHEDULERS, config=FAST, seed=5)
+        full = run_sweep(spec, run_dir=run_dir)
         units_path = run_dir / "units.jsonl"
         lines = units_path.read_text().splitlines()
         total = len(lines)
@@ -256,42 +301,56 @@ class TestCheckpointResume:
 
         # Simulate an interrupt: keep only the first 5 completed units.
         units_path.write_text("\n".join(lines[:5]) + "\n")
-        executed: list[str] = []
-        resumed = pairwise_comparison(
-            SCHEDULERS,
-            config=FAST,
-            rng=5,
-            checkpoint_dir=run_dir,
-            resume=True,
-            progress=lambda t, b, r: executed.append((t, b)),
-        )
-        assert _ratios(resumed) == _ratios(full)
+        resumed = run_sweep(spec, run_dir=run_dir, resume=True)
+        assert _ratios(resumed.pairwise) == _ratios(full.pairwise)
         # Only the missing units were appended.
         assert len(units_path.read_text().splitlines()) == total
 
     def test_resume_with_different_config_rejected(self, tmp_path):
         run_dir = tmp_path / "sweep"
-        pairwise_comparison(["HEFT", "CPoP"], config=FAST, rng=5, checkpoint_dir=run_dir)
+        run_sweep(fig4_spec(schedulers=["HEFT", "CPoP"], config=FAST, seed=5), run_dir=run_dir)
         other = PISAConfig(
             annealing=AnnealingConfig(max_iterations=26, alpha=0.9), restarts=2
         )
-        with pytest.raises(ValueError, match="manifest"):
-            pairwise_comparison(
-                ["HEFT", "CPoP"], config=other, rng=5, checkpoint_dir=run_dir, resume=True
+        with pytest.raises(CheckpointError, match="manifest"):
+            run_sweep(
+                fig4_spec(schedulers=["HEFT", "CPoP"], config=other, seed=5),
+                run_dir=run_dir,
+                resume=True,
             )
 
     def test_resumed_best_instance_survives_roundtrip(self, tmp_path):
         run_dir = tmp_path / "sweep"
-        full = pairwise_comparison(["HEFT", "CPoP"], config=FAST, rng=9, checkpoint_dir=run_dir)
+        spec = fig4_spec(schedulers=["HEFT", "CPoP"], config=FAST, seed=9)
+        full = run_sweep(spec, run_dir=run_dir).pairwise
         # Resume with everything already complete: the matrix is rebuilt
         # purely from the checkpoint.
-        restored = pairwise_comparison(
-            ["HEFT", "CPoP"], config=FAST, rng=9, checkpoint_dir=run_dir, resume=True
-        )
+        restored = run_sweep(spec, run_dir=run_dir, resume=True).pairwise
         for pair, result in full.results.items():
             assert restored.results[pair].best_ratio == result.best_ratio
             assert restored.results[pair].best_instance.task_graph == result.best_instance.task_graph
             assert restored.results[pair].best_instance.network == result.best_instance.network
+
+    def test_retired_pairwise_run_dir_is_not_resumable(self, tmp_path):
+        """A run dir with the retired ``"kind": "pairwise"`` manifest (it
+        did not record the search space) never resumes as a spec run."""
+        run_dir = tmp_path / "sweep"
+        run_dir.mkdir()
+        (run_dir / "manifest.json").write_text(
+            json.dumps(
+                {
+                    "kind": "pairwise",
+                    "schedulers": ["HEFT", "CPoP"],
+                    "restarts": FAST.restarts,
+                    "annealing": asdict(FAST.annealing),
+                    "seed": 5,
+                    "units": 2 * FAST.restarts,
+                }
+            )
+        )
+        spec = fig4_spec(schedulers=["HEFT", "CPoP"], config=FAST, seed=5)
+        with pytest.raises(CheckpointError, match="manifest"):
+            run_sweep(spec, run_dir=run_dir, resume=True)
 
 
 # ---------------------------------------------------------------------- #
@@ -315,22 +374,14 @@ class TestSpawnStartMethod:
 
     def test_resume_after_kill_under_spawn(self, tmp_path):
         run_dir = tmp_path / "sweep"
-        full = pairwise_comparison(
-            self.SPAWN_PAIR, config=FAST, rng=5, jobs=2, checkpoint_dir=run_dir
-        )
+        spec = fig4_spec(schedulers=self.SPAWN_PAIR, config=FAST, seed=5)
+        full = run_sweep(spec, jobs=2, run_dir=run_dir)
         units_path = run_dir / "units.jsonl"
         lines = units_path.read_text().splitlines()
         # Simulate a mid-sweep kill: keep the first unit plus a torn line.
         units_path.write_text(lines[0] + "\n" + lines[1][: len(lines[1]) // 2])
-        resumed = pairwise_comparison(
-            self.SPAWN_PAIR,
-            config=FAST,
-            rng=5,
-            jobs=2,
-            checkpoint_dir=run_dir,
-            resume=True,
-        )
-        assert _ratios(resumed) == _ratios(full)
+        resumed = run_sweep(spec, jobs=2, run_dir=run_dir, resume=True)
+        assert _ratios(resumed.pairwise) == _ratios(full.pairwise)
 
 
 # ---------------------------------------------------------------------- #

@@ -11,10 +11,11 @@ import math
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro import get_scheduler
+from repro import Network, ProblemInstance, TaskGraph, get_scheduler
 from tests.conftest import ALL_SCHEDULERS, POLY_SCHEDULERS
-from tests.strategies import instances
+from tests.strategies import instances, networks, task_graphs
 
 
 @pytest.mark.parametrize("name", ALL_SCHEDULERS)
@@ -53,13 +54,55 @@ class TestOnFixtures:
         }
 
 
-@pytest.mark.parametrize("name", POLY_SCHEDULERS)
-def test_dead_link_still_produces_valid_schedule(name, dead_link_instance):
+def _unreachable_join() -> ProblemInstance:
+    """A unit-weight join ``t1, t2 -> t3`` on three unit-speed nodes whose
+    ``v2`` is cut off (both its links have strength 0): once ``t1`` and
+    ``t2`` are split across ``v2``, every placement of ``t3`` is
+    unreachable and its best EFT is ``inf``."""
+    task_graph = TaskGraph.from_dicts(
+        {"t1": 1.0, "t2": 1.0, "t3": 1.0}, {("t1", "t3"): 1.0, ("t2", "t3"): 1.0}
+    )
+    network = Network.from_speeds({"v1": 1.0, "v2": 1.0, "v3": 1.0})
+    network.set_strength("v1", "v2", 0.0)
+    network.set_strength("v2", "v3", 0.0)
+    network.set_strength("v1", "v3", 1.0)
+    return ProblemInstance(network, task_graph, name="unreachable_join")
+
+
+@pytest.mark.parametrize(
+    "name, case",
+    [pytest.param(name, "dead_link", id=name) for name in POLY_SCHEDULERS]
+    + [
+        pytest.param(name, "unreachable_join", id=f"{name}-unreachable_join")
+        for name in POLY_SCHEDULERS
+    ],
+)
+def test_dead_link_still_produces_valid_schedule(name, case, dead_link_instance):
     """Zero-strength links may yield infinite makespans but never crash."""
-    sched = get_scheduler(name).schedule(dead_link_instance)
-    sched.validate(dead_link_instance)
-    # Either everything on one node (finite) or split across the dead link.
+    instance = dead_link_instance if case == "dead_link" else _unreachable_join()
+    sched = get_scheduler(name).schedule(instance)
+    sched.validate(instance)
+    # Either the dependent tasks share a node (finite) or a dead link
+    # carries their data.
     assert sched.makespan >= 2.0 or math.isinf(sched.makespan)
+
+
+#: Link strengths that are 0 about half the time.
+_maybe_dead = st.one_of(st.just(0.0), st.floats(min_value=0.05, max_value=2.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    net=networks(min_nodes=2, max_nodes=4, strengths=_maybe_dead),
+    tg=task_graphs(min_tasks=2, max_tasks=6),
+)
+@pytest.mark.parametrize("name", POLY_SCHEDULERS)
+def test_property_valid_with_dead_links(name, net, tg):
+    """Property: every polynomial scheduler stays valid when links may be
+    dead (strength 0), where placements can be unreachable."""
+    inst = ProblemInstance(net, tg, name="hypothesis")
+    sched = get_scheduler(name).schedule(inst)
+    sched.validate(inst)
 
 
 @pytest.mark.parametrize("name", POLY_SCHEDULERS)

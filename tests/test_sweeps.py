@@ -18,6 +18,8 @@ definition:
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -247,6 +249,23 @@ class TestValidationErrors:
             SweepSpec.from_dict(
                 self._base(source={"kind": "workflow", "workflow": "blast", "ccr": -1})
             )
+
+    @pytest.mark.parametrize("ccr", [float("inf"), float("nan")])
+    def test_non_finite_ccr_names_the_path(self, ccr):
+        with pytest.raises(SpecError, match=r"source\.ccr.*finite"):
+            SweepSpec.from_dict(
+                self._base(source={"kind": "workflow", "workflow": "blast", "ccr": ccr})
+            )
+
+    @pytest.mark.parametrize("field", ["t_max", "t_min"])
+    def test_non_finite_temperature_names_the_path(self, field):
+        data = self._base()
+        data["config"]["annealing"][field] = float("nan")
+        # A spec file may spell it as JSON's non-standard NaN literal.
+        text = json.dumps(data)
+        assert "NaN" in text
+        with pytest.raises(SpecError, match=r"config\.annealing.*finite"):
+            SweepSpec.from_json(text)
 
     def test_bad_alpha_names_the_path(self):
         data = self._base()
