@@ -299,11 +299,13 @@ def use_reference_builder():
 
     Swaps :class:`ReferenceScheduleBuilder` into every imported module
     that refers to the live ``ScheduleBuilder`` class (the scheduler
-    modules bind it at import time) and reverts the rank helpers in
-    ``repro.schedulers.common`` (mean times *and* the priority orders'
-    topological sort) to the uncompiled per-call reference functions, so
-    schedulers that only touch those paths build no ``CompiledInstance``
-    at all inside the block.  Restores everything on exit.
+    modules bind it at import time) and swaps the rank-helper hook
+    ``repro.schedulers.common._rank_inputs`` for one returning the
+    uncompiled per-call reference functions (``TaskGraph.topological_order``,
+    ``mean_exec_time``, ``mean_comm_time``), so the rank helpers, the
+    priority orders and FastestNode/MCT/MET/OLB's topological walks build
+    no ``CompiledInstance`` at all inside the block.  Restores everything
+    on exit.
 
     (Schedulers that read compiled tables directly — GDL's mean
     execution times, BIL's static level table, FCP's enabling-parent
@@ -325,26 +327,18 @@ def use_reference_builder():
             patched.append((module, "ScheduleBuilder", real_builder))
             module.ScheduleBuilder = ReferenceScheduleBuilder
 
-    def _ref_mean_exec(instance, task):
-        return mean_exec_time(instance, task)
+    def _ref_rank_inputs(instance):
+        return (
+            instance.task_graph.topological_order(),
+            lambda task: mean_exec_time(instance, task),
+            lambda src, dst: mean_comm_time(instance, src, dst),
+        )
 
-    def _ref_mean_comm(instance, src, dst):
-        return mean_comm_time(instance, src, dst)
-
-    def _ref_topological_order(instance):
-        return instance.task_graph.topological_order()
-
-    real_mean_exec = common._mean_exec
-    real_mean_comm = common._mean_comm
-    real_topological_order = common._topological_order
-    common._mean_exec = _ref_mean_exec
-    common._mean_comm = _ref_mean_comm
-    common._topological_order = _ref_topological_order
+    real_rank_inputs = common._rank_inputs
+    common._rank_inputs = _ref_rank_inputs
     try:
         yield ReferenceScheduleBuilder
     finally:
-        common._mean_exec = real_mean_exec
-        common._mean_comm = real_mean_comm
-        common._topological_order = real_topological_order
+        common._rank_inputs = real_rank_inputs
         for module, attr, value in patched:
             setattr(module, attr, value)

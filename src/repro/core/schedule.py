@@ -50,11 +50,39 @@ class ScheduledTask:
 
 
 class Schedule:
-    """A mapping from nodes to time-ordered lists of scheduled tasks."""
+    """A mapping from nodes to time-ordered lists of scheduled tasks.
+
+    Schedules are built with :meth:`add`, or handed over whole by
+    :meth:`repro.core.simulator.ScheduleBuilder.schedule` through the
+    private :meth:`_adopt`.  Both give the same object: tasks in the order
+    they were added, nodes in the order they received their first task,
+    and each node's entries sorted as ``insort`` leaves them.  The builder
+    adopts only entries that pass :meth:`add`'s checks; when an explicit
+    start would fail them (NaN or negative), it re-adds every entry
+    through :meth:`add` instead, which raises the usual
+    :class:`InvalidScheduleError`.
+    """
 
     def __init__(self) -> None:
         self._by_node: dict[Node, list[ScheduledTask]] = {}
         self._by_task: dict[Task, ScheduledTask] = {}
+
+    @classmethod
+    def _adopt(
+        cls, by_node: dict[Node, list[ScheduledTask]], by_task: dict[Task, ScheduledTask]
+    ) -> "Schedule":
+        """Wrap containers that an :meth:`add` loop over ``by_task`` would build.
+
+        The invariant is the caller's: ``by_task`` maps each task to its
+        entry in add order, ``by_node`` keys nodes in first-add order and
+        holds each node's entries sorted as ``insort`` leaves them, and
+        every entry passes :meth:`add`'s checks.  Both containers are
+        taken over, not copied.
+        """
+        sched = cls.__new__(cls)
+        sched._by_node = by_node
+        sched._by_task = by_task
+        return sched
 
     # ------------------------------------------------------------------ #
     # Construction

@@ -21,10 +21,17 @@ The builder runs on the array-compiled instance kernel
 arrays compiled once per instance and shared by every builder over it,
 and the batch queries (:meth:`ScheduleBuilder.est_all` /
 :meth:`~ScheduleBuilder.eft_all`) score **all** nodes of a task in one
-vectorized sweep.  Results are bit-identical to the scalar dict-based
-builder this replaced (frozen as
-:class:`repro.core.reference.ReferenceScheduleBuilder` and pinned by
-``tests/test_compiled.py``).
+vectorized sweep.  A placement decision costs few Python calls: the
+builder looks a task and node up once per :meth:`~ScheduleBuilder.commit`
+and keeps its state in per-id lists, each task's data-ready row is
+folded once into a ``(|T|, |V|)`` matrix, ``commit`` reuses the earliest
+start the policy just scored, and :meth:`~ScheduleBuilder.schedule`
+hands its sorted per-node lists to :class:`~repro.core.schedule.Schedule`
+instead of re-adding every entry.  Results are bit-identical to the
+scalar dict-based builder this replaced (frozen as
+:class:`repro.core.reference.ReferenceScheduleBuilder`);
+``tests/test_compiled.py`` pins the schedules against it, down to the
+order of entries, nodes and tasks.
 """
 
 from __future__ import annotations
@@ -36,7 +43,7 @@ from collections.abc import Hashable, Iterable
 import numpy as np
 
 from repro.core.compiled import compile_instance
-from repro.core.exceptions import SchedulingError
+from repro.core.exceptions import InvalidInstanceError, SchedulingError
 from repro.core.instance import ProblemInstance
 from repro.core.schedule import Schedule, ScheduledTask
 
@@ -137,10 +144,28 @@ class ScheduleBuilder:
     schedulers build-and-discard.  (Mutation *between* builds is safe: the
     compile cache is keyed on the graphs' mutation counters.)
 
+    State is kept by task and node id.  Remaining-predecessor counts,
+    placed node ids and finish times are per-id lists; each node's
+    committed entries are a start-sorted list.  Data-ready times live in
+    one ``(|T|, |V|)`` matrix whose row for a task is computed once, when
+    the task becomes ready (every predecessor committed), so the batch
+    queries gather a whole ready set with one ``take``.  The earliest
+    starts a batch query scores are kept until the next :meth:`commit`,
+    which reuses the row of the task it places instead of deriving it
+    again.  :meth:`schedule` hands the sorted per-node lists to
+    :class:`~repro.core.schedule.Schedule` without re-adding the entries.
+
     Batch queries — :meth:`est_all`, :meth:`eft_all`,
     :meth:`node_available_all` — return float64 arrays aligned with
     ``instance.network.nodes`` and are bit-identical, element for element,
-    to the corresponding scalar query.
+    to the corresponding scalar query.  Earliest-start arrays are
+    read-only: the builder holds on to them for the next commit.
+
+    Every query and :meth:`commit` raise
+    :class:`~repro.core.exceptions.InvalidInstanceError` (``unknown task
+    't'`` / ``unknown node 'v'``) for a name the instance does not have;
+    :meth:`commit` reports an unknown node as a
+    :class:`~repro.core.exceptions.SchedulingError`.
     """
 
     def __init__(self, instance: ProblemInstance, insertion: bool = True) -> None:
@@ -153,46 +178,67 @@ class ScheduleBuilder:
         self._task_id = compiled.task_id
         self._node_id = compiled.node_id
         self._exec_list = compiled.exec_list
-        self._entries: dict[Node, list[ScheduledTask]] = {v: [] for v in self._nodes}
+        num_tasks, num_nodes = len(self._tasks), len(self._nodes)
+        #: Committed entries per node id, sorted as ``insort`` leaves them.
+        self._entries: list[list[ScheduledTask]] = [[] for _ in range(num_nodes)]
+        #: Node ids in the order they received their first entry (the
+        #: node order of the materialized Schedule).
+        self._node_order: list[int] = []
+        #: Committed entries by task, in commit order.
         self._placed: dict[Task, ScheduledTask] = {}
-        self._remaining_preds: dict[Task, int] = {
-            t: len(ps) for t, ps in zip(self._tasks, compiled.pred_ids)
-        }
+        #: Unplaced predecessors, placed node id (None while unplaced) and
+        #: finish time, by task id.
+        self._remaining: list[int] = [len(ps) for ps in compiled.pred_ids]
+        self._placed_vid: list[int | None] = [None] * num_tasks
+        self._end: list[float] = [0.0] * num_tasks
         #: Sorted task ids of the current ready set (insertion order ==
         #: id order, so the incremental list reproduces the full rescan).
         self._ready_ids: list[int] = [
-            tid for tid, ps in enumerate(compiled.pred_ids) if not ps
+            tid for tid, left in enumerate(self._remaining) if not left
         ]
-        #: entry ids of placed tasks, by task id (None while unplaced).
-        self._placed_vid: list[int | None] = [None] * len(self._tasks)
         #: Finish time of the last committed task per node id.
-        self._avail = np.zeros(len(self._nodes))
-        #: Memoized data-ready rows, by task id (immutable once computed).
-        self._drt_rows: dict[int, np.ndarray] = {}
+        self._avail = np.zeros(num_nodes)
+        #: Data-ready times; row ``t`` is valid once task ``t`` is ready
+        #: (source rows are the zeros they start as).
+        self._drt = np.zeros((num_tasks, num_nodes))
+        #: Earliest-start rows scored since the last commit, by task id.
+        self._scored: dict[int, np.ndarray] = {}
+        #: False once an explicit start that may fail Schedule.add()'s
+        #: checks (NaN, negative, or not at most its end) is committed:
+        #: node lists may then be out of start order, so commits insort
+        #: and schedule() re-adds every entry through add().
+        self._starts_valid = True
         self._makespan = 0.0
 
     # ------------------------------------------------------------------ #
-    # Memoized timing primitives (semantics of exec_time / comm_time)
+    # Ids (the canonical errors for unknown names)
     # ------------------------------------------------------------------ #
-    def _exec_time(self, task: Task, node: Node) -> float:
+    def _tid(self, task: Task) -> int:
         tid = self._task_id.get(task)
-        vid = self._node_id.get(node)
-        if tid is None or vid is None:
-            # Unknown task/node: defer to the reference path for its error.
-            return exec_time(self.instance, task, node)
-        return self._exec_list[tid][vid]
+        if tid is None:
+            raise InvalidInstanceError(f"unknown task {task!r}")
+        return tid
 
-    def _comm_time(self, src_task: Task, dst_task: Task, src_node: Node, dst_node: Node) -> float:
+    def _vid(self, node: Node) -> int:
+        vid = self._node_id.get(node)
+        if vid is None:
+            raise InvalidInstanceError(f"unknown node {node!r}")
+        return vid
+
+    def _tids(self, tasks: Iterable[Task]) -> list[int]:
         try:
-            return self.compiled.comm(
-                self._task_id[src_task],
-                self._task_id[dst_task],
-                self._node_id[src_node],
-                self._node_id[dst_node],
-            )
-        except KeyError:
-            # Unknown dependency/link: defer for the proper error.
-            return comm_time(self.instance, src_task, dst_task, src_node, dst_node)
+            return list(map(self._task_id.__getitem__, tasks))
+        except KeyError as exc:
+            raise InvalidInstanceError(f"unknown task {exc.args[0]!r}") from None
+
+    def _unready(self, tid: int) -> SchedulingError:
+        """The error for querying a task with an unscheduled predecessor."""
+        placed_vid = self._placed_vid
+        pid = next(p for p in self.compiled.pred_ids[tid] if placed_vid[p] is None)
+        return SchedulingError(
+            f"cannot evaluate task {self._tasks[tid]!r}: "
+            f"predecessor {self._tasks[pid]!r} unscheduled"
+        )
 
     # ------------------------------------------------------------------ #
     # State
@@ -215,19 +261,19 @@ class ScheduleBuilder:
         deterministic.  Maintained incrementally by :meth:`commit` (no
         full rescan per round).
         """
-        tasks = self._tasks
-        return [tasks[tid] for tid in self._ready_ids]
+        return list(map(self._tasks.__getitem__, self._ready_ids))
 
     def placement(self, task: Task) -> ScheduledTask:
         """The committed entry for ``task`` (raises if not yet committed)."""
-        try:
-            return self._placed[task]
-        except KeyError:
-            raise SchedulingError(f"task {task!r} has not been scheduled yet") from None
+        entry = self._placed.get(task)
+        if entry is None:
+            self._tid(task)
+            raise SchedulingError(f"task {task!r} has not been scheduled yet")
+        return entry
 
     def node_available(self, node: Node) -> float:
         """Finish time of the last committed task on ``node`` (0.0 if idle)."""
-        entries = self._entries[node]
+        entries = self._entries[self._vid(node)]
         return entries[-1].end if entries else 0.0
 
     def node_available_all(self) -> np.ndarray:
@@ -248,52 +294,42 @@ class ScheduleBuilder:
         return self.compiled.node_str_order
 
     # ------------------------------------------------------------------ #
-    # Timing queries
+    # Data-ready rows
     # ------------------------------------------------------------------ #
     def _drt_row(self, tid: int) -> np.ndarray:
-        """Data-ready times of task ``tid`` on every node (memoized).
+        """Data-ready times of the ready task ``tid`` on every node.
 
         The sequential ``max`` fold over predecessors is replicated with
         element-wise ``np.maximum`` in the same order, so every entry is
-        bit-identical to the scalar reference.  Computable (and therefore
-        cached) only once all predecessors are committed; committed
-        placements are immutable, so the row never goes stale.
+        bit-identical to the scalar reference.  The row is folded into a
+        temporary that the caller stores into the matrix; committed
+        placements are immutable, so it never goes stale.
         """
-        row = self._drt_rows.get(tid)
-        if row is not None:
-            return row
         compiled = self.compiled
         if compiled.exec_has_nan:
             # NaN finish times (validate()-legal inf cost / inf speed)
             # interact with np.maximum differently from the scalar max
             # fold (which ignores a NaN that arrives after a larger
             # value); replicate the scalar fold exactly.
-            row = self._drt_row_degenerate(tid)
-            self._drt_rows[tid] = row
-            return row
+            return self._drt_row_degenerate(tid)
         row = np.zeros(len(self._nodes))
         placed_vid = self._placed_vid
+        ends = self._end
         row_has_zero = compiled.strength_row_has_zero
         strength = compiled.strength
         for pid, data in compiled.pred_edges[tid]:
             src_vid = placed_vid[pid]
-            if src_vid is None:
-                raise SchedulingError(
-                    f"cannot evaluate task {self._tasks[tid]!r}: "
-                    f"predecessor {self._tasks[pid]!r} unscheduled"
-                )
-            end = self._placed[self._tasks[pid]].end
+            end = ends[pid]
             if data == 0.0:
-                np.maximum(row, end, out=row)
+                row = np.maximum(row, end)
             elif not (row_has_zero[src_vid] or math.isinf(data)):
                 # Hot path: finite data over live links divides clean
                 # (x / inf == 0 covers the diagonal and infinite links).
-                np.maximum(row, end + data / strength[src_vid], out=row)
+                row = np.maximum(row, end + data / strength[src_vid])
             else:
                 # Dead links / infinite data: the convention corner cases
                 # live in one place, CompiledInstance.comm_row.
-                np.maximum(row, end + compiled.comm_row(data, src_vid), out=row)
-        self._drt_rows[tid] = row
+                row = np.maximum(row, end + compiled.comm_row(data, src_vid))
         return row
 
     def _drt_row_degenerate(self, tid: int) -> np.ndarray:
@@ -323,61 +359,86 @@ class ScheduleBuilder:
         Max over scheduled predecessors of (finish + communication); all
         predecessors must already be committed.
         """
-        tid = self._task_id.get(task)
-        vid = self._node_id.get(node)
-        if tid is None or vid is None:
-            return self._data_ready_time_fallback(task, node)
-        return float(self._drt_row(tid)[vid])
-
-    def _data_ready_time_fallback(self, task: Task, node: Node) -> float:
-        """Unknown task/node: the scalar reference path, for its errors."""
-        preds = self.instance.task_graph.predecessors(task)  # unknown task: error
-        ready = 0.0
-        for pred in preds:
-            entry = self._placed.get(pred)
-            if entry is None:
-                raise SchedulingError(
-                    f"cannot evaluate task {task!r}: predecessor {pred!r} unscheduled"
-                )
-            arrival = entry.end + self._comm_time(pred, task, entry.node, node)
-            ready = max(ready, arrival)
-        return ready
+        tid = self._tid(task)
+        vid = self._vid(node)
+        if self._remaining[tid]:
+            raise self._unready(tid)
+        return float(self._drt[tid, vid])
 
     def enabling_parent(self, task: Task, node: Node) -> Task | None:
         """The predecessor whose message arrives last at ``node`` (FCP/FLB).
 
         Returns None for source tasks.
         """
-        best: tuple[float, Task] | None = None
-        tid = self._task_id.get(task)
-        preds = (
-            self.compiled.preds[tid]
-            if tid is not None
-            else self.instance.task_graph.predecessors(task)  # unknown task: error
-        )
-        for pred in preds:
-            entry = self._placed.get(pred)
-            if entry is None:
-                raise SchedulingError(
-                    f"cannot evaluate task {task!r}: predecessor {pred!r} unscheduled"
-                )
-            arrival = entry.end + self._comm_time(pred, task, entry.node, node)
+        tid = self._tid(task)
+        vid = self._vid(node)
+        if self._remaining[tid]:
+            raise self._unready(tid)
+        compiled = self.compiled
+        best: tuple[float, int] | None = None
+        for pid in compiled.pred_ids[tid]:
+            arrival = self._end[pid] + compiled.comm(pid, tid, self._placed_vid[pid], vid)
             if best is None or arrival > best[0]:
-                best = (arrival, pred)
-        return best[1] if best else None
+                best = (arrival, pid)
+        return self._tasks[best[1]] if best else None
+
+    # ------------------------------------------------------------------ #
+    # Timing queries
+    # ------------------------------------------------------------------ #
+    def _est(self, tid: int, vid: int) -> float:
+        if self._remaining[tid]:
+            raise self._unready(tid)
+        return self._earliest_slot(vid, float(self._drt[tid, vid]), self._exec_list[tid][vid])
 
     def est(self, task: Task, node: Node) -> float:
         """Earliest start of ``task`` on ``node`` under the builder's policy."""
-        ready = self.data_ready_time(task, node)
-        duration = self._exec_time(task, node)
-        return self._earliest_slot(node, ready, duration)
+        return self._est(self._tid(task), self._vid(node))
 
     def eft(self, task: Task, node: Node) -> float:
         """Earliest finish of ``task`` on ``node``."""
-        start = self.est(task, node)
+        tid = self._tid(task)
+        vid = self._vid(node)
+        start = self._est(tid, vid)
         if math.isinf(start):
             return math.inf
-        return start + self._exec_time(task, node)
+        return start + self._exec_list[tid][vid]
+
+    def _est_row(self, tid: int) -> np.ndarray:
+        """Earliest starts of task ``tid`` on every node (kept for commit)."""
+        if self._remaining[tid]:
+            raise self._unready(tid)
+        row = self._drt[tid]
+        if not self.insertion:
+            # Non-insertion earliest slot is max(ready, last end) — one
+            # vectorized maximum (infinite ready times stay infinite).
+            out = np.maximum(row, self._avail)
+        else:
+            # Insertion gap scans are per-node Python; tolist() unboxes the
+            # ready times once instead of paying np.float64 boxing per index.
+            entries_of = self._entries
+            exec_row = self._exec_list[tid]
+            out = np.array(
+                [
+                    _first_fit(entries_of[vid], ready, exec_row[vid])
+                    if entries_of[vid]
+                    else ready
+                    for vid, ready in enumerate(row.tolist())
+                ]
+            )
+        self._scored[tid] = out
+        return out
+
+    def _est_rows(self, tids: list[int]) -> np.ndarray:
+        """Earliest starts of several tasks: one ``(R, |V|)`` array."""
+        remaining = self._remaining
+        if any(map(remaining.__getitem__, tids)):
+            raise self._unready(next(tid for tid in tids if remaining[tid]))
+        if self.insertion:
+            return np.array([self._est_row(tid) for tid in tids])
+        # take() gathers rows several times faster than list indexing.
+        stack = np.maximum(self._drt.take(tids, 0), self._avail)
+        self._scored.update(zip(tids, stack))
+        return stack
 
     def est_all(self, task: Task) -> np.ndarray:
         """Earliest starts of ``task`` on every node, in one sweep.
@@ -385,67 +446,46 @@ class ScheduleBuilder:
         Aligned with ``instance.network.nodes``; each element equals
         ``est(task, node)`` bit-for-bit.
         """
-        tid = self._task_id.get(task)
-        if tid is None:
-            raise SchedulingError(f"unknown task {task!r}")
+        tid = self._tid(task)
         if self.compiled.exec_has_nan:
             # Scalar fallback: NaN durations/availabilities break the
             # vectorized maximum's equivalence with Python's max.
             return np.array([self.est(task, v) for v in self._nodes])
-        row = self._drt_row(tid)
-        if not self.insertion:
-            # Non-insertion earliest slot is max(ready, last end) — one
-            # vectorized maximum (infinite ready times stay infinite).
-            return np.maximum(row, self._avail)
-        # Insertion gap scans are per-node Python; tolist() unboxes the
-        # ready times once instead of paying np.float64 boxing per index.
-        exec_row = self._exec_list[tid]
-        ready_list = row.tolist()
-        entries_map = self._entries
-        out = np.empty(len(self._nodes))
-        for vid, node in enumerate(self._nodes):
-            ready = ready_list[vid]
-            if not entries_map[node]:
-                out[vid] = ready
-            else:
-                out[vid] = self._earliest_slot(node, ready, exec_row[vid])
-        return out
+        row = self._est_row(tid)
+        row.flags.writeable = False  # commit reuses it
+        return row
 
     def eft_all(self, task: Task) -> np.ndarray:
         """Earliest finishes of ``task`` on every node, in one sweep."""
-        tid = self._task_id.get(task)
-        if tid is None:
-            raise SchedulingError(f"unknown task {task!r}")
+        tid = self._tid(task)
         if self.compiled.exec_has_nan:
             # Scalar fallback: eft() short-circuits an infinite start to
             # inf before adding the (possibly NaN) execution time.
             return np.array([self.eft(task, v) for v in self._nodes])
         # est + exec element-wise: an infinite start stays infinite, and
         # finite sums are the identical IEEE addition of the scalar path.
-        return self.est_all(task) + self.compiled.exec_tbl[tid]
+        return self._est_row(tid) + self.compiled.exec_tbl[tid]
 
     def est_all_many(self, tasks: list[Task]) -> np.ndarray:
         """Earliest starts of several tasks on every node: one (R, |V|) sweep.
 
-        Row ``i`` equals ``est_all(tasks[i])`` bit-for-bit.  The whole
-        ready set of a list scheduler's round is scored with two
-        vectorized operations (non-insertion policy; the insertion
-        policy's gap scans stay per-task).
+        Row ``i`` equals ``est_all(tasks[i])`` bit-for-bit.  Under the
+        non-insertion policy the whole ready set of a list scheduler's
+        round is one gather from the data-ready matrix and one vectorized
+        maximum (the insertion policy's gap scans stay per-task).
         """
-        if self.insertion or self.compiled.exec_has_nan:
+        if self.compiled.exec_has_nan:
             return np.array([self.est_all(task) for task in tasks])
-        task_id = self._task_id
-        stack = np.array([self._drt_row(task_id[task]) for task in tasks])
-        np.maximum(stack, self._avail, out=stack)
+        stack = self._est_rows(self._tids(tasks))
+        stack.flags.writeable = False  # commit reuses its rows
         return stack
 
     def eft_all_many(self, tasks: list[Task]) -> np.ndarray:
         """Earliest finishes of several tasks on every node, one sweep."""
         if self.compiled.exec_has_nan:
             return np.array([self.eft_all(task) for task in tasks])
-        stack = self.est_all_many(tasks)
-        stack += self.compiled.exec_tbl[[self._task_id[task] for task in tasks]]
-        return stack
+        tids = self._tids(tasks)
+        return self._est_rows(tids) + self.compiled.exec_tbl.take(tids, 0)
 
     def best_node_by_eft(self, task: Task, nodes: Iterable[Node] | None = None) -> Node:
         """Node minimizing EFT for ``task`` (first wins on ties)."""
@@ -458,26 +498,17 @@ class ScheduleBuilder:
             raise SchedulingError("no candidate nodes")
         return min(candidates, key=lambda v: (self.eft(task, v),))
 
-    def _earliest_slot(self, node: Node, ready: float, duration: float) -> float:
-        """Earliest feasible start on ``node`` at or after ``ready``."""
+    def _earliest_slot(self, vid: int, ready: float, duration: float) -> float:
+        """Earliest feasible start on node ``vid`` at or after ``ready``."""
         if math.isinf(ready):
             return math.inf
-        entries = self._entries[node]
+        entries = self._entries[vid]
         if not entries:
             return ready
         if not self.insertion:
-            return max(ready, entries[-1].end)
-        # Insertion policy: scan gaps (before first task, between tasks,
-        # after last task) for the first one that fits ``duration``.  The
-        # comparison is exact: an epsilon here would let tasks overlap by
-        # that epsilon, which the validator rightly rejects.
-        gap_start = 0.0
-        for entry in entries:
-            start = max(gap_start, ready)
-            if start + duration <= entry.start:
-                return start
-            gap_start = max(gap_start, entry.end)
-        return max(gap_start, ready)
+            end = entries[-1].end
+            return end if end > ready else ready  # max(ready, end)
+        return _first_fit(entries, ready, duration)
 
     # ------------------------------------------------------------------ #
     # Committing
@@ -485,56 +516,77 @@ class ScheduleBuilder:
     def commit(self, task: Task, node: Node, start: float | None = None) -> ScheduledTask:
         """Schedule ``task`` on ``node``.
 
-        If ``start`` is None, the policy's earliest start is used.  An
-        explicit ``start`` must be feasible (>= data-ready time and not
+        If ``start`` is None, the policy's earliest start is used (the row
+        a batch query scored since the last commit, when there is one).
+        An explicit ``start`` must be feasible (>= data-ready time and not
         overlapping committed tasks); this path is used by replay / test
         code.
         """
-        if task in self._placed:
+        tid = self._task_id.get(task)
+        if tid is None:
+            raise InvalidInstanceError(f"unknown task {task!r}")
+        if self._placed_vid[tid] is not None:
             raise SchedulingError(f"task {task!r} is already scheduled")
-        if self._remaining_preds[task] != 0:
+        if self._remaining[tid]:
             raise SchedulingError(
                 f"task {task!r} committed before its predecessors were scheduled"
             )
-        if node not in self._entries:
+        vid = self._node_id.get(node)
+        if vid is None:
             raise SchedulingError(f"unknown node {node!r}")
-        duration = self._exec_time(task, node)
+        duration = self._exec_list[tid][vid]
+        entries = self._entries[vid]
         if start is None:
-            start = self.est(task, node)
+            scored = self._scored.get(tid)
+            if scored is not None:
+                start = float(scored[vid])
+            else:
+                start = self._earliest_slot(vid, float(self._drt[tid, vid]), duration)
+            end = start + duration if not math.isinf(start) else math.inf
         else:
-            ready = self.data_ready_time(task, node)
+            ready = float(self._drt[tid, vid])
             if start < ready - 1e-9:
                 raise SchedulingError(
                     f"explicit start {start} of {task!r} precedes data-ready time {ready}"
                 )
-            for entry in self._entries[node]:
+            for entry in entries:
                 if start < entry.end - 1e-12 and entry.start < start + duration - 1e-12:
                     raise SchedulingError(
                         f"explicit start {start} of {task!r} overlaps {entry.task!r}"
                     )
-        end = start + duration if not math.isinf(start) else math.inf
-        entry = ScheduledTask(start=float(start), end=float(end), task=task, node=node)
-        entries = self._entries[node]
-        insort(entries, entry)
+            end = start + duration if not math.isinf(start) else math.inf
+            start, end = float(start), float(end)
+            if not 0.0 <= start <= end:
+                self._starts_valid = False
+        entry = ScheduledTask(start, end, task, node)
+        if not entries:
+            self._node_order.append(vid)
+            entries.append(entry)
+        elif entries[-1].start < start and self._starts_valid:
+            entries.append(entry)  # sorts last: what insort would do
+        else:
+            insort(entries, entry)
         self._placed[task] = entry
-        tid = self._task_id[task]
-        vid = self._node_id[node]
         self._placed_vid[tid] = vid
+        self._end[tid] = end
         self._avail[vid] = entries[-1].end
         # Running maximum, seeded (not folded from 0.0) by the first
         # entry so a NaN end poisons it exactly like max() over the ends.
-        if len(self._placed) == 1 or entry.end > self._makespan:
-            self._makespan = entry.end
+        if end > self._makespan or len(self._placed) == 1:
+            self._makespan = end
+        self._scored.clear()
         # Incremental ready set: drop the committed task, add successors
-        # whose last predecessor this was (sorted insert keeps id order).
-        del self._ready_ids[bisect_left(self._ready_ids, tid)]
-        remaining = self._remaining_preds
+        # whose last predecessor this was (sorted insert keeps id order)
+        # and fold their data-ready rows.
+        ready_ids = self._ready_ids
+        del ready_ids[bisect_left(ready_ids, tid)]
+        remaining = self._remaining
         for sid in self.compiled.succ_ids[tid]:
-            succ = self._tasks[sid]
-            left = remaining[succ] - 1
-            remaining[succ] = left
-            if left == 0:
-                insort(self._ready_ids, sid)
+            left = remaining[sid] - 1
+            remaining[sid] = left
+            if not left:
+                insort(ready_ids, sid)
+                self._drt[sid] = self._drt_row(sid)
         return entry
 
     def makespan(self) -> float:
@@ -542,11 +594,41 @@ class ScheduleBuilder:
         return self._makespan
 
     def schedule(self) -> Schedule:
-        """Materialize the final :class:`Schedule`; all tasks must be committed."""
-        missing = self.unscheduled_tasks
-        if missing:
+        """Materialize the final :class:`Schedule`; all tasks must be committed.
+
+        The per-node lists are copied into the schedule as they are; an
+        explicit start :meth:`Schedule.add` would reject sends every entry
+        through ``add()`` instead, for its :class:`InvalidScheduleError`.
+        """
+        placed = self._placed
+        if len(placed) != len(self._tasks):
+            missing = self.unscheduled_tasks
             raise SchedulingError(f"tasks left unscheduled: {sorted(map(str, missing))}")
-        sched = Schedule()
-        for entry in self._placed.values():
-            sched.add(entry.task, entry.node, entry.start, entry.end)
-        return sched
+        if not self._starts_valid:
+            sched = Schedule()
+            for entry in placed.values():
+                sched.add(entry.task, entry.node, entry.start, entry.end)
+            return sched
+        nodes, entries = self._nodes, self._entries
+        return Schedule._adopt(
+            {nodes[vid]: entries[vid].copy() for vid in self._node_order}, dict(placed)
+        )
+
+
+def _first_fit(entries: list[ScheduledTask], ready: float, duration: float) -> float:
+    """Insertion policy: the first gap in ``entries`` that fits ``duration``.
+
+    Scans the gaps before the first task, between tasks and after the last
+    task.  The comparison is exact: an epsilon here would let tasks
+    overlap by that epsilon, which the validator rightly rejects.  Each
+    ``b if b > a else a`` is ``max(a, b)`` exactly, NaN included.
+    """
+    gap_start = 0.0
+    for entry in entries:
+        start = ready if ready > gap_start else gap_start
+        if start + duration <= entry.start:
+            return start
+        end = entry.end
+        if end > gap_start:
+            gap_start = end
+    return ready if ready > gap_start else gap_start

@@ -6,11 +6,19 @@ upward rank, downward rank, static level — are the standard definitions
 from Topcuoglu et al. (HEFT/CPoP) and Sih & Lee (DLS/GDL), computed with
 *average* execution and communication times over the network, which is the
 convention the paper describes in Section VI-B.
+
+Every helper takes its inputs — the topological order and the
+``mean_exec``/``mean_comm`` functions — from one call of the
+:func:`_rank_inputs` hook, which reads them off the instance's cached
+:class:`~repro.core.compiled.CompiledInstance` (one compile-cache lookup
+per helper call, not one per task and edge).
+:func:`repro.core.reference.use_reference_builder` swaps that hook for
+the uncompiled reference functions, so the same loops run on both.
 """
 
 from __future__ import annotations
 
-from collections.abc import Hashable
+from collections.abc import Callable, Hashable
 
 from repro.core.compiled import compile_instance
 from repro.core.instance import ProblemInstance
@@ -20,36 +28,35 @@ __all__ = [
     "downward_rank",
     "static_level",
     "priority_order",
+    "topological_order",
     "critical_path_tasks",
 ]
 
 Task = Hashable
 
 
-def _mean_exec(instance: ProblemInstance, task: Task) -> float:
-    """Compiled-cache route to :func:`repro.core.simulator.mean_exec_time`.
+def _rank_inputs(
+    instance: ProblemInstance,
+) -> tuple[list[Task], Callable[[Task], float], Callable[[Task, Task], float]]:
+    """``(topological order, mean_exec, mean_comm)`` of ``instance``.
 
-    The compiled kernel memoizes the reference function per instance, so
-    rank computations stop paying O(|V|) per query.  (The reference
-    context in :mod:`repro.core.reference` patches this back to the
-    uncached function.)
+    The compiled route: the memoized :meth:`TaskGraph.topological_order`
+    and O(1) forms of :func:`repro.core.simulator.mean_exec_time` /
+    :func:`~repro.core.simulator.mean_comm_time`, bit-identical to them.
+    Each rank is a pure function of its successors' (or predecessors')
+    ranks, so any valid topological order yields the same floats.  The
+    reference context in :mod:`repro.core.reference` swaps this hook.
     """
-    return compile_instance(instance).mean_exec(task)
+    compiled = compile_instance(instance)
+    return compiled.topological_order(), compiled.mean_exec, compiled.mean_comm
 
 
-def _mean_comm(instance: ProblemInstance, src: Task, dst: Task) -> float:
-    """Compiled-cache route to :func:`repro.core.simulator.mean_comm_time`."""
-    return compile_instance(instance).mean_comm(src, dst)
+def topological_order(instance: ProblemInstance) -> list[Task]:
+    """The lexicographic topological order, memoized per compiled instance.
 
-
-def _topological_order(instance: ProblemInstance) -> list[Task]:
-    """Compiled-cache route to :meth:`TaskGraph.topological_order`.
-
-    The rank functions below walk it too: each rank is a pure function of
-    its successors' (or predecessors') ranks, so any valid topological
-    order yields the same floats.
+    A shared list: callers iterate it and must not mutate it.
     """
-    return compile_instance(instance).topological_order()
+    return _rank_inputs(instance)[0]
 
 
 def upward_rank(instance: ProblemInstance) -> dict[Task, float]:
@@ -60,14 +67,15 @@ def upward_rank(instance: ProblemInstance) -> dict[Task, float]:
     upward rank of a task is the length (in average time) of the longest
     chain from the task to the end of the graph.
     """
-    tg = instance.task_graph
+    order, mean_exec, mean_comm = _rank_inputs(instance)
+    successors = instance.task_graph.successors
     ranks: dict[Task, float] = {}
-    for task in reversed(_topological_order(instance)):
+    for task in reversed(order):
         succ_part = max(
-            (_mean_comm(instance, task, s) + ranks[s] for s in tg.successors(task)),
+            (mean_comm(task, s) + ranks[s] for s in successors(task)),
             default=0.0,
         )
-        ranks[task] = _mean_exec(instance, task) + succ_part
+        ranks[task] = mean_exec(task) + succ_part
     return ranks
 
 
@@ -78,14 +86,12 @@ def downward_rank(instance: ProblemInstance) -> dict[Task, float]:
     and 0 for entry tasks.  ``rank_u(t) + rank_d(t)`` is the length of the
     longest average-time path through ``t``.
     """
-    tg = instance.task_graph
+    order, mean_exec, mean_comm = _rank_inputs(instance)
+    predecessors = instance.task_graph.predecessors
     ranks: dict[Task, float] = {}
-    for task in _topological_order(instance):
+    for task in order:
         ranks[task] = max(
-            (
-                ranks[p] + _mean_exec(instance, p) + _mean_comm(instance, p, task)
-                for p in tg.predecessors(task)
-            ),
+            (ranks[p] + mean_exec(p) + mean_comm(p, task) for p in predecessors(task)),
             default=0.0,
         )
     return ranks
@@ -97,11 +103,12 @@ def static_level(instance: ProblemInstance) -> dict[Task, float]:
     Like the upward rank but ignoring communication — the SL term of GDL's
     dynamic level, also used as the tie-breaking priority in ETF.
     """
-    tg = instance.task_graph
+    order, mean_exec, _ = _rank_inputs(instance)
+    successors = instance.task_graph.successors
     levels: dict[Task, float] = {}
-    for task in reversed(_topological_order(instance)):
-        succ_part = max((levels[s] for s in tg.successors(task)), default=0.0)
-        levels[task] = _mean_exec(instance, task) + succ_part
+    for task in reversed(order):
+        succ_part = max((levels[s] for s in successors(task)), default=0.0)
+        levels[task] = mean_exec(task) + succ_part
     return levels
 
 
@@ -113,7 +120,7 @@ def priority_order(instance: ProblemInstance, ranks: dict[Task, float]) -> list[
     weights (allowed by the paper's clipped Gaussians) create rank ties
     between a task and its descendant.
     """
-    topo_index = {t: i for i, t in enumerate(_topological_order(instance))}
+    topo_index = {t: i for i, t in enumerate(topological_order(instance))}
     return sorted(instance.task_graph.tasks, key=lambda t: (-ranks[t], topo_index[t]))
 
 

@@ -13,6 +13,7 @@ from repro.core.instance import ProblemInstance
 from repro.core.schedule import Schedule
 from repro.core.scheduler import Scheduler, SchedulerInfo, register_scheduler
 from repro.core.simulator import ScheduleBuilder
+from repro.schedulers.common import topological_order
 
 __all__ = ["FastestNodeScheduler"]
 
@@ -34,6 +35,6 @@ class FastestNodeScheduler(Scheduler):
     def schedule(self, instance: ProblemInstance) -> Schedule:
         builder = ScheduleBuilder(instance, insertion=False)
         node = instance.network.fastest_node
-        for task in instance.task_graph.topological_order():
+        for task in topological_order(instance):
             builder.commit(task, node)
         return builder.schedule()

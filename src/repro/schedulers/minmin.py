@@ -16,10 +16,7 @@ busy with quick wins.  Scheduling complexity O(|T|^2 |V|).
 
 from __future__ import annotations
 
-import math
-
-import numpy as np
-
+from repro.core.compiled import argmin_ranked
 from repro.core.instance import ProblemInstance
 from repro.core.schedule import Schedule
 from repro.core.scheduler import Scheduler, SchedulerInfo, register_scheduler
@@ -33,35 +30,26 @@ def minmax_completion_pass(builder: ScheduleBuilder, take_max: bool) -> None:
 
     ``take_max=False`` gives MinMin, ``take_max=True`` gives MaxMin.  Ties
     are broken deterministically by task name.  The whole ready set is
-    scored in one batched EFT sweep (:meth:`ScheduleBuilder.eft_all_many`);
-    gathering columns in ``node_str_order`` before the row-wise argmin
-    reproduces the ``(eft, str(node))`` tie-break of the scalar ``min()``
-    this replaced.
+    scored in one batched EFT sweep (:meth:`ScheduleBuilder.eft_all_many`)
+    whose row minima are the tasks' MCTs; only the chosen task's node is
+    then looked up, with :func:`~repro.core.compiled.argmin_ranked` over
+    ``node_str_order`` reproducing the ``(eft, str(node))`` tie-break of
+    the scalar ``min()`` this replaced.
     """
     nodes = builder.instance.network.nodes
     order = builder.node_str_order
+    # Infinite completion times sort last for MinMin and first for MaxMin.
+    sign = -1.0 if take_max else 1.0
     while True:
         ready = builder.ready_tasks()
         if not ready:
             break
-        rows = builder.eft_all_many(ready)[:, order]
-        positions = rows.argmin(axis=1)
-        vids = order[positions]
-        values = rows[np.arange(len(ready)), positions]
-        best_per_task = {
-            task: (value, nodes[vid])
-            for task, value, vid in zip(ready, values.tolist(), vids.tolist())
-        }
-        sign = -1.0 if take_max else 1.0
-
-        def key(task):
-            mct = best_per_task[task][0]
-            # Infinite completion times sort last for MinMin and first for
-            # MaxMin, matching the sign convention below.
-            return (sign * mct if not math.isinf(mct) else sign * math.inf, str(task))
-
-        chosen = min(ready, key=key)
-        builder.commit(chosen, best_per_task[chosen][1])
+        rows = builder.eft_all_many(ready)
+        mcts = (rows.min(axis=1) * sign).tolist()
+        # min() over (signed MCT, task name, position) tuples: the
+        # (mct, str(task)) key with the first task winning exact ties.
+        _, _, i = min(zip(mcts, map(str, ready), range(len(ready))))
+        builder.commit(ready[i], nodes[argmin_ranked(rows[i], order)])
 
 
 @register_scheduler

@@ -16,6 +16,7 @@ from repro.core.instance import ProblemInstance
 from repro.core.schedule import Schedule
 from repro.core.scheduler import Scheduler, SchedulerInfo, register_scheduler
 from repro.core.simulator import ScheduleBuilder
+from repro.schedulers.common import topological_order
 
 __all__ = ["OLBScheduler"]
 
@@ -37,7 +38,7 @@ class OLBScheduler(Scheduler):
     def schedule(self, instance: ProblemInstance) -> Schedule:
         builder = ScheduleBuilder(instance, insertion=False)
         nodes = instance.network.nodes
-        for task in instance.task_graph.topological_order():
+        for task in topological_order(instance):
             node = min(nodes, key=lambda v: (builder.node_available(v), str(v)))
             builder.commit(task, node)
         return builder.schedule()

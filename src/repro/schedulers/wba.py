@@ -21,8 +21,7 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
+from repro.core.compiled import argmin_ranked
 from repro.core.instance import ProblemInstance
 from repro.core.schedule import Schedule
 from repro.core.scheduler import Scheduler, SchedulerInfo, register_scheduler
@@ -66,35 +65,34 @@ class WBAScheduler(Scheduler):
         rng = as_generator(self.seed)
         builder = ScheduleBuilder(instance, insertion=False)
         nodes = instance.network.nodes
+        order = builder.node_str_order
         while True:
             ready = builder.ready_tasks()
             if not ready:
                 break
             current = builder.makespan()
-            # One batched EFT sweep over the whole ready set; gathering
-            # columns in str order makes the row-wise argmin reproduce
-            # the (eft, str(node)) tie-break of the scalar min().
-            order = builder.node_str_order
-            rows = builder.eft_all_many(ready)[:, order]
-            positions = rows.argmin(axis=1)
-            vids = order[positions]
-            values = rows[np.arange(len(ready)), positions]
-            options: list[tuple[float, object, object]] = []
-            for task, value, vid in zip(ready, values.tolist(), vids.tolist()):
-                # An unreachable placement (dead links) costs inf, never
-                # the NaN of inf - inf.
-                increase = math.inf if math.isinf(value) else max(value - current, 0.0)
-                options.append((increase, task, nodes[vid]))
-            finite = [o for o in options if not math.isinf(o[0])]
-            pool = finite if finite else options
-            lo = min(o[0] for o in pool)
-            hi = max(o[0] for o in pool)
+            # One batched EFT sweep over the whole ready set; a row's
+            # minimum is the task's best finish time.
+            rows = builder.eft_all_many(ready)
+            # An unreachable placement (dead links) costs inf, never the
+            # NaN of inf - inf.
+            increases = [
+                math.inf if math.isinf(finish) else max(finish - current, 0.0)
+                for finish in rows.min(axis=1).tolist()
+            ]
+            pool = [i for i, inc in enumerate(increases) if not math.isinf(inc)]
+            if not pool:
+                pool = list(range(len(ready)))
+            lo = min(increases[i] for i in pool)
+            hi = max(increases[i] for i in pool)
             # hi == lo also covers an all-inf pool, whose width is NaN.
             threshold = lo if hi == lo else lo + self.alpha * (hi - lo)
             # Scale-relative tolerance: membership in the candidate list
             # must be invariant under rescaling the instance's weights.
             tol = 1e-12 * hi if math.isfinite(hi) else 0.0
-            candidates = [o for o in pool if o[0] <= threshold + tol]
-            choice = candidates[int(rng.integers(len(candidates)))]
-            builder.commit(choice[1], choice[2])
+            candidates = [i for i in pool if increases[i] <= threshold + tol]
+            i = candidates[int(rng.integers(len(candidates)))]
+            # The task's best node under the (eft, str(node)) tie-break of
+            # the scalar min() this replaced.
+            builder.commit(ready[i], nodes[argmin_ranked(rows[i], order)])
         return builder.schedule()

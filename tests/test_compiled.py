@@ -29,9 +29,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import Network, ProblemInstance, TaskGraph
-from repro.core.compiled import argmin_ranked, compile_instance
+from repro.core.compiled import (
+    argmin_ranked,
+    compile_instance,
+    compile_stats,
+    reset_compile_stats,
+)
 from repro.core.reference import ReferenceScheduleBuilder, use_reference_builder
-from repro.core.scheduler import list_schedulers
+from repro.core.scheduler import get_scheduler, list_schedulers
 from repro.core.simulator import (
     ScheduleBuilder,
     comm_time,
@@ -40,6 +45,7 @@ from repro.core.simulator import (
     mean_exec_time,
 )
 from repro.pisa import PISA, batch_energy, pairwise_comparison
+from repro.schedulers import PAPER_SCHEDULERS
 from tests.equivalence import (
     FIG4_CONFIG,
     FIG4_SCHEDULERS,
@@ -50,7 +56,7 @@ from tests.equivalence import (
     schedule_entries,
     standard_cases,
 )
-from tests.strategies import instances
+from tests.strategies import instances, networks, task_graphs
 
 
 def edge_case_instance() -> ProblemInstance:
@@ -327,6 +333,69 @@ class TestScheduleEquivalence:
             )
         for pair, result in compiled_run.results.items():
             assert reference_run.results[pair].restart_ratios == result.restart_ratios
+
+
+#: Instances for the order-exact property: the default positive-strength
+#: networks, and networks whose links may be dead (0.0) or free (inf).
+_order_exact_instances = st.one_of(
+    instances(min_tasks=1, max_tasks=7, min_nodes=1, max_nodes=4),
+    st.builds(
+        lambda net, tg: ProblemInstance(net, tg, name="hypothesis-degenerate-links"),
+        networks(
+            min_nodes=1,
+            max_nodes=4,
+            strengths=st.one_of(
+                st.sampled_from([0.0, math.inf]),
+                st.floats(min_value=0.05, max_value=2.0),
+            ),
+        ),
+        task_graphs(min_tasks=1, max_tasks=7),
+    ),
+)
+
+#: Schedulers whose reference runs touch no compiled kernel (the rank
+#: helpers, priority orders and topological walks all go through the
+#: hook use_reference_builder swaps).  BIL, FCP, FLB and GDL read
+#: compiled tables directly and compile even there.
+_COMPILE_FREE_REFERENCE = [
+    "CPoP", "Duplex", "ETF", "Ensemble", "FastestNode", "HEFT",
+    "MCT", "MET", "MaxMin", "MinMin", "OLB", "WBA",
+]
+
+
+class TestOrderExactEquivalence:
+    """The handed-over Schedule is the reference's add()-built one, order
+    included: same entries in the same iteration order, same node and
+    task order, same makespan repr."""
+
+    @pytest.mark.parametrize("name", PAPER_SCHEDULERS)
+    @settings(max_examples=40, deadline=None)
+    @given(inst=_order_exact_instances)
+    def test_schedule_order_exact_vs_reference(self, name, inst):
+        scheduler = get_scheduler(name)
+        fresh = scheduler.schedule(inst)
+        with use_reference_builder():
+            reference = scheduler.schedule(inst)
+        assert tuple(fresh) == tuple(reference)
+        assert [(repr(e.start), repr(e.end)) for e in fresh] == [
+            (repr(e.start), repr(e.end)) for e in reference
+        ]
+        assert fresh.nodes == reference.nodes
+        assert fresh.tasks == reference.tasks
+        assert repr(fresh.makespan) == repr(reference.makespan)
+
+    @pytest.mark.parametrize("name", _COMPILE_FREE_REFERENCE)
+    def test_reference_run_compiles_nothing(self, name):
+        """Inside use_reference_builder() these schedulers are oracle-
+        independent: no compile, delta or compile-cache hit, so the
+        equivalence suites never compare the compiled code with itself."""
+        cases = standard_cases()
+        with use_reference_builder():
+            reset_compile_stats()
+            for inst in cases:
+                get_scheduler(name).schedule(inst)
+            stats = compile_stats()
+        assert stats == {"full": 0, "delta": 0, "cache_hits": 0}
 
 
 class TestBatchEnergy:

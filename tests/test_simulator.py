@@ -9,8 +9,10 @@ from hypothesis import given
 
 from repro import (
     InvalidInstanceError,
+    InvalidScheduleError,
     Network,
     ProblemInstance,
+    Schedule,
     ScheduleBuilder,
     SchedulingError,
     TaskGraph,
@@ -73,6 +75,36 @@ class TestTimeFunctions:
         assert mean_comm_time(inst, "a", "b") == 0.0
 
 
+#: Every builder entry point that takes a task, called with one the
+#: instance does not have (the fixture's tasks are a, b, c).
+_GHOST_TASK_CALLS = {
+    "est": lambda b: b.est("ghost", "v"),
+    "data_ready_time": lambda b: b.data_ready_time("ghost", "v"),
+    "enabling_parent": lambda b: b.enabling_parent("ghost", "v"),
+    "eft": lambda b: b.eft("ghost", "v"),
+    "est_all": lambda b: b.est_all("ghost"),
+    "eft_all": lambda b: b.eft_all("ghost"),
+    "est_all_many": lambda b: b.est_all_many(["a", "ghost"]),
+    "eft_all_many": lambda b: b.eft_all_many(["a", "ghost"]),
+    "best_node_by_eft": lambda b: b.best_node_by_eft("ghost"),
+    "placement": lambda b: b.placement("ghost"),
+    "commit": lambda b: b.commit("ghost", "v"),
+}
+
+#: Every builder entry point that takes a node, called with one the
+#: instance does not have (its nodes are u, v); b is ready on both.
+_MARS_NODE_CALLS = {
+    "est": lambda b: b.est("b", "mars"),
+    "eft": lambda b: b.eft("b", "mars"),
+    "data_ready_time": lambda b: b.data_ready_time("c", "mars"),
+    "enabling_parent": lambda b: b.enabling_parent("b", "mars"),
+    "source_data_ready_time": lambda b: b.data_ready_time("a", "mars"),
+    "source_enabling_parent": lambda b: b.enabling_parent("a", "mars"),
+    "node_available": lambda b: b.node_available("mars"),
+    "best_node_by_eft": lambda b: b.best_node_by_eft("b", ["u", "mars"]),
+}
+
+
 class TestScheduleBuilder:
     def test_ready_tasks_initial(self, instance):
         builder = ScheduleBuilder(instance)
@@ -99,11 +131,20 @@ class TestScheduleBuilder:
         with pytest.raises(SchedulingError):
             builder.commit("a", "mars")
 
-    @pytest.mark.parametrize("query", ["est", "data_ready_time", "enabling_parent"])
+    @pytest.mark.parametrize("query", list(_GHOST_TASK_CALLS))
     def test_unknown_task_raises_canonical_error(self, instance, query):
-        builder = ScheduleBuilder(instance)
-        with pytest.raises(InvalidInstanceError, match=r"^unknown task 'ghost'$"):
-            getattr(builder, query)("ghost", "v")
+        for insertion in (True, False):
+            builder = ScheduleBuilder(instance, insertion=insertion)
+            with pytest.raises(InvalidInstanceError, match=r"^unknown task 'ghost'$"):
+                _GHOST_TASK_CALLS[query](builder)
+
+    @pytest.mark.parametrize("query", list(_MARS_NODE_CALLS))
+    def test_unknown_node_raises_canonical_error(self, instance, query):
+        for insertion in (True, False):
+            builder = ScheduleBuilder(instance, insertion=insertion)
+            builder.commit("a", "u")
+            with pytest.raises(InvalidInstanceError, match=r"^unknown node 'mars'$"):
+                _MARS_NODE_CALLS[query](builder)
 
     def test_est_accounts_for_communication(self, instance):
         builder = ScheduleBuilder(instance)
@@ -179,6 +220,46 @@ class TestScheduleBuilder:
         builder.commit("a", "u")
         assert builder.enabling_parent("b", "v") == "a"
         assert builder.enabling_parent("a", "v") is None
+
+    def test_commit_does_not_reuse_a_stale_score(self, instance):
+        # b and c both wait on a.  c's earliest start is scored, then b
+        # lands on u; committing c to u must see b there.
+        for insertion in (True, False):
+            builder = ScheduleBuilder(instance, insertion=insertion)
+            builder.commit("a", "u")
+            assert builder.est_all_many(["b", "c"])[1][0] == 2.0
+            builder.commit("b", "u")  # [2, 6) on u
+            assert builder.commit("c", "u").start == 6.0
+
+    @pytest.mark.parametrize("start", [math.nan, -1e-10])
+    def test_explicit_start_add_rejects_falls_back_to_add(self, instance, start):
+        # The builder accepts a NaN start and one within 1e-9 below the
+        # data-ready time; Schedule.add() rejects both, and schedule()
+        # must still say so instead of handing the entries over.
+        builder = ScheduleBuilder(instance)
+        builder.commit("a", "u", start=start)
+        builder.commit("b", "u")
+        builder.commit("c", "v")
+        with pytest.raises(InvalidScheduleError, match="start time of 'a' must be >= 0"):
+            builder.schedule()
+
+    def test_handover_matches_add_built_schedule(self, instance):
+        builder = ScheduleBuilder(instance)
+        for task, node in (("a", "v"), ("c", "u"), ("b", "v")):
+            builder.commit(task, node)
+        sched = builder.schedule()
+        rebuilt = Schedule()
+        for task in builder.scheduled_tasks:
+            e = builder.placement(task)
+            rebuilt.add(e.task, e.node, e.start, e.end)
+        assert sched.nodes == rebuilt.nodes == ("v", "u")
+        assert sched.tasks == rebuilt.tasks == ("a", "c", "b")
+        assert tuple(sched) == tuple(rebuilt)
+        assert vars(sched) == vars(rebuilt)
+        # The schedule owns its lists: a second handover is independent.
+        again = builder.schedule()
+        again.add("extra", "u", 100.0, 101.0)
+        assert sched.on_node("u") == rebuilt.on_node("u")
 
     def test_dead_link_propagates_infinity(self):
         tg = TaskGraph.from_dicts({"a": 1.0, "b": 1.0}, {("a", "b"): 1.0})
