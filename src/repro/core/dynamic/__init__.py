@@ -9,8 +9,11 @@ under it through a fully deterministic event queue — see
 determinism and degenerate-equivalence contracts.
 
 Import this package directly (``from repro.core.dynamic import ...``);
-it sits *on top of* the static core and reuses
-:mod:`repro.stochastic.variables` for its noise distributions.
+it sits *on top of* the static core.  Its noise factors are vectorized
+draws (``Generator.uniform`` and
+:func:`repro.utils.distributions.clipped_gaussian_array`), not
+:mod:`repro.stochastic.variables`; they equal that module's scalar
+samples bit for bit (pinned in ``tests/test_dynamic.py``).
 """
 
 from repro.core.dynamic.simulator import (

@@ -45,11 +45,33 @@ The replay runs on the dense integer ids of
 was built from, so in sweeps and the robustness-gap energy the compile is
 a cache hit.  Run state is one list per task or node id, heap payloads
 carry ids, a duration is ``exec_list[t][v]`` (the IEEE quotient
-``cost / speed``), and names reach the event log through ``str()`` tables
-built once per replay.  The event model, the ``seq`` numbering, the draw
-order and the float operations are those of the dict-keyed engine it
-replaced; ``tests/test_dynamic_equivalence.py`` checks every result field
-against a frozen copy of that engine.
+``cost / speed``), and names reach the event log through ``str()`` tables.
+The event model, the ``seq`` numbering, the draw order and the float
+operations are those of the dict-keyed engine it replaced;
+``tests/test_dynamic_equivalence.py`` checks every result field against a
+frozen copy of that engine.
+
+A replay has two halves.  The *plan* (``_Plan``) is everything that does
+not depend on the seed: the schedule checks, each task's node, the
+per-node queues, the failure time and most-loaded victims, the per-edge
+successor data, the name tables and one link key per node pair.  The
+*sample* (``_Replay``) is the seed's draws and the run state: fresh lists,
+with copies of the assignment and the queues, which a ``reassign``
+failure rewrites.  Sweeps and the robustness-gap energy replay each
+schedule ``samples`` times in a row, so :func:`simulate_schedule` keeps
+the last plan in a one-entry cache keyed by
+
+* the ``Schedule`` object and its length (:meth:`Schedule.add
+  <repro.core.schedule.Schedule.add>`, its only mutator, always adds a
+  task),
+* the ``CompiledInstance`` object (``compile_instance`` returns a new one
+  after any mutation of the instance), and
+* an equal ``DynamicsSpec``.
+
+The cache holds strong references, so an identity never matches a
+recycled object; a plan is never written after it is built, and one that
+fails its checks is not cached.  Every call still compiles (a cache hit)
+and draws exactly as an uncached replay would.
 
 Determinism rules
 -----------------
@@ -89,7 +111,7 @@ from heapq import heappop, heappush
 
 import numpy as np
 
-from repro.core.compiled import compile_instance
+from repro.core.compiled import CompiledInstance, compile_instance
 from repro.core.dynamic.spec import DynamicsSpec
 from repro.core.exceptions import SchedulingError
 from repro.core.instance import ProblemInstance
@@ -156,87 +178,123 @@ class _Transfer:
 
 
 class _FairLink:
-    """Processor sharing: active transfers split the strength equally."""
+    """Processor sharing: active transfers split the strength equally.
 
-    __slots__ = ("strength", "active", "last_update")
+    A link pushes its completion events straight onto its replay's heap,
+    numbered by the replay's ``next_seq``.
+    """
 
-    def __init__(self, strength: float) -> None:
+    __slots__ = ("strength", "active", "last_update", "heap", "next_seq")
+
+    def __init__(self, strength: float, heap: list, next_seq) -> None:
         self.strength = strength
         self.active: list[_Transfer] = []
         self.last_update = 0.0
+        self.heap = heap
+        self.next_seq = next_seq
 
     def advance(self, now: float) -> None:
         elapsed = now - self.last_update
         if elapsed > 0.0 and self.active:
             rate = self.strength / len(self.active)
             for tr in self.active:
-                tr.remaining = max(tr.remaining - rate * elapsed, 0.0)
+                left = tr.remaining - rate * elapsed
+                # max(left, 0.0), NaN and -0.0 included
+                tr.remaining = 0.0 if left < 0.0 else left
         self.last_update = now
 
-    def reschedule(self, now: float, push) -> None:
-        if not self.active:
+    def reschedule(self, now: float) -> None:
+        active = self.active
+        if not active:
             return
-        rate = self.strength / len(self.active)
-        for tr in self.active:
+        rate = self.strength / len(active)
+        heap, next_seq = self.heap, self.next_seq
+        for tr in active:
             tr.version += 1
-            push(now + tr.remaining / rate, _FAIR_DONE, (self, tr, tr.version))
+            heappush(
+                heap, (now + tr.remaining / rate, next_seq(), _FAIR_DONE, (self, tr, tr.version))
+            )
 
-    def add(self, now: float, tr: _Transfer, push) -> None:
+    def add(self, now: float, tr: _Transfer) -> None:
         self.advance(now)
         self.active.append(tr)
-        self.reschedule(now, push)
+        self.reschedule(now)
 
-    def remove(self, now: float, tr: _Transfer, push) -> None:
+    def remove(self, now: float, tr: _Transfer) -> None:
         self.advance(now)
         self.active.remove(tr)
-        self.reschedule(now, push)
+        self.reschedule(now)
 
 
 class _FifoLink:
     """Exclusive use in arrival order: one transfer at a time, full strength."""
 
-    __slots__ = ("strength", "serving", "queue")
+    __slots__ = ("strength", "serving", "queue", "heap", "next_seq")
 
-    def __init__(self, strength: float) -> None:
+    def __init__(self, strength: float, heap: list, next_seq) -> None:
         self.strength = strength
         self.serving: _Transfer | None = None
         self.queue: list[_Transfer] = []
+        self.heap = heap
+        self.next_seq = next_seq
 
-    def serve(self, now: float, tr: _Transfer, push) -> None:
+    def serve(self, now: float, tr: _Transfer) -> None:
         self.serving = tr
-        push(now + tr.remaining / self.strength, _FIFO_DONE, (self, tr))
+        done = now + tr.remaining / self.strength
+        heappush(self.heap, (done, self.next_seq(), _FIFO_DONE, (self, tr)))
 
-    def add(self, now: float, tr: _Transfer, push) -> None:
+    def add(self, now: float, tr: _Transfer) -> None:
         if self.serving is None:
-            self.serve(now, tr, push)
+            self.serve(now, tr)
         else:
             self.queue.append(tr)
 
-    def pop_next(self, now: float, push) -> None:
+    def pop_next(self, now: float) -> None:
         self.serving = None
         while self.queue:
             tr = self.queue.pop(0)
             if not tr.cancelled:
-                self.serve(now, tr, push)
+                self.serve(now, tr)
                 return
 
 
 # ---------------------------------------------------------------------- #
-# The replay engine
+# The replay engine: a plan per schedule, a run per sample
 # ---------------------------------------------------------------------- #
-class _Replay:
+class _Plan:
+    """What a replay derives from the schedule, instance and spec alone.
+
+    Built once per distinct ``(schedule, compiled instance, spec)`` and
+    shared by every sample replayed from it, so nothing here is written
+    after construction: a :class:`_Replay` copies what it mutates.
+    """
+
+    __slots__ = (
+        "tasks",
+        "nodes",
+        "assignment",
+        "queues",
+        "fail_time",
+        "fail_count",
+        "victims",
+        "random_victims",
+        "exec_list",
+        "strength",
+        "succ_edges",
+        "pred_edges",
+        "npreds",
+        "speed",
+        "task_names",
+        "node_names",
+        "link_keys",
+    )
+
     def __init__(
-        self,
-        schedule: Schedule,
-        instance: ProblemInstance,
-        dynamics: DynamicsSpec,
-        rng,
+        self, schedule: Schedule, compiled: CompiledInstance, dynamics: DynamicsSpec
     ) -> None:
-        self.dynamics = dynamics
-        c = compile_instance(instance)
-        self.tasks = tasks = c.tasks
-        self.nodes = nodes = c.nodes
-        task_id, node_id = c.task_id, c.node_id
+        self.tasks = tasks = compiled.tasks
+        self.nodes = nodes = compiled.nodes
+        task_id, node_id = compiled.task_id, compiled.node_id
 
         planned = {entry.task: entry for entry in schedule}
         missing = [t for t in tasks if t not in planned]
@@ -249,20 +307,68 @@ class _Replay:
             raise SchedulingError(
                 f"schedule contains unknown tasks: {sorted(map(str, extra))}"
             )
-        self.assignment = assignment = [0] * len(tasks)
+        assignment = [0] * len(tasks)
         for task, entry in planned.items():
             node = node_id.get(entry.node)
             if node is None:
                 raise SchedulingError(f"schedule uses unknown node {entry.node!r}")
             assignment[task_id[task]] = node
+        self.assignment = tuple(assignment)
 
         # Planned per-node execution order: global start-time order (ties
         # by str(task)), exactly replay_schedule's historical commit order.
-        self.queues: list[list[int]] = [[] for _ in nodes]
+        queues: list[list[int]] = [[] for _ in nodes]
         for entry in sorted(planned.values(), key=lambda e: (e.start, str(e.task))):
             tid = task_id[entry.task]
-            self.queues[assignment[tid]].append(tid)
-        self.static_makespan = schedule.makespan
+            queues[assignment[tid]].append(tid)
+        self.queues = tuple(tuple(q) for q in queues)
+
+        # Failure time and most-loaded victims; random victims are drawn
+        # per sample, after the noise factors.
+        static_makespan = schedule.makespan
+        self.fail_time = math.inf
+        self.fail_count = 0
+        self.victims: tuple[int, ...] = ()
+        self.random_victims = False
+        failures = dynamics.failures
+        if failures.active and math.isfinite(static_makespan) and static_makespan > 0.0:
+            self.fail_time = failures.at * static_makespan
+            self.fail_count = count = min(failures.count, len(nodes))
+            if failures.pick == "random":
+                self.random_victims = True
+            else:  # most-loaded: largest planned busy time, ties by node order
+                load = [0.0] * len(nodes)
+                for entry in planned.values():
+                    busy = math.inf if math.isinf(entry.end) else entry.end - entry.start
+                    load[node_id[entry.node]] += busy
+                order = sorted(range(len(nodes)), key=lambda v: -load[v])
+                self.victims = tuple(order[:count])
+
+        # Compiled tables, per-edge data and name tables.
+        data = compiled.data
+        self.exec_list = compiled.exec_list
+        self.strength = compiled.strength.tolist()
+        self.succ_edges = tuple(
+            tuple((s, data[(t, s)]) for s in succs) for t, succs in enumerate(compiled.succ_ids)
+        )
+        self.pred_edges = compiled.pred_edges
+        self.npreds = tuple(len(ps) for ps in compiled.pred_ids)
+        self.speed = compiled.speed.tolist()
+        self.task_names = [str(t) for t in tasks]
+        self.node_names = names = [str(v) for v in nodes]
+        # One contention link per node pair, keyed by the pair in name order.
+        self.link_keys = [
+            [(u, v) if names[u] <= names[v] else (v, u) for v in range(len(nodes))]
+            for u in range(len(nodes))
+        ]
+
+
+class _Replay:
+    """One sample of a plan: its up-front draws and its run state."""
+
+    def __init__(self, plan: _Plan, dynamics: DynamicsSpec, rng) -> None:
+        self.plan = plan
+        n_tasks, n_nodes = len(plan.tasks), len(plan.nodes)
 
         # --- up-front draws, in the documented order -------------------- #
         gen = None
@@ -275,93 +381,109 @@ class _Replay:
             gen = as_generator(rng)
         # Inactive components yield 1.0 factors without drawing; x * 1.0
         # is exactly x, so durations need no branch.
-        self.slow = dynamics.slowdown.draw(gen, len(nodes))
-        self.error = dynamics.error.draw(gen, len(tasks))
+        self.slow = dynamics.slowdown.draw(gen, n_nodes)
+        self.error = dynamics.error.draw(gen, n_tasks)
+        self.victims = plan.victims
+        if plan.random_victims:
+            self.victims = tuple(gen.permutation(n_nodes).tolist()[: plan.fail_count])
+        self.contention = dynamics.contention
+        self.reassign = dynamics.failures.fate == "reassign"
 
-        self.fail_time = math.inf
-        self.victims: tuple[int, ...] = ()
-        failures = dynamics.failures
-        if (
-            failures.active
-            and math.isfinite(self.static_makespan)
-            and self.static_makespan > 0.0
-        ):
-            self.fail_time = failures.at * self.static_makespan
-            count = min(failures.count, len(nodes))
-            if failures.pick == "random":
-                order = gen.permutation(len(nodes)).tolist()
-            else:  # most-loaded: largest planned busy time, ties by node order
-                load = [0.0] * len(nodes)
-                for entry in planned.values():
-                    busy = math.inf if math.isinf(entry.end) else entry.end - entry.start
-                    load[node_id[entry.node]] += busy
-                order = sorted(range(len(nodes)), key=lambda v: -load[v])
-            self.victims = tuple(order[:count])
-
-        # --- compiled tables and event/run state ------------------------ #
-        self.exec_list = c.exec_list
-        self.strength = c.strength.tolist()
-        self.data = c.data
-        self.pred_ids = c.pred_ids
-        self.succ_ids = c.succ_ids
-        self.speed = c.speed
-        self.task_names = [str(t) for t in tasks]
-        self.node_names = [str(v) for v in nodes]
+        # --- run state; on_fail rewrites assignment and queues ---------- #
+        self.assignment = list(plan.assignment)
+        self.queues = [list(queue) for queue in plan.queues]
         self.heap: list = []
-        self.seq = itertools.count()
+        self.next_seq = itertools.count().__next__
         self.events: list[tuple] = []
-        self.pending = [len(ps) for ps in c.pred_ids]
-        self.qpos = [0] * len(nodes)
-        self.busy = [False] * len(nodes)
-        self.dead = [False] * len(nodes)
-        self.stalled = [False] * len(tasks)  # tasks that will never run (stall fate)
-        self.start_time = [math.inf] * len(tasks)
-        self.end_time: list[float | None] = [None] * len(tasks)  # None: not finished
-        self.task_version = [0] * len(tasks)
+        self.pending = list(plan.npreds)
+        self.qpos = [0] * n_nodes
+        self.busy = [False] * n_nodes
+        self.dead = [False] * n_nodes
+        self.stalled = [False] * n_tasks  # tasks that will never run (stall fate)
+        self.start_time = [math.inf] * n_tasks
+        self.end_time: list[float | None] = [None] * n_tasks  # None: not finished
+        self.task_version = [0] * n_tasks
         self.links: dict = {}
 
     # ------------------------------------------------------------------ #
-    def push(self, time: float, kind: int, payload) -> None:
-        heappush(self.heap, (time, next(self.seq), kind, payload))
-
-    # ------------------------------------------------------------------ #
     def run(self) -> DynamicResult:
-        if math.isfinite(self.fail_time):
-            self.push(self.fail_time, _FAIL, self.victims)
-        for node in range(len(self.nodes)):
+        plan = self.plan
+        heap, next_seq = self.heap, self.next_seq
+        if math.isfinite(plan.fail_time):
+            heappush(heap, (plan.fail_time, next_seq(), _FAIL, self.victims))
+        for node in range(len(plan.nodes)):
             self.try_dispatch(node, 0.0)
-        heap = self.heap
-        events = self.events
-        task_names, node_names = self.task_names, self.node_names
+        events_append = self.events.append
+        issue_transfer = self.issue_transfer
+        assignment, queues, qpos = self.assignment, self.queues, self.qpos
+        pending, stalled, busy, dead = self.pending, self.stalled, self.busy, self.dead
+        start_time, end_time, task_version = self.start_time, self.end_time, self.task_version
+        exec_list, error, slow = plan.exec_list, self.error, self.slow
+        succ_edges = plan.succ_edges
+        task_names, node_names = plan.task_names, plan.node_names
+        isfinite = math.isfinite
         while heap:
             time, _seq, kind, payload = heappop(heap)
             if kind == _FINISH:
-                self.on_finish(time, *payload)
-            elif kind == _ARRIVE:
-                self.deliver(time, *payload)
-            elif kind == _FAIR_DONE:
-                link, tr, version = payload
-                if tr.version != version or tr.cancelled:
-                    continue
-                link.remove(time, tr, self.push)
-                events.append(
-                    ("xfer-arrive", time, task_names[tr.dst_task], node_names[tr.dst_node])
-                )
-                self.deliver(time, tr.dst_task, tr.dst_node)
-            elif kind == _FIFO_DONE:
-                link, tr = payload
-                if not tr.cancelled:
-                    events.append(
-                        ("xfer-arrive", time, task_names[tr.dst_task], node_names[tr.dst_node])
-                    )
-                    self.deliver(time, tr.dst_task, tr.dst_node)
-                link.pop_next(time, self.push)
+                task, node, version = payload
+                if version != task_version[task]:
+                    continue  # cancelled by a node failure
+                end_time[task] = time
+                events_append(("finish", time, task_names[task], node_names[node]))
+                busy[node] = False
+                qpos[node] += 1
+                for succ, data in succ_edges[task]:
+                    issue_transfer(time, task, node, succ, data)
             else:
-                self.on_fail(time, payload)
+                if kind == _ARRIVE:
+                    task, node = payload
+                elif kind == _FAIR_DONE:
+                    link, tr, version = payload
+                    if tr.version != version or tr.cancelled:
+                        continue
+                    link.remove(time, tr)
+                    task, node = tr.dst_task, tr.dst_node
+                    events_append(("xfer-arrive", time, task_names[task], node_names[node]))
+                elif kind == _FIFO_DONE:
+                    link, tr = payload
+                    if not tr.cancelled:
+                        task, node = tr.dst_task, tr.dst_node
+                        events_append(("xfer-arrive", time, task_names[task], node_names[node]))
+                        self.deliver(time, task, node)
+                    link.pop_next(time)
+                    continue
+                else:
+                    self.on_fail(time, payload)
+                    continue
+                # An input of ``task`` reached ``node``: ``deliver``, inlined.
+                if assignment[task] != node or stalled[task]:
+                    continue  # stale arrival: the task moved (or died) meanwhile
+                pending[task] -= 1
+                if pending[task]:
+                    continue
+            # ``node`` may start its next planned task: ``try_dispatch``, inlined.
+            if dead[node] or busy[node]:
+                continue
+            queue = queues[node]
+            pos = qpos[node]
+            if pos >= len(queue):
+                continue
+            task = queue[pos]
+            if stalled[task] or pending[task] > 0:
+                continue
+            busy[node] = True
+            start_time[task] = time
+            events_append(("start", time, task_names[task], node_names[node]))
+            end = time + exec_list[task][node] * error[task] * slow[node]
+            if isfinite(end):
+                heappush(heap, (end, next_seq(), _FINISH, (task, node, task_version[task])))
+            else:
+                end_time[task] = math.inf
         return self.finalize()
 
     # ------------------------------------------------------------------ #
     def try_dispatch(self, node: int, now: float) -> None:
+        """Start ``node``'s next planned task if it is free and its inputs are in."""
         if self.dead[node] or self.busy[node]:
             return
         queue = self.queues[node]
@@ -373,69 +495,16 @@ class _Replay:
             return
         self.busy[node] = True
         self.start_time[task] = now
-        self.events.append(("start", now, self.task_names[task], self.node_names[node]))
-        end = now + self.exec_list[task][node] * self.error[task] * self.slow[node]
+        plan = self.plan
+        self.events.append(("start", now, plan.task_names[task], plan.node_names[node]))
+        end = now + plan.exec_list[task][node] * self.error[task] * self.slow[node]
         if math.isfinite(end):
-            self.push(end, _FINISH, (task, node, self.task_version[task]))
+            payload = (task, node, self.task_version[task])
+            heappush(self.heap, (end, self.next_seq(), _FINISH, payload))
         else:
             # The task never terminates: it blocks its node forever, which
             # is exactly the static builder's `end = start + inf` entry.
             self.end_time[task] = math.inf
-
-    def on_finish(self, time: float, task: int, node: int, version: int) -> None:
-        if version != self.task_version[task]:
-            return  # cancelled by a node failure
-        self.end_time[task] = time
-        self.events.append(("finish", time, self.task_names[task], self.node_names[node]))
-        self.busy[node] = False
-        self.qpos[node] += 1
-        for succ in self.succ_ids[task]:
-            self.issue_transfer(time, task, node, succ)
-        self.try_dispatch(node, time)
-
-    # ------------------------------------------------------------------ #
-    def issue_transfer(self, now: float, src_task: int, src_node: int, dst_task: int) -> None:
-        """Send ``src_task``'s output toward ``dst_task``'s current node."""
-        if self.stalled[dst_task]:
-            return
-        dst_node = self.assignment[dst_task]
-        if src_node == dst_node:
-            self.push(now, _ARRIVE, (dst_task, dst_node))
-            return
-        data = self.data[(src_task, dst_task)]
-        if data == 0.0:
-            self.push(now, _ARRIVE, (dst_task, dst_node))
-            return
-        strength = self.strength[src_node][dst_node]
-        if strength == 0.0:
-            return  # positive data over a dead link never arrives
-        if math.isinf(strength):
-            self.push(now, _ARRIVE, (dst_task, dst_node))
-            return
-        if self.dynamics.contention == "none":
-            arrival = now + data / strength
-            if math.isfinite(arrival):
-                self.push(arrival, _ARRIVE, (dst_task, dst_node))
-            return
-        if math.isinf(data):
-            return  # infinite data over a finite link never arrives
-        task_names, node_names = self.task_names, self.node_names
-        self.events.append((
-            "xfer-start", now, task_names[src_task], task_names[dst_task],
-            node_names[src_node], node_names[dst_node],
-        ))
-        link = self.link_for(src_node, dst_node, strength)
-        link.add(now, _Transfer(data, dst_task, dst_node), self.push)
-
-    def link_for(self, u: int, v: int, strength: float):
-        names = self.node_names
-        key = (u, v) if names[u] <= names[v] else (v, u)
-        link = self.links.get(key)
-        if link is None:
-            cls = _FairLink if self.dynamics.contention == "fair" else _FifoLink
-            link = cls(strength)
-            self.links[key] = link
-        return link
 
     def deliver(self, time: float, task: int, node: int) -> None:
         if self.assignment[task] != node or self.stalled[task]:
@@ -444,11 +513,50 @@ class _Replay:
         if self.pending[task] == 0:
             self.try_dispatch(node, time)
 
+    def issue_transfer(
+        self, now: float, src_task: int, src_node: int, dst_task: int, data: float
+    ) -> None:
+        """Send ``src_task``'s output (``data``) toward ``dst_task``'s current node."""
+        if self.stalled[dst_task]:
+            return
+        dst_node = self.assignment[dst_task]
+        if src_node == dst_node or data == 0.0:
+            heappush(self.heap, (now, self.next_seq(), _ARRIVE, (dst_task, dst_node)))
+            return
+        plan = self.plan
+        strength = plan.strength[src_node][dst_node]
+        if strength == 0.0:
+            return  # positive data over a dead link never arrives
+        if math.isinf(strength):
+            heappush(self.heap, (now, self.next_seq(), _ARRIVE, (dst_task, dst_node)))
+            return
+        contention = self.contention
+        if contention == "none":
+            arrival = now + data / strength
+            if math.isfinite(arrival):
+                heappush(self.heap, (arrival, self.next_seq(), _ARRIVE, (dst_task, dst_node)))
+            return
+        if math.isinf(data):
+            return  # infinite data over a finite link never arrives
+        task_names, node_names = plan.task_names, plan.node_names
+        self.events.append((
+            "xfer-start", now, task_names[src_task], task_names[dst_task],
+            node_names[src_node], node_names[dst_node],
+        ))
+        key = plan.link_keys[src_node][dst_node]
+        link = self.links.get(key)
+        if link is None:
+            link_class = _FairLink if contention == "fair" else _FifoLink
+            link = self.links[key] = link_class(strength, self.heap, self.next_seq)
+        link.add(now, _Transfer(data, dst_task, dst_node))
+
     # ------------------------------------------------------------------ #
     def on_fail(self, time: float, victims: tuple[int, ...]) -> None:
+        plan = self.plan
+        task_names, node_names = plan.task_names, plan.node_names
         for node in victims:
             self.dead[node] = True
-            self.events.append(("node-fail", time, self.node_names[node]))
+            self.events.append(("node-fail", time, node_names[node]))
         affected: list[int] = []
         for node in victims:
             queue = self.queues[node]
@@ -461,9 +569,9 @@ class _Replay:
         # are dead or about to move); links are visited in creation order.
         for link in self.links.values():
             self.cancel_transfers(time, link)
-        survivors = [v for v in range(len(self.nodes)) if not self.dead[v]]
-        if self.dynamics.failures.fate == "reassign" and survivors:
-            speed = self.speed
+        survivors = [v for v in range(len(plan.nodes)) if not self.dead[v]]
+        if self.reassign and survivors:
+            speed = plan.speed
             rescue = survivors[0]
             for node in survivors[1:]:
                 if speed[node] > speed[rescue]:
@@ -471,21 +579,19 @@ class _Replay:
             for task in affected:
                 self.assignment[task] = rescue
                 self.queues[rescue].append(task)
-                self.pending[task] = len(self.pred_ids[task])
-                self.events.append(
-                    ("reassign", time, self.task_names[task], self.node_names[rescue])
-                )
-                for pred in self.pred_ids[task]:
+                self.pending[task] = plan.npreds[task]
+                self.events.append(("reassign", time, task_names[task], node_names[rescue]))
+                for pred, data in plan.pred_edges[task]:
                     end = self.end_time[pred]
                     if end is not None and math.isfinite(end):
                         # Completed outputs survive the failure; re-fetch
                         # them at failure time from where they ran.
-                        self.issue_transfer(time, pred, self.assignment[pred], task)
+                        self.issue_transfer(time, pred, self.assignment[pred], task, data)
             self.try_dispatch(rescue, time)
         else:
             for task in affected:
                 self.stalled[task] = True
-                self.events.append(("task-lost", time, self.task_names[task]))
+                self.events.append(("task-lost", time, task_names[task]))
 
     def cancel_transfers(self, time: float, link) -> None:
         dead = self.dead
@@ -493,7 +599,7 @@ class _Replay:
             doomed = [tr for tr in link.active if dead[tr.dst_node]]
             for tr in doomed:
                 tr.cancelled = True
-                link.remove(time, tr, self.push)
+                link.remove(time, tr)
         else:
             for tr in link.queue:
                 if dead[tr.dst_node]:
@@ -505,22 +611,24 @@ class _Replay:
 
     # ------------------------------------------------------------------ #
     def finalize(self) -> DynamicResult:
+        nodes = self.plan.nodes
         entries = []
         unfinished = []
         makespan = 0.0
-        nodes = self.nodes
-        for tid, task in enumerate(self.tasks):
-            node = nodes[self.assignment[tid]]
-            end = self.end_time[tid]
-            # Positional (start, end, task, node): keywords cost a third more.
+        inf = math.inf
+        # Event times are floats already.  Positional (start, end, task,
+        # node): keywords cost a third more.
+        for task, node, start, end in zip(
+            self.plan.tasks, self.assignment, self.start_time, self.end_time
+        ):
             if end is None:
-                entry = ScheduledTask(math.inf, math.inf, task, node)
+                entries.append(ScheduledTask(inf, inf, task, nodes[node]))
                 unfinished.append(task)
+                makespan = inf
             else:
-                entry = ScheduledTask(float(self.start_time[tid]), float(end), task, node)
-            entries.append(entry)
-            if entry.end > makespan:
-                makespan = entry.end
+                entries.append(ScheduledTask(start, end, task, nodes[node]))
+                if end > makespan:  # max() fold: a NaN end never wins
+                    makespan = end
         return DynamicResult(
             makespan=makespan,
             entries=tuple(entries),
@@ -528,6 +636,12 @@ class _Replay:
             failed_nodes=tuple(v for v, dead in zip(nodes, self.dead) if dead),
             unfinished=tuple(unfinished),
         )
+
+
+#: The last plan built, as ``(schedule, len(schedule), compiled instance,
+#: spec, plan)``: a sweep or robustness-gap energy replays each schedule
+#: ``samples`` times in a row.  Read once per call and replaced whole.
+_plan_cache: tuple | None = None
 
 
 def simulate_schedule(
@@ -546,4 +660,19 @@ def simulate_schedule(
     ``instance`` first, so an invalid instance raises the canonical
     :class:`~repro.core.exceptions.InvalidInstanceError` before any event.
     """
-    return _Replay(schedule, instance, dynamics or DynamicsSpec(), rng).run()
+    global _plan_cache
+    dynamics = dynamics or DynamicsSpec()
+    compiled = compile_instance(instance)
+    cached = _plan_cache
+    if (
+        cached is not None
+        and cached[0] is schedule
+        and cached[1] == len(schedule)
+        and cached[2] is compiled
+        and (cached[3] is dynamics or cached[3] == dynamics)
+    ):
+        plan = cached[4]
+    else:
+        plan = _Plan(schedule, compiled, dynamics)
+        _plan_cache = (schedule, len(schedule), compiled, dynamics, plan)
+    return _Replay(plan, dynamics, rng).run()

@@ -26,6 +26,7 @@ static :class:`~repro.core.simulator.ScheduleBuilder` timings bit for bit.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -99,7 +100,10 @@ class NoiseSpec:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 _fail(name, f"expected a number, got {type(value).__name__}")
-            object.__setattr__(self, name, float(value))
+            value = float(value)
+            if not math.isfinite(value):
+                _fail(name, f"must be finite, got {value}")
+            object.__setattr__(self, name, value)
         if self.kind != "none":
             if self.low <= 0:
                 _fail("low", f"factors must stay positive; low must be > 0, got {self.low}")
@@ -184,6 +188,8 @@ class FailureSpec:
         if isinstance(self.at, bool) or not isinstance(self.at, (int, float)):
             _fail("at", f"expected a number, got {type(self.at).__name__}")
         object.__setattr__(self, "at", float(self.at))
+        if not math.isfinite(self.at):
+            _fail("at", f"must be finite, got {self.at}")
         if not 0.0 <= self.at:
             _fail("at", f"must be >= 0, got {self.at}")
         if self.fate not in FAILURE_FATES:

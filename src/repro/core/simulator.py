@@ -490,9 +490,13 @@ class ScheduleBuilder:
     def best_node_by_eft(self, task: Task, nodes: Iterable[Node] | None = None) -> Node:
         """Node minimizing EFT for ``task`` (first wins on ties)."""
         if nodes is None:
-            # Batched sweep; argmin keeps the first minimum, matching
-            # the scalar min() over nodes in insertion order.
-            return self._nodes[int(self.eft_all(task).argmin())]
+            if not self.compiled.exec_has_nan:
+                # Batched sweep; argmin keeps the first minimum, matching
+                # the scalar min() over nodes in insertion order.
+                return self._nodes[int(self.eft_all(task).argmin())]
+            # argmin returns the first NaN finish time, which min() skips
+            # unless it comes first: take the scalar path.
+            nodes = self._nodes
         candidates = list(nodes)
         if not candidates:
             raise SchedulingError("no candidate nodes")

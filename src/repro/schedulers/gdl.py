@@ -23,6 +23,8 @@ formulation assumes a homogeneous interconnect when computing levels.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.core.compiled import argmin_ranked, compile_instance
 from repro.core.instance import ProblemInstance
 from repro.core.schedule import Schedule
@@ -54,24 +56,28 @@ class GDLScheduler(Scheduler):
         mean_w = {t: compiled.mean_exec(t) for t in instance.task_graph.tasks}
         nodes = instance.network.nodes
         ranks = builder.node_str_order
-        while True:
-            ready = builder.ready_tasks()
-            if not ready:
-                break
-            best: tuple[float, str, str, object, object] | None = None
-            for task in ready:
-                # Non-insertion EST is exactly max(data-ready, available);
-                # one batched sweep replaces the per-node scalar loop.  An
-                # infinite start drives the level to -inf, as before.
-                start_row = builder.est_all(task)
-                delta_row = mean_w[task] - compiled.exec_tbl[compiled.task_id[task]]
-                neg_level = -((levels[task] - start_row) + delta_row)
-                # maximize level; break ties deterministically
-                vid = argmin_ranked(neg_level, ranks)
-                node = nodes[vid]
-                key = (float(neg_level[vid]), str(task), str(node), task, node)
-                if best is None or key[:3] < best[:3]:
-                    best = key
-            assert best is not None
-            builder.commit(best[3], best[4])
+        # Infinite costs and starts can meet as inf - inf in a level: a NaN,
+        # as in scalar arithmetic, without numpy's warning.  Entered once per
+        # schedule; once per ready task it would cost more than the level.
+        with np.errstate(invalid="ignore"):
+            while True:
+                ready = builder.ready_tasks()
+                if not ready:
+                    break
+                best: tuple[float, str, str, object, object] | None = None
+                for task in ready:
+                    # Non-insertion EST is exactly max(data-ready, available);
+                    # one batched sweep replaces the per-node scalar loop.  An
+                    # infinite start drives the level to -inf, as before.
+                    start_row = builder.est_all(task)
+                    delta_row = mean_w[task] - compiled.exec_tbl[compiled.task_id[task]]
+                    neg_level = -((levels[task] - start_row) + delta_row)
+                    # maximize level; break ties deterministically
+                    vid = argmin_ranked(neg_level, ranks)
+                    node = nodes[vid]
+                    key = (float(neg_level[vid]), str(task), str(node), task, node)
+                    if best is None or key[:3] < best[:3]:
+                        best = key
+                assert best is not None
+                builder.commit(best[3], best[4])
         return builder.schedule()

@@ -336,20 +336,34 @@ class TestScheduleEquivalence:
 
 
 #: Instances for the order-exact property: the default positive-strength
-#: networks, and networks whose links may be dead (0.0) or free (inf).
+#: networks, networks whose links may be dead (0.0) or free (inf), and
+#: NaN-degenerate ones, where an infinite cost meets an infinite speed
+#: (inf / inf is a NaN execution time).
+_degenerate_strengths = st.one_of(
+    st.sampled_from([0.0, math.inf]), st.floats(min_value=0.05, max_value=2.0)
+)
 _order_exact_instances = st.one_of(
     instances(min_tasks=1, max_tasks=7, min_nodes=1, max_nodes=4),
     st.builds(
         lambda net, tg: ProblemInstance(net, tg, name="hypothesis-degenerate-links"),
+        networks(min_nodes=1, max_nodes=4, strengths=_degenerate_strengths),
+        task_graphs(min_tasks=1, max_tasks=7),
+    ),
+    st.builds(
+        lambda net, tg: ProblemInstance(net, tg, name="hypothesis-inf-weights"),
         networks(
             min_nodes=1,
             max_nodes=4,
-            strengths=st.one_of(
-                st.sampled_from([0.0, math.inf]),
-                st.floats(min_value=0.05, max_value=2.0),
+            strengths=_degenerate_strengths,
+            speeds=st.one_of(st.just(math.inf), st.floats(min_value=0.05, max_value=2.0)),
+        ),
+        task_graphs(
+            min_tasks=1,
+            max_tasks=7,
+            costs=st.one_of(
+                st.sampled_from([0.0, math.inf]), st.floats(min_value=0.0, max_value=2.0)
             ),
         ),
-        task_graphs(min_tasks=1, max_tasks=7),
     ),
 )
 
@@ -363,26 +377,52 @@ _COMPILE_FREE_REFERENCE = [
 ]
 
 
+def _schedule_or_error(scheduler, inst):
+    """``scheduler``'s schedule of ``inst``, or the exception it raised."""
+    try:
+        return scheduler.schedule(inst)
+    except Exception as exc:
+        return exc
+
+
 class TestOrderExactEquivalence:
     """The handed-over Schedule is the reference's add()-built one, order
     included: same entries in the same iteration order, same node and
-    task order, same makespan repr."""
+    task order, same makespan repr.  Entries compare by ``repr``: a NaN
+    finish time makes ``==`` false even between identical entries."""
 
     @pytest.mark.parametrize("name", PAPER_SCHEDULERS)
     @settings(max_examples=40, deadline=None)
     @given(inst=_order_exact_instances)
     def test_schedule_order_exact_vs_reference(self, name, inst):
         scheduler = get_scheduler(name)
-        fresh = scheduler.schedule(inst)
+        fresh = _schedule_or_error(scheduler, inst)
         with use_reference_builder():
-            reference = scheduler.schedule(inst)
-        assert tuple(fresh) == tuple(reference)
-        assert [(repr(e.start), repr(e.end)) for e in fresh] == [
-            (repr(e.start), repr(e.end)) for e in reference
-        ]
+            reference = _schedule_or_error(scheduler, inst)
+        if isinstance(fresh, Exception) or isinstance(reference, Exception):
+            # A scheduler that refuses an instance refuses it on both
+            # builders, with the same error.
+            assert repr(fresh) == repr(reference)
+            return
+        assert [repr(e) for e in fresh] == [repr(e) for e in reference]
         assert fresh.nodes == reference.nodes
         assert fresh.tasks == reference.tasks
         assert repr(fresh.makespan) == repr(reference.makespan)
+
+    @pytest.mark.parametrize("name", ["CPoP", "HEFT", "MCT"])
+    def test_nan_finish_time_does_not_win_the_eft_choice(self, name):
+        """a(1) -> b(inf) on v0 (speed 1) and v1 (speed inf): b finishes
+        at inf on v0 and at NaN (inf / inf) on v1.  The reference's min()
+        over nodes keeps v0; an argmin over the finish times picked v1."""
+        tg = TaskGraph.from_dicts({"a": 1.0, "b": math.inf}, {("a", "b"): 1.0})
+        net = Network.from_speeds({"v0": 1.0, "v1": math.inf}, default_strength=1.0)
+        inst = ProblemInstance(net, tg, name="nan-eft")
+        scheduler = get_scheduler(name)
+        fresh = scheduler.schedule(inst)
+        with use_reference_builder():
+            reference = scheduler.schedule(inst)
+        assert (fresh["b"].node, repr(fresh["b"].end)) == ("v0", "inf")
+        assert [repr(e) for e in fresh] == [repr(e) for e in reference]
 
     @pytest.mark.parametrize("name", _COMPILE_FREE_REFERENCE)
     def test_reference_run_compiles_nothing(self, name):

@@ -50,8 +50,9 @@ from repro.stochastic.variables import ClippedGaussianRV, UniformRV
 from repro.sweeps import SweepSpec, run_sweep
 from repro.sweeps.spec import SpecError
 from repro.utils.rng import as_generator
+from tests import dynamic_reference
 from tests.conftest import ALL_SCHEDULERS, POLY_SCHEDULERS
-from tests.strategies import instances
+from tests.strategies import dynamics_specs, instances
 
 
 def entries_of(schedule_like) -> dict:
@@ -122,6 +123,12 @@ class TestDynamicsSpec:
             ({"samples": 0}, "samples"),
             ({"contention": "none", "bogus": 1}, "bogus"),
             ({"error": {"kind": "uniform", "sigma": 1}}, "sigma"),
+            ({"error": {"kind": "uniform", "low": math.nan}}, "low"),
+            ({"error": {"kind": "uniform", "high": math.inf}}, "high"),
+            ({"slowdown": {"kind": "gaussian", "std": math.nan}}, "std"),
+            ({"slowdown": {"kind": "gaussian", "std": math.inf}}, "std"),
+            ({"failures": {"count": 1, "at": math.inf}}, "at"),
+            ({"failures": {"count": 1, "at": math.nan}}, "at"),
         ],
     )
     def test_invalid_specs_name_the_field(self, data, fragment):
@@ -131,6 +138,13 @@ class TestDynamicsSpec:
     def test_not_json(self):
         with pytest.raises(DynamicsError, match="not valid JSON"):
             DynamicsSpec.from_json("{nope")
+
+    def test_json_non_finite_literals_rejected(self):
+        """json.loads accepts NaN/Infinity literals; the spec does not."""
+        with pytest.raises(DynamicsError, match=r"dynamics\.error.*low: must be finite"):
+            DynamicsSpec.from_json('{"error": {"kind": "uniform", "low": NaN}}')
+        with pytest.raises(DynamicsError, match=r"dynamics\.failures.*at: must be finite"):
+            DynamicsSpec.from_json('{"failures": {"count": 1, "at": Infinity}}')
 
     @given(
         low=st.floats(1e-3, 10.0),
@@ -307,31 +321,6 @@ class TestReplayReroute:
 # ---------------------------------------------------------------------- #
 # Determinism: reruns, pickled specs, tie-breaking
 # ---------------------------------------------------------------------- #
-def dynamics_specs() -> st.SearchStrategy[DynamicsSpec]:
-    noises = st.one_of(
-        st.just(NoiseSpec()),
-        st.just(NoiseSpec(kind="uniform", low=0.5, high=2.0)),
-        st.just(NoiseSpec(kind="gaussian", std=0.25, low=0.5, high=2.0)),
-    )
-    failures = st.one_of(
-        st.just(FailureSpec()),
-        st.builds(
-            FailureSpec,
-            count=st.integers(1, 2),
-            at=st.sampled_from([0.25, 0.5, 0.9]),
-            fate=st.sampled_from(["stall", "reassign"]),
-            pick=st.sampled_from(["most-loaded", "random"]),
-        ),
-    )
-    return st.builds(
-        DynamicsSpec,
-        contention=st.sampled_from(["none", "fair", "fifo"]),
-        error=noises,
-        slowdown=noises,
-        failures=failures,
-    )
-
-
 class TestDeterminism:
     @given(
         instance=instances(min_tasks=2, max_tasks=6, min_nodes=2, max_nodes=4),
@@ -520,6 +509,59 @@ class TestFailures:
         a = simulate_schedule(planned, instance, spec, rng=3)
         b = simulate_schedule(planned, instance, spec, rng=3)
         assert a.events == b.events
+
+
+# ---------------------------------------------------------------------- #
+# The replay plan cache: one plan per schedule, never a stale one
+# ---------------------------------------------------------------------- #
+CACHE_DYNAMICS = DynamicsSpec(
+    contention="fair",
+    error=NoiseSpec(kind="uniform", low=0.5, high=2.0),
+    failures=FailureSpec(count=1, at=0.5, fate="reassign"),
+)
+
+
+def assert_same_as_reference(result, planned, instance, spec, seed) -> None:
+    reference = dynamic_reference.simulate_schedule(planned, instance, spec, rng=seed)
+    assert repr(result) == repr(reference)
+
+
+class TestReplayPlanCache:
+    def test_interleaved_seeds_share_one_plan(self):
+        """Seeds a, b, a: the reassign in each replay rewrites that
+        replay's queues, never the shared plan's."""
+        instance, planned = star_instance(), star_plan()
+        first = simulate_schedule(planned, instance, CACHE_DYNAMICS, rng=3)
+        second = simulate_schedule(planned, instance, CACHE_DYNAMICS, rng=4)
+        third = simulate_schedule(planned, instance, CACHE_DYNAMICS, rng=3)
+        assert any(event[0] == "reassign" for event in first.events)
+        assert repr(third) == repr(first)
+        assert repr(second) != repr(first)
+        assert_same_as_reference(first, planned, instance, CACHE_DYNAMICS, 3)
+        assert_same_as_reference(second, planned, instance, CACHE_DYNAMICS, 4)
+
+    def test_adding_to_the_schedule_replans(self):
+        instance, planned = star_instance(), star_plan()
+        simulate_schedule(planned, instance, CACHE_DYNAMICS, rng=3)
+        planned.add("ghost", "v0", 6.0, 7.0)
+        with pytest.raises(SchedulingError, match="unknown tasks"):
+            simulate_schedule(planned, instance, CACHE_DYNAMICS, rng=3)
+
+    def test_mutated_instance_or_other_spec_replans(self):
+        instance, planned = star_instance(), star_plan()
+        before = simulate_schedule(planned, instance, CACHE_DYNAMICS, rng=3)
+        instance.task_graph.set_cost("t1", 4.0)
+        after = simulate_schedule(planned, instance, CACHE_DYNAMICS, rng=3)
+        assert repr(after) != repr(before)
+        assert_same_as_reference(after, planned, instance, CACHE_DYNAMICS, 3)
+        stall = DynamicsSpec(
+            contention="fair",
+            error=CACHE_DYNAMICS.error,
+            failures=FailureSpec(count=1, at=0.25, fate="stall"),
+        )
+        stalled = simulate_schedule(planned, instance, stall, rng=3)
+        assert stalled.unfinished and not after.unfinished
+        assert_same_as_reference(stalled, planned, instance, stall, 3)
 
 
 # ---------------------------------------------------------------------- #
