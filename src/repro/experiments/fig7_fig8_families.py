@@ -28,11 +28,10 @@ import numpy as np
 from repro.benchmarking.report import boxplot_row, format_table
 from repro.datasets.families import fig7_instance, fig8_instance  # noqa: F401 (re-export)
 from repro.experiments.config import pick
-from repro.runtime.checkpoint import RunCheckpoint
-from repro.sweeps import fig7_spec, fig8_spec, run_sweep, sample_units
+from repro.sweeps import fig7_spec, fig8_spec, run_sweep
 from repro.utils.rng import as_generator
 
-__all__ = ["fig7_instance", "fig8_instance", "FamilyResult", "run_family", "run"]
+__all__ = ["fig7_instance", "fig8_instance", "FamilyResult", "run"]
 
 
 @dataclass
@@ -45,38 +44,6 @@ class FamilyResult:
 
     def median(self, scheduler: str) -> float:
         return float(np.median(self.makespans[scheduler]))
-
-
-def run_family(
-    name: str,
-    instance_factory,
-    num_instances: int,
-    rng,
-    schedulers: tuple[str, ...] = ("CPoP", "HEFT"),
-    jobs: int = 1,
-    checkpoint: RunCheckpoint | None = None,
-) -> FamilyResult:
-    """Sample a family and collect per-scheduler makespans.
-
-    Each sample is one work unit on its own spawned RNG stream, so the
-    distributions are identical at any ``jobs`` (and across an
-    interrupt/resume boundary when a ``checkpoint`` is given).
-    """
-    rows = sample_units(
-        name,
-        schedulers,
-        factory=instance_factory,
-        num_instances=num_instances,
-        rng=rng,
-        jobs=jobs,
-        checkpoint=checkpoint,
-    )
-    return FamilyResult(
-        name=name,
-        makespans={
-            s: np.asarray([row["makespans"][s] for row in rows]) for s in schedulers
-        },
-    )
 
 
 @dataclass

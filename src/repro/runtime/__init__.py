@@ -3,14 +3,16 @@
 The paper's headline sweeps (Fig. 4's 210 scheduler pairs x 5 restarts,
 the Figs. 10-19 per-application panels, the Figs. 7/8 family samples)
 decompose into independent *work units*, each carrying its own spawned
-RNG stream.  This package executes such unit collections serially or
-over a process pool, streams results back as they complete, and
-checkpoints finished units to a JSON-lines run directory so interrupted
-sweeps resume instead of restarting.  Multi-host runs drain through the
-HTTP coordinator (``coordinator.py``), which owns the lease table and
-the run directory; workers speak to it through the ``WorkBackend`` seam
-(``backends.py``) from the drain loop in ``distributed.py``, with no
-shared filesystem.  See README.md in this directory for the work-unit /
+RNG stream; :func:`repro.sweeps.plan_sweep` builds them from a spec.
+``run_units`` (``executor.py``) executes such unit collections on this
+host, serially or over a process pool, streams results back as they
+complete, and checkpoints finished units to a JSON-lines run directory
+so interrupted sweeps resume instead of restarting.  Multi-host runs
+drain through the HTTP coordinator (``coordinator.py``), which owns the
+lease table and the run directory; workers speak to it through the
+``WorkBackend`` seam (``backends.py``) from the drain loop in
+``distributed.py`` (``run_units_coordinator``), with no shared
+filesystem.  See README.md in this directory for the work-unit /
 checkpoint / coordination model.
 """
 
@@ -48,7 +50,6 @@ from repro.runtime.pairwise import (
     decode_unit_result,
     encode_unit_result,
     pair_sweep_units,
-    run_pair_sweep,
     run_pairwise,
     run_pairwise_unit,
     run_pisa_restarts,
@@ -63,7 +64,6 @@ __all__ = [
     "run_units",
     "default_jobs",
     "run_pairwise",
-    "run_pair_sweep",
     "pair_sweep_units",
     "aggregate_pair_sweep",
     "run_pairwise_unit",

@@ -17,9 +17,11 @@ views that need no coordinator:
     rest.  A daemon thread renews each batch's heartbeat while its
     members run.
 :func:`run_units_coordinator`
-    ``run_units(backend="coordinator")``: this process plus ``jobs - 1``
-    sibling processes drain through the coordinator, then fetch the
-    merged results over the wire.
+    The coordinator counterpart of the local
+    :func:`~repro.runtime.executor.run_units` (``run_sweep(backend=
+    "coordinator")`` calls it): this process plus ``jobs - 1`` sibling
+    processes drain through the coordinator, then fetch the merged
+    results over the wire.
 :class:`LeaseDir`
     The ``leases/`` directory of a run.  Its one writer is a serving
     coordinator's *advisory* lease (``leases/__coordinator__.json``),

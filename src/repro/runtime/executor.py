@@ -1,7 +1,7 @@
 """The work-unit executor: serial or process-pool, with checkpointing.
 
-:func:`run_units` is the single entry point every parallelized experiment
-goes through:
+:func:`run_units` executes work units on this host (multi-host runs drain
+through :func:`repro.runtime.distributed.run_units_coordinator`):
 
 * ``jobs=1`` executes units in order, in process — this is *the* serial
   path, not a simulation of it, so serial results are bit-identical to
@@ -33,7 +33,7 @@ from typing import Any
 from repro.runtime.checkpoint import RunCheckpoint
 from repro.runtime.units import WorkUnit
 
-__all__ = ["run_units", "default_jobs", "reject_distributed_options"]
+__all__ = ["run_units", "default_jobs"]
 
 
 def _pool_child_init() -> None:
@@ -56,22 +56,6 @@ def _timed_call(worker: Callable[[WorkUnit], Any], unit: WorkUnit) -> tuple[Any,
     t0 = perf_counter()
     result = worker(unit)
     return result, perf_counter() - t0
-
-
-def reject_distributed_options(options: dict[str, Any]) -> None:
-    """Refuse coordinator-only tuning under the local backend.
-
-    Shared by :func:`run_units` and :func:`repro.sweeps.run_sweep` so the
-    two entry points cannot drift: a user who sets claim batching or
-    heartbeat timing expects the coordinator backend, and silently
-    dropping the options would hide the mistake.
-    """
-    for option, value in options.items():
-        if value is not None:
-            raise ValueError(
-                f"{option} is a coordinator-backend option and has no effect with "
-                "backend='local'"
-            )
 
 
 def default_jobs() -> int:
@@ -116,15 +100,8 @@ def run_units(
     jobs: int = 1,
     checkpoint: RunCheckpoint | None = None,
     on_result: Callable[[WorkUnit, Any, bool], None] | None = None,
-    backend: str = "local",
-    worker_id: str | None = None,
-    heartbeat_interval: float | None = None,
-    poll_interval: float | None = None,
-    coordinator_url: str | None = None,
-    retry_timeout: float | None = None,
-    claim_batch: int | None = None,
 ) -> dict[str, Any]:
-    """Execute ``units`` and return ``{unit.key: result}``.
+    """Execute ``units`` locally and return ``{unit.key: result}``.
 
     Parameters
     ----------
@@ -137,81 +114,15 @@ def run_units(
     checkpoint:
         Optional :class:`RunCheckpoint`.  Units whose keys are already
         recorded are returned from the checkpoint without re-executing;
-        freshly completed units are appended as they finish.  Under the
-        coordinator backend it only supplies the result codecs — the
-        coordinator owns the run directory.
+        freshly completed units are appended as they finish.
     on_result:
         Streaming callback ``(unit, result, cached)`` invoked once per
         unit — with ``cached=True`` for units restored from the
-        checkpoint, in unit order before any execution starts.  (The
-        coordinator backend invokes it only after the whole run
-        completes, with ``cached=True`` for units executed by peers.)
-    backend:
-        ``"local"`` (this process plus an optional process pool) or
-        ``"coordinator"`` (workers speaking JSON to a ``repro sweep
-        serve`` coordinator — see :mod:`repro.runtime.distributed`;
-        requires ``coordinator_url``).
-    worker_id, heartbeat_interval, poll_interval:
-        Coordinator-backend tuning (worker shard identity, heartbeat
-        renewal interval, wait-poll interval); rejected under the local
-        backend rather than silently ignored.  The lease TTL is set on
-        the coordinator (``repro sweep serve --ttl``).
-    coordinator_url, retry_timeout:
-        Coordinator backend: the coordinator's base URL and the bounded
-        retry budget for transient errors.
-    claim_batch:
-        Units leased per claim request (default 1); every size speaks
-        the same batch protocol.  A batch of one costs two coordinator
-        requests per unit (claim and record) and records its unit as
-        soon as it finishes, so crash granularity stays per unit.
-        Larger batches amortize claim and record round trips — the big
-        win on the coordinator backend: finished units are recorded in
-        one flush per batch (or per heartbeat interval), so a worker
-        SIGKILLed mid-batch also loses its unflushed finished units,
-        which peers re-execute bit-identically after the TTL.  Rejected
-        under the local backend.
+        checkpoint, in unit order before any execution starts.
     """
     units = list(units)
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    if backend not in ("local", "coordinator"):
-        raise ValueError(f"backend must be 'local' or 'coordinator', got {backend!r}")
-    if backend != "coordinator" and coordinator_url is not None:
-        raise ValueError(
-            f"coordinator_url has no effect with backend={backend!r}; "
-            "pass backend='coordinator'"
-        )
-    if backend == "coordinator":
-        if coordinator_url is None:
-            raise ValueError(
-                "backend='coordinator' requires coordinator_url (the "
-                "`repro sweep serve` endpoint is the coordination medium)"
-            )
-        from repro.runtime.distributed import run_units_coordinator
-
-        return run_units_coordinator(
-            units,
-            worker,
-            coordinator_url,
-            jobs=jobs,
-            worker_id=worker_id,
-            encode=checkpoint.encode if checkpoint is not None else None,
-            decode=checkpoint.decode if checkpoint is not None else None,
-            heartbeat_interval=heartbeat_interval,
-            poll_interval=poll_interval,
-            retry_timeout=retry_timeout,
-            claim_batch=1 if claim_batch is None else claim_batch,
-            on_result=on_result,
-        )
-    reject_distributed_options(
-        {
-            "worker_id": worker_id,
-            "heartbeat_interval": heartbeat_interval,
-            "poll_interval": poll_interval,
-            "retry_timeout": retry_timeout,
-            "claim_batch": claim_batch,
-        }
-    )
     keys = [u.key for u in units]
     if len(set(keys)) != len(keys):
         raise ValueError("work-unit keys must be unique within a run")

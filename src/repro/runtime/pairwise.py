@@ -31,7 +31,6 @@ from repro.pisa.annealing import AnnealingResult, AnnealingStep
 from repro.pisa.constraints import SearchConstraints
 from repro.pisa.perturbations import PerturbationSet
 from repro.pisa.pisa import PISA, PairwiseResult, PISAConfig, PISAResult
-from repro.runtime.checkpoint import RunCheckpoint
 from repro.runtime.executor import run_units
 from repro.runtime.units import WorkUnit
 from repro.utils.rng import as_generator, spawn
@@ -41,8 +40,8 @@ __all__ = [
     "run_pairwise_unit",
     "run_pisa_restarts",
     "run_pairwise",
-    "run_pair_sweep",
     "pair_sweep_units",
+    "pair_progress",
     "aggregate_pair_sweep",
     "unit_key",
 ]
@@ -137,10 +136,11 @@ def pair_sweep_units(
     """The (pair, restart) unit list of a pairwise sweep, streams spawned.
 
     This function *is* the seeding contract: every entry point — the
-    local executor, the declarative spec runner, and distributed workers
-    reconstructing the sweep from a run manifest on another host — builds
-    units through it, so the same pair list and seed always yield the
-    same per-unit RNG streams (and therefore bit-identical results).
+    in-memory :func:`run_pairwise` and :func:`repro.sweeps.plan_sweep`,
+    which :func:`repro.sweeps.run_sweep` and coordinator workers
+    rebuilding the sweep from its manifest both call — builds units
+    through it, so the same pair list and seed always yield the same
+    per-unit RNG streams (and therefore bit-identical results).
     """
     gen = as_generator(rng)
     units: list[WorkUnit] = []
@@ -169,50 +169,32 @@ def aggregate_pair_sweep(
     return out
 
 
-def run_pair_sweep(
+def pair_progress(
     pairs: list[tuple[str, str, PISA]],
     restarts: int,
-    rng: int | np.random.Generator | None = None,
-    *,
-    schedulers: list[str],
-    jobs: int = 1,
-    checkpoint: RunCheckpoint | None = None,
-    progress: Callable[[str, str, float], None] | None = None,
-) -> PairwiseResult:
-    """Execute configured ``(target, baseline, PISA)`` pairs as a unit sweep.
+    progress: Callable[[str, str, float], None],
+) -> Callable[[WorkUnit, PairwiseUnitResult, bool], None]:
+    """An ``on_result`` hook reporting each pair once, as its last restart lands.
 
-    This is the shared core behind :func:`run_pairwise` (scheduler-set
-    sweeps) and :func:`repro.sweeps.run_sweep` (declarative specs): it
-    owns the two-level spawn tree, the unit keys, and the aggregation
-    into a :class:`~repro.pisa.pisa.PairwiseResult` — so every entry
-    point produces bit-identical matrices for the same pair list and
-    seed.  Only :func:`repro.sweeps.run_sweep` passes a ``checkpoint``,
-    already initialized with its spec manifest.
+    ``progress(target, baseline, best_ratio)`` fires when every restart
+    of a pair has a result — executed or restored from a checkpoint — so
+    it follows the runner's streaming order: completion order on the
+    local executor, pair order after a coordinator run.
     """
-    units = pair_sweep_units(pairs, restarts, rng)
     key_to_pair = {
         unit_key(target, baseline, restart): (target, baseline)
         for target, baseline, _ in pairs
         for restart in range(restarts)
     }
+    collected: dict[tuple[str, str], dict[int, float]] = {(t, b): {} for t, b, _ in pairs}
 
-    on_result = None
-    if progress is not None:
-        collected: dict[tuple[str, str], dict[int, AnnealingResult]] = {
-            (t, b): {} for t, b, _ in pairs
-        }
+    def on_result(unit: WorkUnit, result: PairwiseUnitResult, cached: bool) -> None:
+        pair = key_to_pair[unit.key]
+        collected[pair][result.restart] = result.annealing.best_energy
+        if len(collected[pair]) == restarts:
+            progress(pair[0], pair[1], max(collected[pair][r] for r in range(restarts)))
 
-        def on_result(unit: WorkUnit, result: PairwiseUnitResult, cached: bool) -> None:
-            pair = key_to_pair[unit.key]
-            collected[pair][result.restart] = result.annealing
-            if len(collected[pair]) == restarts:
-                best = max(collected[pair][r].best_energy for r in range(restarts))
-                progress(pair[0], pair[1], best)
-
-    unit_results = run_units(
-        units, run_pairwise_unit, jobs=jobs, checkpoint=checkpoint, on_result=on_result
-    )
-    return aggregate_pair_sweep(pairs, restarts, unit_results, schedulers)
+    return on_result
 
 
 # ---------------------------------------------------------------------- #
@@ -259,11 +241,7 @@ def run_pairwise(
                 )
             )
 
-    return run_pair_sweep(
-        pairs,
-        config.restarts,
-        gen,
-        schedulers=[str(s) for s in schedulers],
-        jobs=jobs,
-        progress=progress,
-    )
+    units = pair_sweep_units(pairs, config.restarts, gen)
+    on_result = None if progress is None else pair_progress(pairs, config.restarts, progress)
+    results = run_units(units, run_pairwise_unit, jobs=jobs, on_result=on_result)
+    return aggregate_pair_sweep(pairs, config.restarts, results, [str(s) for s in schedulers])

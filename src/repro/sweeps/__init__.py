@@ -35,7 +35,6 @@ from repro.sweeps.runner import (
     plan_sweep,
     render_report,
     run_sweep,
-    sample_units,
     work_coordinator,
 )
 from repro.sweeps.sources import ResolvedSource, resolve_source
@@ -54,7 +53,6 @@ __all__ = [
     "load_run_plan",
     "work_coordinator",
     "render_report",
-    "sample_units",
     "resolve_source",
     "ResolvedSource",
     "named_spec",

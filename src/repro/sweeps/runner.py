@@ -1,9 +1,10 @@
 """``run_sweep``: the single execution entry point for declarative sweeps.
 
 Every sweep — paper figure or user-authored ``spec.json`` — goes through
-:func:`run_sweep`.  It resolves the spec's instance source, decomposes
-the sweep into :class:`~repro.runtime.units.WorkUnit`\\ s on the existing
-executor/checkpoint layer, and aggregates:
+:func:`run_sweep`.  It plans the spec into
+:class:`~repro.runtime.units.WorkUnit`\\ s (:func:`plan_sweep`), runs them
+on the local executor or through a coordinator, and folds the results
+with one aggregation for both backends:
 
 * PISA mode: one unit per (target, baseline, restart), the Fig. 4
   decomposition, returning a
@@ -11,7 +12,9 @@ executor/checkpoint layer, and aggregates:
 * benchmark mode: one unit per sampled instance, each scheduled with
   every scheduler, returning a
   :class:`~repro.benchmarking.harness.BenchmarkResult` plus raw
-  makespan distributions.
+  makespan distributions;
+* dynamic mode: one unit per sampled instance, each schedule replayed
+  under the spec's dynamics, returning static and realized makespans.
 
 With ``run_dir``, the *spec itself* is the checkpoint manifest: the run
 directory records exactly which experiment it holds, resuming validates
@@ -40,14 +43,14 @@ from repro.core.scheduler import get_scheduler, list_schedulers
 from repro.pisa.pisa import PISA, PairwiseResult
 from repro.pisa.robustness import RobustnessGapPISA
 from repro.runtime.checkpoint import CheckpointError, RunCheckpoint
-from repro.runtime.distributed import WorkerStats, drain_units
-from repro.runtime.executor import reject_distributed_options, run_units
+from repro.runtime.distributed import WorkerStats, drain_units, run_units_coordinator
+from repro.runtime.executor import run_units
 from repro.runtime.pairwise import (
     aggregate_pair_sweep,
     decode_unit_result,
     encode_unit_result,
+    pair_progress,
     pair_sweep_units,
-    run_pair_sweep,
     run_pairwise_unit,
 )
 from repro.runtime.units import WorkUnit
@@ -59,7 +62,6 @@ __all__ = [
     "SweepResult",
     "SweepPlan",
     "run_sweep",
-    "sample_units",
     "render_report",
     "plan_sweep",
     "plan_from_manifest",
@@ -152,38 +154,6 @@ def _instance_sample_units(
         WorkUnit(key=f"{name}[{i}]", payload=("instance", instance, names))
         for i, instance in enumerate(instances)
     ]
-
-
-def sample_units(
-    name: str,
-    schedulers: tuple[str, ...] | list[str],
-    *,
-    factory: Callable | None = None,
-    instances: list | None = None,
-    num_instances: int | None = None,
-    rng=None,
-    jobs: int = 1,
-    checkpoint: RunCheckpoint | None = None,
-) -> list[dict]:
-    """Run one benchmark-mode fan-out and return per-instance rows in order.
-
-    Exactly one of ``factory`` (per-unit spawned RNG streams — the
-    Figs. 7/8 protocol) or ``instances`` (pre-sampled, e.g. sequentially
-    drawn datasets) must be given.  Each row is ``{"instance": name,
-    "makespans": {scheduler: makespan}}``.
-    """
-    if (factory is None) == (instances is None):
-        raise ValueError("exactly one of factory/instances is required")
-    names = tuple(schedulers)
-    if factory is not None:
-        if num_instances is None:
-            raise ValueError("num_instances is required with a factory")
-        units = _spawn_sample_units(name, names, factory, num_instances, rng)
-    else:
-        num_instances = len(instances)
-        units = _instance_sample_units(name, names, instances)
-    results = run_units(units, sample_unit, jobs=jobs, checkpoint=checkpoint)
-    return [results[f"{name}[{i}]"] for i in range(num_instances)]
 
 
 def _aggregate_benchmark(spec: SweepSpec, rows: list[dict]) -> tuple[BenchmarkResult, dict]:
@@ -291,7 +261,7 @@ class SweepPlan:
 
     This is the distributable form of a spec: any process that can load
     the spec — in particular a ``repro sweep work`` worker on another
-    host reading a shared run directory's manifest — reconstructs the
+    host reading a coordinator's ``GET /manifest`` — reconstructs the
     *same* plan (same unit keys, same spawned RNG streams, same worker
     function), which is what makes multi-host results bit-identical to
     ``run_sweep(spec, jobs=1)``.
@@ -383,19 +353,13 @@ def plan_sweep(
     return SweepPlan(spec=spec, units=units, worker=sample_unit, encode=None, decode=None)
 
 
-def _aggregate_plan(
-    plan: SweepPlan,
-    results: dict[str, Any],
-    progress: Callable[[str, str, float], None] | None = None,
-) -> SweepResult:
+def _aggregate_plan(plan: SweepPlan, results: dict[str, Any]) -> SweepResult:
+    """Fold every unit result of ``plan`` into the sweep's result, by mode."""
     spec = plan.spec
     if spec.mode == "pisa":
         pairwise = aggregate_pair_sweep(
             plan.pairs, spec.config.restarts, results, spec.scheduler_names()
         )
-        if progress is not None:
-            for (target, baseline), res in pairwise.results.items():
-                progress(target, baseline, res.best_ratio)
         return SweepResult(spec=spec, pairwise=pairwise)
     rows = [results[f"{spec.name}[{i}]"] for i in range(spec.num_instances)]
     if spec.mode == "dynamic":
@@ -443,13 +407,16 @@ def run_sweep(
     rng:
         Override the sweep's RNG root.  ``None`` (the default) seeds
         from ``spec.seed``; experiment drivers thread a shared generator
-        through consecutive sweeps to preserve historical streams.
-        Local backend only — coordinator workers must be able to
-        reconstruct every stream from the manifest's spec alone.
+        through consecutive sweeps to preserve historical streams.  The
+        manifest then fingerprints the generator's position before
+        planning (``external_rng``), so a resume must present the same
+        position.  Local backend only — coordinator workers must be able
+        to reconstruct every stream from the manifest's spec alone.
     progress:
-        PISA mode: ``(target, baseline, best_ratio)`` per completed pair
-        (under the coordinator backend, reported after the run
-        completes, in pair order).
+        PISA mode: ``(target, baseline, best_ratio)`` once per pair, as
+        its last restart lands — pairs restored from ``run_dir`` first,
+        then in completion order (under the coordinator backend, after
+        the run completes, in pair order).
     backend:
         ``"local"`` (this process + optional process pool) or
         ``"coordinator"`` (workers speaking JSON to a ``repro sweep
@@ -476,20 +443,14 @@ def run_sweep(
         win on the coordinator backend: finished units are recorded in
         one flush per batch (or per heartbeat interval), so a worker
         SIGKILLed mid-batch also loses its unflushed finished units,
-        which peers re-execute bit-identically after the TTL.  Rejected
-        under the local backend.
+        which peers re-execute bit-identically after the TTL.
+
+    Coordinator-only options are rejected under the local backend rather
+    than silently dropped.
     """
     if backend not in ("local", "coordinator"):
         raise ValueError(f"backend must be 'local' or 'coordinator', got {backend!r}")
-    if backend != "coordinator" and coordinator is not None:
-        raise ValueError(
-            f"coordinator has no effect with backend={backend!r}; pass "
-            "backend='coordinator'"
-        )
     if backend == "coordinator":
-        from repro.runtime.backends import HttpWorkBackend
-        from repro.runtime.distributed import run_units_coordinator
-
         if coordinator is None:
             raise CheckpointError(
                 "backend='coordinator' needs a coordinator URL: the "
@@ -506,7 +467,33 @@ def run_sweep(
                 "workers reconstruct RNG streams from the coordinator "
                 "manifest's spec.seed alone; bake the seed into the spec"
             )
-        plan = plan_sweep(spec)
+    else:
+        coordinator_options = {
+            "coordinator": coordinator,
+            "heartbeat_interval": heartbeat_interval,
+            "poll_interval": poll_interval,
+            "retry_timeout": retry_timeout,
+            "claim_batch": claim_batch,
+        }
+        for option, value in coordinator_options.items():
+            if value is not None:
+                raise ValueError(
+                    f"{option} is a coordinator-backend option and has no effect "
+                    "with backend='local'; pass backend='coordinator'"
+                )
+
+    gen = as_generator(spec.seed if rng is None else rng)
+    # Planning consumes the generator by spawning, so an external one is
+    # fingerprinted first: a resume must present the same stream position.
+    fingerprint = None if rng is None else _rng_fingerprint(gen)
+    plan = plan_sweep(spec, gen)
+    on_result = None
+    if progress is not None and plan.pairs is not None:
+        on_result = pair_progress(plan.pairs, spec.config.restarts, progress)
+
+    if backend == "coordinator":
+        from repro.runtime.backends import HttpWorkBackend
+
         client = HttpWorkBackend(coordinator, retry_timeout=retry_timeout)
         try:
             stored = client.manifest()
@@ -529,89 +516,20 @@ def run_sweep(
             poll_interval=poll_interval,
             retry_timeout=retry_timeout,
             claim_batch=1 if claim_batch is None else claim_batch,
-        )
-        return _aggregate_plan(plan, results, progress=progress)
-    reject_distributed_options(
-        {
-            "heartbeat_interval": heartbeat_interval,
-            "poll_interval": poll_interval,
-            "retry_timeout": retry_timeout,
-            "claim_batch": claim_batch,
-        }
-    )
-
-    _validate_schedulers(spec)
-    resolved = resolve_source(spec.source)
-    gen = as_generator(spec.seed if rng is None else rng)
-
-    def _manifest(units: int) -> dict:
-        manifest = {"kind": MANIFEST_KIND, "spec": spec.to_dict(), "units": units}
-        if rng is not None:
-            # The streams came from a caller-supplied rng, not from
-            # spec.seed — fingerprint the generator's pre-spawn state so a
-            # resume must present the *same* stream position.  `repro
-            # sweep run` on the stored spec (no override), or a resume
-            # with a differently-seeded generator, hits a manifest
-            # mismatch instead of silently mixing two RNG spawn trees.
-            manifest["external_rng"] = _rng_fingerprint(gen)
-        return manifest
-
-    if spec.mode == "pisa":
-        pairs = _pisa_pairs(spec, resolved)
-        checkpoint = None
-        if run_dir is not None:
-            checkpoint = RunCheckpoint(
-                run_dir, encode=encode_unit_result, decode=decode_unit_result
-            )
-            checkpoint.initialize(_manifest(len(pairs) * spec.config.restarts), resume=resume)
-        pairwise = run_pair_sweep(
-            pairs,
-            spec.config.restarts,
-            gen,
-            schedulers=spec.scheduler_names(),
-            jobs=jobs,
-            checkpoint=checkpoint,
-            progress=progress,
-        )
-        return SweepResult(spec=spec, pairwise=pairwise)
-
-    if spec.mode == "dynamic":
-        units = _dynamic_units(spec, resolved, gen)
-        checkpoint = None
-        if run_dir is not None:
-            checkpoint = RunCheckpoint(run_dir)  # rows are already JSON-ready
-            checkpoint.initialize(_manifest(len(units)), resume=resume)
-        results = run_units(units, dynamic_unit, jobs=jobs, checkpoint=checkpoint)
-        rows = [results[f"{spec.name}[{i}]"] for i in range(spec.num_instances)]
-        static, realized = _aggregate_dynamic(spec, rows)
-        return SweepResult(spec=spec, makespans=static, dynamic=realized)
-
-    # benchmark mode
-    checkpoint = None
-    if run_dir is not None:
-        checkpoint = RunCheckpoint(run_dir)  # rows are already JSON-ready
-        checkpoint.initialize(_manifest(spec.num_instances), resume=resume)
-    if spec.sampling == "spawn":
-        rows = sample_units(
-            spec.name,
-            spec.schedulers,
-            factory=resolved.factory,
-            num_instances=spec.num_instances,
-            rng=gen,
-            jobs=jobs,
-            checkpoint=checkpoint,
+            on_result=on_result,
         )
     else:
-        instances = resolved.sequential(spec.num_instances, gen)
-        rows = sample_units(
-            spec.name,
-            spec.schedulers,
-            instances=instances,
-            jobs=jobs,
-            checkpoint=checkpoint,
+        checkpoint = None
+        if run_dir is not None:
+            checkpoint = RunCheckpoint(run_dir, encode=plan.encode, decode=plan.decode)
+            manifest = plan.manifest()
+            if fingerprint is not None:
+                manifest["external_rng"] = fingerprint
+            checkpoint.initialize(manifest, resume=resume)
+        results = run_units(
+            plan.units, plan.worker, jobs=jobs, checkpoint=checkpoint, on_result=on_result
         )
-    benchmark, makespans = _aggregate_benchmark(spec, rows)
-    return SweepResult(spec=spec, benchmark=benchmark, makespans=makespans)
+    return _aggregate_plan(plan, results)
 
 
 # ---------------------------------------------------------------------- #

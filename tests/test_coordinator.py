@@ -1092,18 +1092,6 @@ class TestCoordinatorSweep:
             time.sleep(0.15)
         assert backend.calls >= 2  # kept beating past the protocol error
 
-    def test_run_units_rejects_retry_timeout_outside_coordinator_backend(self, tmp_path):
-        from repro.runtime import RunCheckpoint, WorkUnit
-        from repro.runtime.executor import run_units
-
-        units = [WorkUnit(key="u0", payload=1)]
-        with pytest.raises(ValueError, match="retry_timeout"):
-            run_units(units, _square_payload, retry_timeout=5)
-        checkpoint = RunCheckpoint(tmp_path / "run")
-        checkpoint.initialize({"kind": "t"})
-        with pytest.raises(ValueError, match="retry_timeout"):
-            run_units(units, _square_payload, checkpoint=checkpoint, retry_timeout=5)
-
     def test_status_schema_is_shared_between_backends(self, tmp_path):
         """The run-directory view (``sweep status <dir>``) and the live
         coordinator view (``GET /status``) of one run share a schema."""

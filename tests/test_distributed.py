@@ -780,36 +780,18 @@ class TestDrainUnits:
 
 
 class TestRunUnitsDistributedBackend:
-    """``run_units(backend="coordinator")``: this process plus sibling
-    processes drain through the coordinator."""
+    """``run_units_coordinator``: this process plus sibling processes
+    drain through the coordinator."""
 
     def test_matches_local_backend_with_spawned_rngs(self, tmp_path):
         units = [WorkUnit(key=f"u{i}", rng=gen) for i, gen in enumerate(spawn(123, 6))]
         local = run_units(units, _draw, jobs=1)
         units2 = [WorkUnit(key=f"u{i}", rng=gen) for i, gen in enumerate(spawn(123, 6))]
         with serving(tmp_path / "run", [u.key for u in units2]) as (server, _):
-            over_wire = run_units(
-                units2,
-                _draw,
-                backend="coordinator",
-                coordinator_url=server.url,
-                jobs=2,
-                poll_interval=0.01,
+            over_wire = run_units_coordinator(
+                units2, _draw, server.url, jobs=2, poll_interval=0.01
             )
         assert local == over_wire
-
-    def test_local_backend_rejects_distributed_options(self):
-        with pytest.raises(ValueError, match="heartbeat_interval"):
-            run_units([WorkUnit(key="u", payload=1)], _square, heartbeat_interval=5)
-        with pytest.raises(ValueError, match="claim_batch"):
-            run_units([WorkUnit(key="u", payload=1)], _square, claim_batch=4)
-        with pytest.raises(TypeError, match="lease_ttl"):
-            run_units([WorkUnit(key="u", payload=1)], _square, lease_ttl=5)
-
-    def test_unknown_backend_rejected(self):
-        for backend in ("rpc", "distributed"):
-            with pytest.raises(ValueError, match="backend"):
-                run_units([WorkUnit(key="u", payload=1)], _square, backend=backend)
 
     def test_on_result_reports_peer_executed_units_as_cached(self, tmp_path):
         units = [WorkUnit(key="u0", payload=0), WorkUnit(key="u1", payload=3)]
@@ -892,8 +874,13 @@ class TestWorkRunDir:
             run_sweep(spec, heartbeat_interval=5)
         with pytest.raises(ValueError, match="poll_interval"):
             run_sweep(spec, poll_interval=0.1)
+        with pytest.raises(ValueError, match="claim_batch"):
+            run_sweep(spec, claim_batch=4)
         with pytest.raises(TypeError, match="lease_ttl"):
             run_sweep(spec, lease_ttl=5)
+        for backend in ("rpc", "distributed"):
+            with pytest.raises(ValueError, match="backend"):
+                run_sweep(spec, backend=backend)
 
 
 # ---------------------------------------------------------------------- #

@@ -36,7 +36,7 @@ from repro.runtime import (
     run_units,
     unit_key,
 )
-from repro.sweeps import fig4_spec, run_sweep
+from repro.sweeps import fig4_spec, fig7_spec, run_sweep
 from repro.utils.rng import as_generator, spawn
 
 FAST = PISAConfig(annealing=AnnealingConfig(max_iterations=25, alpha=0.9), restarts=2)
@@ -416,11 +416,9 @@ class TestRestartSeeding:
 # Family sampling on the runtime (Figs. 7/8)
 # ---------------------------------------------------------------------- #
 class TestFamilySampling:
-    def test_run_family_jobs_invariance(self):
-        from repro.experiments.fig7_fig8_families import fig7_instance, run_family
-
-        serial = run_family("fig7", fig7_instance, 12, rng=0, jobs=1)
-        parallel = run_family("fig7", fig7_instance, 12, rng=0, jobs=3)
+    def test_fig7_spec_jobs_invariance(self):
+        serial = run_sweep(fig7_spec(num_instances=12, seed=0), jobs=1)
+        parallel = run_sweep(fig7_spec(num_instances=12, seed=0), jobs=3)
         for scheduler in serial.makespans:
             assert np.array_equal(
                 serial.makespans[scheduler], parallel.makespans[scheduler]

@@ -3,10 +3,14 @@ MinMin, MaxMin, Duplex, WBA."""
 
 from __future__ import annotations
 
+import contextlib
+import math
+
 import pytest
 from hypothesis import given, settings
 
 from repro import Network, ProblemInstance, TaskGraph, get_scheduler
+from repro.core.reference import use_reference_builder
 from repro.schedulers import (
     DuplexScheduler,
     FastestNodeScheduler,
@@ -144,6 +148,24 @@ class TestWBA:
         a = WBAScheduler(alpha=0.0, seed=1).schedule(diamond_instance)
         b = WBAScheduler(alpha=0.0, seed=2).schedule(diamond_instance)
         assert a.makespan == pytest.approx(b.makespan)
+
+    @pytest.mark.parametrize("reference", [False, True], ids=["compiled", "reference"])
+    def test_nan_degenerate_instance_gives_nan_makespan(self, reference):
+        """inf cost on an inf-speed node is validate()-legal and finishes
+        at NaN; WBA returns a NaN makespan like HEFT and MinMin instead of
+        crashing on an empty candidate list — also when a later task's
+        increase is measured against that NaN makespan."""
+        minimal = ProblemInstance(
+            Network.from_speeds({"v": math.inf}), TaskGraph.from_dicts({"a": math.inf}, {})
+        )
+        chain = ProblemInstance(
+            Network.from_speeds({"v": math.inf, "w": 1.0}, default_strength=1.0),
+            TaskGraph.from_dicts({"a": math.inf, "b": 1.0}, {("a", "b"): 1.0}),
+        )
+        with use_reference_builder() if reference else contextlib.nullcontext():
+            for instance in (minimal, chain):
+                instance.validate()
+                assert math.isnan(WBAScheduler().schedule(instance).makespan)
 
     def test_alpha_validation(self):
         with pytest.raises(ValueError):

@@ -9,7 +9,7 @@ definition:
 * **actionable validation** — malformed specs fail with the offending
   JSON path and a hint, never a stack trace from deep inside a sweep;
 * **equivalence** — the spec path produces bit-identical results to the
-  pre-spec entry points (``pairwise_comparison``, ``run_family``,
+  in-memory entry points (``pairwise_comparison``, the fig7/fig8 driver,
   ``benchmark_dataset``) for the same seed;
 * **spec-as-manifest** — a run directory records the spec, resuming
   validates against it, and an interrupted sweep resumes to the same
@@ -26,6 +26,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.benchmarking.harness import benchmark_dataset
+from repro.core.dynamic import DynamicsSpec, NoiseSpec
 from repro.datasets import generate_dataset
 from repro.pisa import AnnealingConfig, PISAConfig, pairwise_comparison
 from repro.pisa.constraints import SearchConstraints
@@ -34,10 +35,12 @@ from repro.sweeps import (
     SpecError,
     SweepSpec,
     fig4_spec,
+    fig7_spec,
     list_named_specs,
     named_spec,
     run_sweep,
 )
+from repro.sweeps.runner import _rng_fingerprint
 from repro.utils.rng import as_generator
 
 FAST = PISAConfig(annealing=AnnealingConfig(max_iterations=25, alpha=0.9), restarts=2)
@@ -463,23 +466,6 @@ class TestEquivalence:
         for s, values in driver.fig7.makespans.items():
             assert np.array_equal(values, spec.makespans[s])
 
-    def test_family_sweep_matches_run_family(self):
-        from repro.experiments.fig7_fig8_families import fig7_instance, run_family
-
-        old = run_family("fig7", fig7_instance, 8, rng=as_generator(6))
-        new = run_sweep(
-            SweepSpec(
-                name="fig7",
-                mode="benchmark",
-                schedulers=("CPoP", "HEFT"),
-                source=SourceSpec("family", {"family": "fig7"}),
-                num_instances=8,
-                seed=6,
-            )
-        )
-        for s in old.makespans:
-            assert np.array_equal(old.makespans[s], new.makespans[s])
-
     def test_dataset_sweep_matches_benchmark_dataset(self):
         schedulers = ["HEFT", "FastestNode"]
         dataset = generate_dataset("chains", num_instances=5, rng=as_generator(2))
@@ -606,6 +592,34 @@ class TestSpecCheckpoint:
         # Resuming with an identically-positioned generator is fine.
         run_sweep(spec, run_dir=run_dir, resume=True, rng=as_generator(5))
 
+    @pytest.mark.parametrize("mode", ["pisa", "benchmark", "dynamic"])
+    def test_external_rng_is_fingerprinted_before_planning(self, tmp_path, mode):
+        """One fingerprint definition in every mode: the generator's
+        position before any unit is spawned from it."""
+        spec = {
+            "pisa": SweepSpec(name="s", schedulers=("HEFT", "CPoP"), config=TINY, seed=5),
+            "benchmark": fig7_spec(num_instances=3, seed=5),
+            "dynamic": SweepSpec(
+                name="d",
+                mode="dynamic",
+                schedulers=("HEFT", "MinMin"),
+                num_instances=2,
+                seed=5,
+                dynamics=DynamicsSpec(
+                    contention="fair", error=NoiseSpec(kind="uniform", low=0.8, high=1.5)
+                ),
+            ),
+        }[mode]
+        run_dir = tmp_path / "run"
+        run_sweep(spec, run_dir=run_dir, rng=as_generator(7))
+        manifest = json.loads((run_dir / "manifest.json").read_text())
+        assert manifest["external_rng"] == _rng_fingerprint(as_generator(7))
+        run_sweep(spec, run_dir=run_dir, resume=True, rng=as_generator(7))
+        advanced = as_generator(7)
+        advanced.spawn(1)
+        with pytest.raises(ValueError, match="manifest"):
+            run_sweep(spec, run_dir=run_dir, resume=True, rng=advanced)
+
     def test_fresh_run_refuses_existing_units(self, tmp_path):
         spec = SweepSpec(name="s", schedulers=("HEFT", "CPoP"), config=TINY, seed=5)
         run_dir = tmp_path / "run"
@@ -681,6 +695,33 @@ class TestDistributedBackend:
             spec, tmp_path / "run", progress=lambda t, b, r: calls.append((t, b))
         )
         assert sorted(calls) == [("CPoP", "HEFT"), ("HEFT", "CPoP")]
+
+    @pytest.mark.parametrize("run", ["jobs=1", "jobs=2", "resume", "coordinator"])
+    def test_progress_reports_each_pair_once_with_its_best_ratio(self, tmp_path, run):
+        """One progress hook for every backend: each pair exactly once,
+        valued at the aggregated best ratio — also for pairs restored
+        from a checkpoint, whole or in part."""
+        spec = SweepSpec(name="p", schedulers=("HEFT", "CPoP", "MinMin"), config=FAST, seed=2)
+        calls = []
+
+        def progress(target, baseline, ratio):
+            calls.append(((target, baseline), ratio))
+
+        run_dir = tmp_path / "run"
+        if run == "coordinator":
+            result = _over_coordinator(spec, run_dir, progress=progress, poll_interval=0.01)
+        elif run == "resume":
+            run_sweep(spec, run_dir=run_dir)
+            units = run_dir / "units.jsonl"
+            # Two whole pairs and one restart of a third stay cached.
+            units.write_text("\n".join(units.read_text().splitlines()[:5]) + "\n")
+            result = run_sweep(spec, run_dir=run_dir, resume=True, progress=progress)
+        else:
+            result = run_sweep(spec, jobs=int(run[-1]), progress=progress)
+        assert len(calls) == len(result.pairwise.results) == 6
+        assert dict(calls) == {
+            pair: res.best_ratio for pair, res in result.pairwise.results.items()
+        }
 
     def test_distributed_and_local_runs_share_the_manifest(self, tmp_path):
         """A directory a coordinator drained can be resumed/aggregated by
