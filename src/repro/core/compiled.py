@@ -126,7 +126,6 @@ class CompiledInstance:
         "speed",
         "exec_tbl",
         "exec_list",
-        "exec_has_nan",
         "strength",
         "pred_ids",
         "succ_ids",
@@ -160,11 +159,12 @@ class CompiledInstance:
         self._net_version = network.version
 
         # Weights come straight off the graphs' dicts; the instance
-        # invariants (non-negative weights, positive speeds, network
-        # completeness, acyclicity) are checked inline as the tables are
-        # built — the equivalent of ``instance.validate()``, run once per
-        # candidate, at a fraction of its cost.  Any violation defers to
-        # the canonical validators for their exact error.
+        # invariants (non-negative weights, positive speeds, no infinite
+        # cost beside an infinite speed, network completeness,
+        # acyclicity) are checked inline as the tables are built — the
+        # equivalent of ``instance.validate()``, run once per candidate,
+        # at a fraction of its cost.  Any violation defers to the
+        # canonical validators for their exact error.
         self._build(task_graph, network)
 
     def _build(self, task_graph, network) -> None:
@@ -189,22 +189,20 @@ class CompiledInstance:
             _reject(instance)
         if any(not (s > 0.0) for s in speed_list):
             _reject(instance)
+        # An infinite cost on an infinite-speed node is inf/inf, an
+        # undefined execution time (speeds first: they are almost never
+        # infinite, so the cost scan rarely runs).
+        if math.inf in speed_list and math.inf in cost_list:
+            _reject(instance)
         self.cost = np.array(cost_list, dtype=np.float64)
         self.speed = np.array(speed_list, dtype=np.float64)
         # exec_tbl[t, v] = c(t) / s(v): broadcast elementwise division is
-        # the identical IEEE op as the scalar `cost / speed`.  An
-        # infinite cost on an infinite-speed node (both validate()-legal)
-        # divides to NaN exactly like the scalar quotient; silence numpy's
-        # invalid-op warning, which the scalar path never emits.
-        with np.errstate(invalid="ignore"):
-            self.exec_tbl = self.cost[:, None] / self.speed[None, :]
+        # the identical IEEE op as the scalar `cost / speed`, and with
+        # inf/inf refused above every quotient is defined (never NaN).
+        self.exec_tbl = self.cost[:, None] / self.speed[None, :]
         # Nested-list mirror for scalar queries: plain-list indexing beats
         # ndarray scalar indexing on the tiny instances PISA searches.
         self.exec_list: list[list[float]] = self.exec_tbl.tolist()
-        # NaN execution times poison vectorized folds differently from
-        # the scalar max/short-circuit semantics; the builder's batch
-        # queries fall back to their scalar forms on such instances.
-        self.exec_has_nan: bool = bool(np.isnan(self.exec_tbl).any())
 
         # strength[u, v]: inf on the diagonal (data already present) and
         # the raw link strength elsewhere, so `data / strength` lands on
@@ -344,11 +342,12 @@ class CompiledInstance:
             tid = self.task_id.get(delta.key[0])
             if tid is None or not (value >= 0.0):
                 return None
+            if value == math.inf and math.inf in self.speed:
+                return None  # inf/inf: the full compile raises
             cost = self.cost.copy()
             cost[tid] = value
             exec_tbl = self.exec_tbl.copy()
-            with np.errstate(invalid="ignore"):
-                exec_tbl[tid] = value / self.speed
+            exec_tbl[tid] = value / self.speed
             clone.cost = cost
             cost_list = list(self.cost_list)
             cost_list[tid] = float(cost[tid])
@@ -357,7 +356,6 @@ class CompiledInstance:
             exec_list = list(self.exec_list)
             exec_list[tid] = exec_tbl[tid].tolist()
             clone.exec_list = exec_list
-            clone.exec_has_nan = bool(np.isnan(exec_tbl).any())
         elif kind == "dep_weight":
             sid = self.task_id.get(delta.key[0])
             did = self.task_id.get(delta.key[1])
@@ -375,15 +373,15 @@ class CompiledInstance:
             vid = self.node_id.get(delta.key[0])
             if vid is None or not (value > 0.0):
                 return None
+            if value == math.inf and math.inf in self.cost_list:
+                return None  # inf/inf: the full compile raises
             speed = self.speed.copy()
             speed[vid] = value
             exec_tbl = self.exec_tbl.copy()
-            with np.errstate(invalid="ignore"):
-                exec_tbl[:, vid] = self.cost / value
+            exec_tbl[:, vid] = self.cost / value
             clone.speed = speed
             clone.exec_tbl = exec_tbl
             clone.exec_list = exec_tbl.tolist()
-            clone.exec_has_nan = bool(np.isnan(exec_tbl).any())
             # Reference fold order: sum of inverses over nodes in order.
             clone._mean_inv_speed = sum(1.0 / s for s in speed.tolist()) / len(self.nodes)
         elif kind == "link_strength":

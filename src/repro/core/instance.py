@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
+from repro.core.exceptions import InvalidInstanceError
 from repro.core.network import Network
 from repro.core.task_graph import TaskGraph
 
@@ -57,9 +58,26 @@ class ProblemInstance:
         return replace(self, name=name)
 
     def validate(self) -> None:
-        """Validate both halves of the instance."""
+        """Validate both halves of the instance, then the pair.
+
+        Infinite task costs and infinite node speeds are each legal, but
+        not together: a task of cost ``inf`` on a node of speed ``inf``
+        would run for ``c(t)/s(v) = inf/inf``, which is undefined.  Such
+        an instance raises :class:`InvalidInstanceError` naming the first
+        infinite-cost task and the first infinite-speed node.
+        """
         self.network.validate()
         self.task_graph.validate()
+        speed, cost = self.network.speed, self.task_graph.cost
+        node = next((v for v in self.network.nodes if math.isinf(speed(v))), None)
+        if node is None:
+            return
+        task = next((t for t in self.task_graph.tasks if math.isinf(cost(t))), None)
+        if task is not None:
+            raise InvalidInstanceError(
+                f"execution time of task {task!r} on node {node!r} is undefined "
+                "(infinite cost over infinite speed)"
+            )
 
     # ------------------------------------------------------------------ #
     # Derived quantities

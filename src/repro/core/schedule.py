@@ -56,11 +56,11 @@ class Schedule:
     :meth:`repro.core.simulator.ScheduleBuilder.schedule` through the
     private :meth:`_adopt`.  Both give the same object: tasks in the order
     they were added, nodes in the order they received their first task,
-    and each node's entries sorted as ``insort`` leaves them.  The builder
-    adopts only entries that pass :meth:`add`'s checks; when an explicit
-    start would fail them (NaN or negative), it re-adds every entry
-    through :meth:`add` instead, which raises the usual
-    :class:`InvalidScheduleError`.
+    and each node's entries sorted as ``insort`` leaves them.  No entry
+    holds a NaN time: :meth:`add` refuses a NaN start or end, the builder
+    refuses a NaN or negative explicit start, and a valid instance has no
+    undefined execution time (see :meth:`ProblemInstance.validate`).  So
+    the makespan does not depend on the order of the entries.
     """
 
     def __init__(self) -> None:
@@ -76,8 +76,10 @@ class Schedule:
         The invariant is the caller's: ``by_task`` maps each task to its
         entry in add order, ``by_node`` keys nodes in first-add order and
         holds each node's entries sorted as ``insort`` leaves them, and
-        every entry passes :meth:`add`'s checks.  Both containers are
-        taken over, not copied.
+        every entry passes :meth:`add`'s checks (the builder's do: its
+        commit refuses a NaN or negative start, and a compiled instance
+        has no NaN execution time).  Both containers are taken over, not
+        copied.
         """
         sched = cls.__new__(cls)
         sched._by_node = by_node
@@ -93,9 +95,9 @@ class Schedule:
             raise InvalidScheduleError(f"task {task!r} is already scheduled")
         if math.isnan(start) or start < 0:
             raise InvalidScheduleError(f"start time of {task!r} must be >= 0, got {start}")
-        if end < start - _TIME_EPS:
+        if math.isnan(end) or end < start - _TIME_EPS:
             raise InvalidScheduleError(
-                f"end time of {task!r} precedes its start ({end} < {start})"
+                f"end time of {task!r} must be >= its start {start}, got {end}"
             )
         entry = ScheduledTask(start=float(start), end=float(end), task=task, node=node)
         insort(self._by_node.setdefault(node, []), entry)
@@ -176,10 +178,12 @@ class Schedule:
             # Compare end against start + expected-duration with a tolerance
             # relative to the *times* (not the duration): at start ~ 1e12 a
             # double cannot represent a 1e-3 duration exactly, but the end
-            # timestamp is still the correctly rounded sum.
+            # timestamp is still the correctly rounded sum.  An undefined
+            # expected end (inf/inf) fails the `<=`; equal infinite ends
+            # pass the `!=` first, since inf - inf is NaN too.
             expected_end = entry.start + tg.cost(entry.task) / net.speed(entry.node)
             tol = max(_TIME_EPS, 1e-9 * max(abs(entry.end), abs(expected_end)))
-            if abs(entry.end - expected_end) > tol:
+            if entry.end != expected_end and not abs(entry.end - expected_end) <= tol:
                 raise InvalidScheduleError(
                     f"task {entry.task!r} on node {entry.node!r} ends at "
                     f"{entry.end}, expected start + c(t)/s(v) = {expected_end}"

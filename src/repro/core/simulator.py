@@ -203,11 +203,6 @@ class ScheduleBuilder:
         self._drt = np.zeros((num_tasks, num_nodes))
         #: Earliest-start rows scored since the last commit, by task id.
         self._scored: dict[int, np.ndarray] = {}
-        #: False once an explicit start that may fail Schedule.add()'s
-        #: checks (NaN, negative, or not at most its end) is committed:
-        #: node lists may then be out of start order, so commits insort
-        #: and schedule() re-adds every entry through add().
-        self._starts_valid = True
         self._makespan = 0.0
 
     # ------------------------------------------------------------------ #
@@ -306,12 +301,6 @@ class ScheduleBuilder:
         placements are immutable, so it never goes stale.
         """
         compiled = self.compiled
-        if compiled.exec_has_nan:
-            # NaN finish times (validate()-legal inf cost / inf speed)
-            # interact with np.maximum differently from the scalar max
-            # fold (which ignores a NaN that arrives after a larger
-            # value); replicate the scalar fold exactly.
-            return self._drt_row_degenerate(tid)
         row = np.zeros(len(self._nodes))
         placed_vid = self._placed_vid
         ends = self._end
@@ -330,27 +319,6 @@ class ScheduleBuilder:
                 # Dead links / infinite data: the convention corner cases
                 # live in one place, CompiledInstance.comm_row.
                 row = np.maximum(row, end + compiled.comm_row(data, src_vid))
-        return row
-
-    def _drt_row_degenerate(self, tid: int) -> np.ndarray:
-        """Per-node scalar data-ready fold for NaN-degenerate instances."""
-        compiled = self.compiled
-        placed_vid = self._placed_vid
-        edges = []
-        for pid, data in compiled.pred_edges[tid]:
-            src_vid = placed_vid[pid]
-            if src_vid is None:
-                raise SchedulingError(
-                    f"cannot evaluate task {self._tasks[tid]!r}: "
-                    f"predecessor {self._tasks[pid]!r} unscheduled"
-                )
-            edges.append((pid, src_vid, self._placed[self._tasks[pid]].end))
-        row = np.empty(len(self._nodes))
-        for vid in range(len(self._nodes)):
-            ready = 0.0
-            for pid, src_vid, end in edges:
-                ready = max(ready, end + compiled.comm(pid, tid, src_vid, vid))
-            row[vid] = ready
         return row
 
     def data_ready_time(self, task: Task, node: Node) -> float:
@@ -398,10 +366,7 @@ class ScheduleBuilder:
         """Earliest finish of ``task`` on ``node``."""
         tid = self._tid(task)
         vid = self._vid(node)
-        start = self._est(tid, vid)
-        if math.isinf(start):
-            return math.inf
-        return start + self._exec_list[tid][vid]
+        return self._est(tid, vid) + self._exec_list[tid][vid]
 
     def _est_row(self, tid: int) -> np.ndarray:
         """Earliest starts of task ``tid`` on every node (kept for commit)."""
@@ -446,22 +411,13 @@ class ScheduleBuilder:
         Aligned with ``instance.network.nodes``; each element equals
         ``est(task, node)`` bit-for-bit.
         """
-        tid = self._tid(task)
-        if self.compiled.exec_has_nan:
-            # Scalar fallback: NaN durations/availabilities break the
-            # vectorized maximum's equivalence with Python's max.
-            return np.array([self.est(task, v) for v in self._nodes])
-        row = self._est_row(tid)
+        row = self._est_row(self._tid(task))
         row.flags.writeable = False  # commit reuses it
         return row
 
     def eft_all(self, task: Task) -> np.ndarray:
         """Earliest finishes of ``task`` on every node, in one sweep."""
         tid = self._tid(task)
-        if self.compiled.exec_has_nan:
-            # Scalar fallback: eft() short-circuits an infinite start to
-            # inf before adding the (possibly NaN) execution time.
-            return np.array([self.eft(task, v) for v in self._nodes])
         # est + exec element-wise: an infinite start stays infinite, and
         # finite sums are the identical IEEE addition of the scalar path.
         return self._est_row(tid) + self.compiled.exec_tbl[tid]
@@ -474,29 +430,21 @@ class ScheduleBuilder:
         round is one gather from the data-ready matrix and one vectorized
         maximum (the insertion policy's gap scans stay per-task).
         """
-        if self.compiled.exec_has_nan:
-            return np.array([self.est_all(task) for task in tasks])
         stack = self._est_rows(self._tids(tasks))
         stack.flags.writeable = False  # commit reuses its rows
         return stack
 
     def eft_all_many(self, tasks: list[Task]) -> np.ndarray:
         """Earliest finishes of several tasks on every node, one sweep."""
-        if self.compiled.exec_has_nan:
-            return np.array([self.eft_all(task) for task in tasks])
         tids = self._tids(tasks)
         return self._est_rows(tids) + self.compiled.exec_tbl.take(tids, 0)
 
     def best_node_by_eft(self, task: Task, nodes: Iterable[Node] | None = None) -> Node:
         """Node minimizing EFT for ``task`` (first wins on ties)."""
         if nodes is None:
-            if not self.compiled.exec_has_nan:
-                # Batched sweep; argmin keeps the first minimum, matching
-                # the scalar min() over nodes in insertion order.
-                return self._nodes[int(self.eft_all(task).argmin())]
-            # argmin returns the first NaN finish time, which min() skips
-            # unless it comes first: take the scalar path.
-            nodes = self._nodes
+            # Batched sweep; argmin keeps the first minimum, matching
+            # the scalar min() over nodes in insertion order.
+            return self._nodes[int(self.eft_all(task).argmin())]
         candidates = list(nodes)
         if not candidates:
             raise SchedulingError("no candidate nodes")
@@ -522,9 +470,10 @@ class ScheduleBuilder:
 
         If ``start`` is None, the policy's earliest start is used (the row
         a batch query scored since the last commit, when there is one).
-        An explicit ``start`` must be feasible (>= data-ready time and not
-        overlapping committed tasks); this path is used by replay / test
-        code.
+        An explicit ``start`` must be feasible: a number >= 0, not before
+        the data-ready time and not overlapping committed tasks.  An
+        infeasible one raises :class:`SchedulingError` and leaves the
+        builder unchanged.  This path is used by replay / test code.
         """
         tid = self._task_id.get(task)
         if tid is None:
@@ -546,8 +495,10 @@ class ScheduleBuilder:
                 start = float(scored[vid])
             else:
                 start = self._earliest_slot(vid, float(self._drt[tid, vid]), duration)
-            end = start + duration if not math.isinf(start) else math.inf
+            end = start + duration
         else:
+            if not start >= 0.0:  # NaN fails the >= too
+                raise SchedulingError(f"explicit start {start} of {task!r} must be >= 0")
             ready = float(self._drt[tid, vid])
             if start < ready - 1e-9:
                 raise SchedulingError(
@@ -558,15 +509,13 @@ class ScheduleBuilder:
                     raise SchedulingError(
                         f"explicit start {start} of {task!r} overlaps {entry.task!r}"
                     )
-            end = start + duration if not math.isinf(start) else math.inf
+            end = start + duration
             start, end = float(start), float(end)
-            if not 0.0 <= start <= end:
-                self._starts_valid = False
         entry = ScheduledTask(start, end, task, node)
         if not entries:
             self._node_order.append(vid)
             entries.append(entry)
-        elif entries[-1].start < start and self._starts_valid:
+        elif entries[-1].start < start:
             entries.append(entry)  # sorts last: what insort would do
         else:
             insort(entries, entry)
@@ -574,9 +523,7 @@ class ScheduleBuilder:
         self._placed_vid[tid] = vid
         self._end[tid] = end
         self._avail[vid] = entries[-1].end
-        # Running maximum, seeded (not folded from 0.0) by the first
-        # entry so a NaN end poisons it exactly like max() over the ends.
-        if end > self._makespan or len(self._placed) == 1:
+        if end > self._makespan:
             self._makespan = end
         self._scored.clear()
         # Incremental ready set: drop the committed task, add successors
@@ -600,19 +547,14 @@ class ScheduleBuilder:
     def schedule(self) -> Schedule:
         """Materialize the final :class:`Schedule`; all tasks must be committed.
 
-        The per-node lists are copied into the schedule as they are; an
-        explicit start :meth:`Schedule.add` would reject sends every entry
-        through ``add()`` instead, for its :class:`InvalidScheduleError`.
+        The per-node lists are copied into the schedule as they are: every
+        entry passes :meth:`Schedule.add`'s checks, because :meth:`commit`
+        refuses a NaN or negative start and no execution time is NaN.
         """
         placed = self._placed
         if len(placed) != len(self._tasks):
             missing = self.unscheduled_tasks
             raise SchedulingError(f"tasks left unscheduled: {sorted(map(str, missing))}")
-        if not self._starts_valid:
-            sched = Schedule()
-            for entry in placed.values():
-                sched.add(entry.task, entry.node, entry.start, entry.end)
-            return sched
         nodes, entries = self._nodes, self._entries
         return Schedule._adopt(
             {nodes[vid]: entries[vid].copy() for vid in self._node_order}, dict(placed)

@@ -50,9 +50,7 @@ from typing import Any
 __all__ = [
     "CheckpointError",
     "RunCheckpoint",
-    "append_jsonl",
     "iter_jsonl",
-    "iter_jsonl_segments",
     "iter_result_records",
     "journal_segment_path",
     "journal_segments",
@@ -116,20 +114,6 @@ def journal_snapshots(run_dir: str | Path) -> list[tuple[int, Path]]:
         if match and path.is_file():
             out.append((int(match.group(1)), path))
     return sorted(out)
-
-
-def iter_jsonl_segments(
-    paths: "list[Path]", *, log: bool = True, what: str = "record"
-) -> Iterator[Any]:
-    """Chain :func:`iter_jsonl` over an ordered list of segment files.
-
-    The same torn-line tolerance applies per segment: a tail torn by a
-    kill mid-rollover is skipped in *its* segment and reading continues
-    with the next one, so one damaged boundary never hides the events
-    that follow it.
-    """
-    for path in paths:
-        yield from iter_jsonl(path, log=log, what=what)
 
 
 class CheckpointError(ValueError):
@@ -458,7 +442,7 @@ class RunCheckpoint:
         """
         encode = self._encode if self._encode is not None else _identity
         path = self.units_path if shard is None else self.shard_path(shard)
-        append_jsonl(path, {"key": key, "result": encode(result)})
+        append_jsonl_many(path, [{"key": key, "result": encode(result)}])
 
     def record_many(self, items, shard: str | None = None) -> None:
         """Append several completed units (``(key, result)`` pairs) under
@@ -473,25 +457,13 @@ class RunCheckpoint:
         )
 
 
-def append_jsonl(path: Path, obj: Any) -> None:
-    """Append ``obj`` as one JSON line, flushed, repairing a torn tail.
+def append_jsonl_many(path: Path, objs) -> None:
+    """Append JSON lines under one open+flush; a no-op for an empty iterable.
 
     If a previously killed writer left the file without a trailing
     newline, a repair newline is inserted first — appending straight
-    after torn bytes would corrupt *this* line too.  Shared by checkpoint
-    records and the coordinator journal.
+    after torn bytes would corrupt the first new line too.
     """
-    line = json.dumps(obj)
-    with path.open("ab") as fh:
-        if fh.tell() > 0 and not _ends_with_newline(path):
-            fh.write(b"\n")
-        fh.write(line.encode() + b"\n")
-        fh.flush()
-
-
-def append_jsonl_many(path: Path, objs) -> None:
-    """Append several JSON lines under one open+flush (torn-tail repair
-    as in :func:`append_jsonl`); a no-op for an empty iterable."""
     lines = [json.dumps(obj) for obj in objs]
     if not lines:
         return

@@ -370,7 +370,7 @@ class _GroupCommitJournal:
         if self._fh is None:
             fh = self._commit_path.open("ab")
             # Repair a killed predecessor's torn tail before appending,
-            # exactly as append_jsonl would.
+            # exactly as append_jsonl_many does.
             if fh.tell() > 0 and not _ends_with_newline(self._commit_path):
                 fh.write(b"\n")
             self._fh = fh

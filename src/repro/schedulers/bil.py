@@ -84,7 +84,8 @@ class BILScheduler(Scheduler):
             # The scalar rule short-circuits an infinite BIL* to key inf
             # before touching the penalty term; mask the same way so an
             # infinite execution time (inf * penalty=0 is NaN) cannot
-            # leak into the comparison.
+            # leak into the comparison.  An infinite cost on any finite-
+            # speed node gives one, so the errstate block stays.
             penalty = max(k / m - 1.0, 0.0)
             star_row = bil_star[chosen]
             with np.errstate(invalid="ignore"):

@@ -56,8 +56,11 @@ class GDLScheduler(Scheduler):
         mean_w = {t: compiled.mean_exec(t) for t in instance.task_graph.tasks}
         nodes = instance.network.nodes
         ranks = builder.node_str_order
-        # Infinite costs and starts can meet as inf - inf in a level: a NaN,
-        # as in scalar arithmetic, without numpy's warning.  Entered once per
+        # An infinite cost alone meets itself as inf - inf in a level (its
+        # mean against its execution time, or an infinite static level
+        # against an infinite start): a NaN, as in scalar arithmetic,
+        # without numpy's warning.  validate() refuses only inf/inf
+        # execution times, so this block stays.  Entered once per
         # schedule; once per ready task it would cost more than the level.
         with np.errstate(invalid="ignore"):
             while True:

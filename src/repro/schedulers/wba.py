@@ -74,13 +74,10 @@ class WBAScheduler(Scheduler):
             # One batched EFT sweep over the whole ready set; a row's
             # minimum is the task's best finish time.
             rows = builder.eft_all_many(ready)
-            # An unreachable placement (dead links) costs inf, and so does
-            # an undefined one — a NaN finish (inf cost on an inf-speed
-            # node) or a NaN makespan so far — never the NaN of inf - inf,
-            # which would leave no candidate to pick.
-            defined = not math.isnan(current)
+            # An unreachable placement (dead links) costs inf, never the
+            # NaN of inf - inf, which would leave no candidate to pick.
             increases = [
-                max(finish - current, 0.0) if defined and math.isfinite(finish) else math.inf
+                math.inf if math.isinf(finish) else max(finish - current, 0.0)
                 for finish in rows.min(axis=1).tolist()
             ]
             pool = [i for i, inc in enumerate(increases) if not math.isinf(inc)]

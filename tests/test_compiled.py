@@ -28,7 +28,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import Network, ProblemInstance, TaskGraph
+from repro import InvalidInstanceError, Network, ProblemInstance, TaskGraph
 from repro.core.compiled import (
     argmin_ranked,
     compile_instance,
@@ -171,42 +171,34 @@ class TestCompiledTables:
         assert math.isinf(new.data_ready_time("b", "v3"))
 
     def test_infinite_cost_on_infinite_speed_node(self):
-        """inf cost / inf speed = NaN exec: batch queries must still match.
+        """inf cost / inf speed is an undefined execution time (NaN), so
+        validate() refuses the instance, and compiling and both builders
+        refuse it with the same canonical error before any query.
 
-        validate() accepts both weights; the scalar eft() short-circuits
-        an infinite start before adding the NaN duration, and the batch
-        queries fall back to the scalar forms on such instances.
+        The first instance has a dead link (est('b', 'v1') would be inf),
+        the second a live one (b would start at 2.0 and end at NaN).
         """
         tg = TaskGraph.from_dicts({"a": 1.0, "b": math.inf}, {("a", "b"): 1.0})
-        net = Network.from_speeds(
-            {"v0": 1.0, "v1": math.inf},
-            strengths={("v0", "v1"): 0.0},  # dead link: est('b','v1') = inf
+        dead = Network.from_speeds(
+            {"v0": 1.0, "v1": math.inf}, strengths={("v0", "v1"): 0.0}
         )
-        inst = ProblemInstance(net, tg, name="nan_exec")
-        assert compile_instance(inst).exec_has_nan
-        new = ScheduleBuilder(inst, insertion=False)
-        ref = ReferenceScheduleBuilder(inst, insertion=False)
-        new.commit("a", "v0")
-        ref.commit("a", "v0")
-        eft_row = new.eft_all("b")
-        est_row = new.est_all("b")
-        for vid, node in enumerate(inst.network.nodes):
-            assert _same_float(float(est_row[vid]), ref.est("b", node))
-            assert _same_float(float(eft_row[vid]), ref.eft("b", node))
-        assert new.best_node_by_eft("b") == ref.best_node_by_eft("b")
-
-        # A finite start with a NaN duration gives a NaN end; the running
-        # makespan must treat it exactly like max() over the ends.
-        tg2 = TaskGraph.from_dicts({"a": 1.0, "b": math.inf}, {("a", "b"): 1.0})
-        net2 = Network.from_speeds({"v0": 1.0, "v1": math.inf}, default_strength=1.0)
-        inst2 = ProblemInstance(net2, tg2, name="nan_end")
-        new2 = ScheduleBuilder(inst2, insertion=False)
-        ref2 = ReferenceScheduleBuilder(inst2, insertion=False)
-        for builder in (new2, ref2):
-            builder.commit("a", "v0")
-            builder.commit("b", "v1")  # start 2.0, duration NaN -> end NaN
-        assert math.isnan(new2.placement("b").end)
-        assert _same_float(new2.makespan(), ref2.makespan())
+        live = Network.from_speeds({"v0": 1.0, "v1": math.inf}, default_strength=1.0)
+        message = (
+            "execution time of task 'b' on node 'v1' is undefined "
+            "(infinite cost over infinite speed)"
+        )
+        for net in (dead, live):
+            inst = ProblemInstance(net, tg.copy(), name="nan_exec")
+            for refuse in (
+                inst.validate,
+                lambda: compile_instance(inst),
+                lambda: ScheduleBuilder(inst, insertion=False),
+                lambda: ReferenceScheduleBuilder(inst, insertion=False),
+            ):
+                with pytest.raises(InvalidInstanceError) as info:
+                    refuse()
+                assert str(info.value) == message
+            assert "_compiled_cache" not in inst.__dict__
 
     def test_infinite_data_bil_matches_reference(self):
         tg = TaskGraph.from_dicts(
@@ -337,8 +329,9 @@ class TestScheduleEquivalence:
 
 #: Instances for the order-exact property: the default positive-strength
 #: networks, networks whose links may be dead (0.0) or free (inf), and
-#: NaN-degenerate ones, where an infinite cost meets an infinite speed
-#: (inf / inf is a NaN execution time).
+#: ones with infinite costs and speeds, which both builders must refuse
+#: alike where an infinite cost meets an infinite speed (inf / inf is an
+#: undefined execution time).
 _degenerate_strengths = st.one_of(
     st.sampled_from([0.0, math.inf]), st.floats(min_value=0.05, max_value=2.0)
 )
@@ -388,8 +381,8 @@ def _schedule_or_error(scheduler, inst):
 class TestOrderExactEquivalence:
     """The handed-over Schedule is the reference's add()-built one, order
     included: same entries in the same iteration order, same node and
-    task order, same makespan repr.  Entries compare by ``repr``: a NaN
-    finish time makes ``==`` false even between identical entries."""
+    task order, same makespan repr.  Entries compare by ``repr``, which
+    is stricter than ``==``: it tells ``-0.0`` from ``0.0``."""
 
     @pytest.mark.parametrize("name", PAPER_SCHEDULERS)
     @settings(max_examples=40, deadline=None)
@@ -409,20 +402,34 @@ class TestOrderExactEquivalence:
         assert fresh.tasks == reference.tasks
         assert repr(fresh.makespan) == repr(reference.makespan)
 
-    @pytest.mark.parametrize("name", ["CPoP", "HEFT", "MCT"])
+    @pytest.mark.parametrize("name", PAPER_SCHEDULERS)
     def test_nan_finish_time_does_not_win_the_eft_choice(self, name):
-        """a(1) -> b(inf) on v0 (speed 1) and v1 (speed inf): b finishes
-        at inf on v0 and at NaN (inf / inf) on v1.  The reference's min()
-        over nodes keeps v0; an argmin over the finish times picked v1."""
-        tg = TaskGraph.from_dicts({"a": 1.0, "b": math.inf}, {("a", "b"): 1.0})
-        net = Network.from_speeds({"v0": 1.0, "v1": math.inf}, default_strength=1.0)
-        inst = ProblemInstance(net, tg, name="nan-eft")
+        """An infinite cost on an infinite-speed node would finish at NaN
+        (inf / inf), where an argmin over finish times and the
+        reference's min() over nodes disagree.  Such instances are
+        refused instead: every scheduler raises validate()'s error on
+        both builders.  The minimal cases: a(1) -> b(inf) over speeds 1
+        and inf; a(inf) -> b(1) over speeds inf and 1; independent a(inf)
+        and b(1) on one inf-speed node; a lone a(inf) on one."""
+        cases = [
+            ({"v0": 1.0, "v1": math.inf}, {"a": 1.0, "b": math.inf}, {("a", "b"): 1.0}),
+            ({"v1": math.inf, "v0": 1.0}, {"a": math.inf, "b": 1.0}, {("a", "b"): 1.0}),
+            ({"v1": math.inf}, {"a": math.inf, "b": 1.0}, {}),
+            ({"v1": math.inf}, {"a": math.inf}, {}),
+        ]
         scheduler = get_scheduler(name)
-        fresh = scheduler.schedule(inst)
-        with use_reference_builder():
-            reference = scheduler.schedule(inst)
-        assert (fresh["b"].node, repr(fresh["b"].end)) == ("v0", "inf")
-        assert [repr(e) for e in fresh] == [repr(e) for e in reference]
+        for speeds, costs, deps in cases:
+            net = Network.from_speeds(speeds, default_strength=1.0)
+            inst = ProblemInstance(net, TaskGraph.from_dicts(costs, deps), name="nan-eft")
+            with pytest.raises(InvalidInstanceError) as fresh:
+                scheduler.schedule(inst)
+            with use_reference_builder(), pytest.raises(InvalidInstanceError) as reference:
+                scheduler.schedule(inst)
+            task = next(t for t, cost in costs.items() if math.isinf(cost))
+            assert str(fresh.value) == str(reference.value) == (
+                f"execution time of task {task!r} on node 'v1' is undefined "
+                "(infinite cost over infinite speed)"
+            )
 
     @pytest.mark.parametrize("name", _COMPILE_FREE_REFERENCE)
     def test_reference_run_compiles_nothing(self, name):

@@ -10,6 +10,8 @@ deltas; equality is exact (``==``), never approximate.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,6 +23,7 @@ from repro.core.compiled import (
     compile_stats,
     reset_compile_stats,
 )
+from repro.core.exceptions import InvalidInstanceError
 from repro.pisa.perturbations import MIN_NODE_SPEED, Delta, PlannedMove, apply_delta_mutation
 
 from tests.strategies import instances
@@ -32,7 +35,6 @@ _COMPARED = (
     "speed",
     "exec_tbl",
     "exec_list",
-    "exec_has_nan",
     "strength",
     "strength_row_has_zero",
     "data",
@@ -150,6 +152,32 @@ def test_apply_delta_rejects_illegal(delta):
     copy = inst.copy()
     assert compiled.apply_delta(delta, instance=copy) is None
     assert "_compiled_cache" not in copy.__dict__  # left to a full compile
+
+
+@pytest.mark.parametrize(
+    "setup, delta",
+    [
+        (Delta("node_speed", ("y",), math.inf), Delta("task_weight", ("a",), math.inf)),
+        (Delta("task_weight", ("b",), math.inf), Delta("node_speed", ("y",), math.inf)),
+    ],
+    ids=["task_weight", "node_speed"],
+)
+def test_apply_delta_refuses_an_undefined_execution_time(setup, delta):
+    """An inf cost meeting an inf speed (inf / inf) is left to the full
+    compile, which raises validate()'s canonical error."""
+    inst = _tiny_instance()
+    apply_delta_mutation(inst, setup)  # legal on its own
+    compiled = compile_instance(inst)
+    copy = inst.copy()
+    apply_delta_mutation(copy, delta)
+    assert compiled.apply_delta(delta, instance=copy) is None
+    assert "_compiled_cache" not in copy.__dict__
+    with pytest.raises(InvalidInstanceError) as refused:
+        compile_instance(copy)
+    assert str(refused.value).endswith("is undefined (infinite cost over infinite speed)")
+    with pytest.raises(InvalidInstanceError) as canonical:
+        copy.validate()
+    assert str(refused.value) == str(canonical.value)
 
 
 def test_compile_stats_counters():

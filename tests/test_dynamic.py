@@ -250,7 +250,9 @@ class TestDegenerateEquivalence:
 
     def test_rejects_invalid_instance_up_front(self, chain_instance):
         """The replay compiles (so validates) the instance: a missing link
-        fails with the canonical error even if no transfer would cross it."""
+        fails with the canonical error even if no transfer would cross it,
+        and so does an infinite cost on an infinite-speed node (inf/inf)
+        even if the plan puts that task elsewhere."""
         net = Network()
         net.add_node("n1", 1.0)
         net.add_node("n2", 2.0)
@@ -261,6 +263,19 @@ class TestDegenerateEquivalence:
         planned.add("c", "n1", 3.0, 4.0)
         with pytest.raises(InvalidInstanceError, match="not complete"):
             simulate_schedule(planned, instance)
+
+        undefined = chain_instance.copy(name="inf-over-inf")
+        undefined.task_graph.set_cost("c", math.inf)
+        undefined.network.set_speed("n2", math.inf)
+        planned = Schedule()
+        planned.add("a", "n1", 0.0, 1.0)
+        planned.add("b", "n1", 1.0, 3.0)
+        planned.add("c", "n1", 3.0, math.inf)
+        with pytest.raises(InvalidInstanceError) as refused:
+            simulate_schedule(planned, undefined)
+        with pytest.raises(InvalidInstanceError) as canonical:
+            undefined.validate()
+        assert str(refused.value) == str(canonical.value)
 
 
 # ---------------------------------------------------------------------- #

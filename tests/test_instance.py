@@ -7,7 +7,7 @@ import math
 import pytest
 from hypothesis import given
 
-from repro import Network, ProblemInstance, TaskGraph
+from repro import InvalidInstanceError, Network, ProblemInstance, TaskGraph
 from tests.strategies import instances
 
 
@@ -86,6 +86,20 @@ class TestPlumbing:
 
     def test_validate(self):
         _simple_instance().validate()
+
+    def test_validate_refuses_infinite_cost_on_infinite_speed(self):
+        """inf/inf is undefined: the error names the first infinite-cost
+        task and the first infinite-speed node.  Either alone is legal."""
+        tg = TaskGraph.from_dicts({"x": 1.0, "a": math.inf, "c": math.inf}, {})
+        net = Network.from_speeds({"u": 1.0, "v": math.inf, "w": math.inf})
+        with pytest.raises(InvalidInstanceError) as refused:
+            ProblemInstance(net, tg).validate()
+        assert str(refused.value) == (
+            "execution time of task 'a' on node 'v' is undefined "
+            "(infinite cost over infinite speed)"
+        )
+        ProblemInstance(Network.from_speeds({"u": 1.0}), tg).validate()
+        ProblemInstance(net, TaskGraph.from_dicts({"x": 1.0}, {})).validate()
 
 
 @given(instances())

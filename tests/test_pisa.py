@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
+from repro import InvalidInstanceError
 from repro.pisa import (
     PISA,
     AnnealingConfig,
@@ -89,6 +92,18 @@ class TestPISA:
             / get_scheduler("CPoP").schedule(inst).makespan
         )
         assert pisa.energy(inst) == pytest.approx(expected)
+
+    def test_energy_refuses_an_undefined_execution_time(self):
+        """An inf cost on an inf-speed node: validate()'s error, not a
+        NaN makespan ratio."""
+        inst = random_chain_instance(rng=2)
+        inst.task_graph.set_cost(inst.task_graph.tasks[0], math.inf)
+        inst.network.set_speed(inst.network.nodes[0], math.inf)
+        with pytest.raises(InvalidInstanceError) as refused:
+            PISA("HEFT", "CPoP", config=FAST).energy(inst)
+        with pytest.raises(InvalidInstanceError) as canonical:
+            inst.validate()
+        assert str(refused.value) == str(canonical.value)
 
     def test_run_returns_restarts(self):
         result = PISA("HEFT", "CPoP", config=FAST).run(rng=0)

@@ -132,6 +132,26 @@ class TestValidation:
         ok.validate(inst)
         assert math.isinf(ok.makespan)
 
+    def test_undefined_execution_time_fails(self):
+        """a(inf) -> b(1) over speeds v=inf, w=1: a runs on v for inf/inf,
+        which is undefined.  add() refuses the NaN end a builder would give
+        it, and validate() fails a defined one; an infinite end stays
+        valid where the expected end is inf too (inf - inf is NaN)."""
+        tg = TaskGraph.from_dicts({"a": math.inf, "b": 1.0}, {("a", "b"): 1.0})
+        net = Network.from_speeds({"v": math.inf, "w": 1.0}, default_strength=1.0)
+        inst = ProblemInstance(net, tg)
+        with pytest.raises(InvalidScheduleError, match="end time of 'a'"):
+            Schedule().add("a", "v", 0.0, math.nan)
+        bad = Schedule()
+        bad.add("a", "v", 0.0, 5.0)
+        bad.add("b", "v", 5.0, 5.0)
+        with pytest.raises(InvalidScheduleError, match="'a' on node 'v' ends at 5.0"):
+            bad.validate(inst)
+        ok = Schedule()
+        ok.add("a", "w", 0.0, math.inf)
+        ok.add("b", "w", math.inf, math.inf)
+        ok.validate(inst)
+
     def test_zero_data_over_dead_link_is_fine(self):
         tg = TaskGraph.from_dicts({"a": 1.0, "b": 1.0}, {("a", "b"): 0.0})
         net = Network.from_speeds({"u": 1.0, "v": 1.0}, default_strength=0.0)

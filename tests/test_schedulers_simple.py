@@ -9,7 +9,7 @@ import math
 import pytest
 from hypothesis import given, settings
 
-from repro import Network, ProblemInstance, TaskGraph, get_scheduler
+from repro import InvalidInstanceError, Network, ProblemInstance, TaskGraph, get_scheduler
 from repro.core.reference import use_reference_builder
 from repro.schedulers import (
     DuplexScheduler,
@@ -150,11 +150,11 @@ class TestWBA:
         assert a.makespan == pytest.approx(b.makespan)
 
     @pytest.mark.parametrize("reference", [False, True], ids=["compiled", "reference"])
-    def test_nan_degenerate_instance_gives_nan_makespan(self, reference):
-        """inf cost on an inf-speed node is validate()-legal and finishes
-        at NaN; WBA returns a NaN makespan like HEFT and MinMin instead of
-        crashing on an empty candidate list — also when a later task's
-        increase is measured against that NaN makespan."""
+    def test_undefined_execution_time_is_refused(self, reference):
+        """An infinite cost on an infinite-speed node (inf / inf) is an
+        undefined execution time: WBA raises validate()'s error on both
+        builders, for the minimal case and for the chain whose later task
+        would be measured against a NaN makespan."""
         minimal = ProblemInstance(
             Network.from_speeds({"v": math.inf}), TaskGraph.from_dicts({"a": math.inf}, {})
         )
@@ -164,8 +164,12 @@ class TestWBA:
         )
         with use_reference_builder() if reference else contextlib.nullcontext():
             for instance in (minimal, chain):
-                instance.validate()
-                assert math.isnan(WBAScheduler().schedule(instance).makespan)
+                with pytest.raises(InvalidInstanceError) as refused:
+                    WBAScheduler().schedule(instance)
+                assert str(refused.value) == (
+                    "execution time of task 'a' on node 'v' is undefined "
+                    "(infinite cost over infinite speed)"
+                )
 
     def test_alpha_validation(self):
         with pytest.raises(ValueError):

@@ -9,7 +9,6 @@ from hypothesis import given
 
 from repro import (
     InvalidInstanceError,
-    InvalidScheduleError,
     Network,
     ProblemInstance,
     Schedule,
@@ -232,16 +231,20 @@ class TestScheduleBuilder:
             assert builder.commit("c", "u").start == 6.0
 
     @pytest.mark.parametrize("start", [math.nan, -1e-10])
-    def test_explicit_start_add_rejects_falls_back_to_add(self, instance, start):
-        # The builder accepts a NaN start and one within 1e-9 below the
-        # data-ready time; Schedule.add() rejects both, and schedule()
-        # must still say so instead of handing the entries over.
+    def test_nan_or_negative_explicit_start_is_refused(self, instance, start):
+        # Schedule.add() rejects both starts; commit refuses them first
+        # (-1e-10 is inside its 1e-9 data-ready slack) and changes no
+        # state, so the task can still be committed normally.
         builder = ScheduleBuilder(instance)
-        builder.commit("a", "u", start=start)
+        with pytest.raises(SchedulingError, match="of 'a' must be >= 0"):
+            builder.commit("a", "u", start=start)
+        assert builder.scheduled_tasks == ()
+        assert builder.ready_tasks() == ["a"]
+        assert builder.makespan() == 0.0
+        assert builder.commit("a", "u").start == 0.0
         builder.commit("b", "u")
         builder.commit("c", "v")
-        with pytest.raises(InvalidScheduleError, match="start time of 'a' must be >= 0"):
-            builder.schedule()
+        builder.schedule().validate(instance)
 
     def test_handover_matches_add_built_schedule(self, instance):
         builder = ScheduleBuilder(instance)
