@@ -500,7 +500,7 @@ class CompiledInstance:
         The inverse-strength sum over finite links is accumulated once at
         compile time in link order, so ``data * inv / len(links)`` is the
         identical float; the zero-strength-link early-inf and the
-        no-links/zero-data short-circuits are preserved.
+        no-links/zero-data/all-infinite-links short-circuits are preserved.
         """
         if self._num_links == 0:
             return 0.0
@@ -513,6 +513,8 @@ class CompiledInstance:
             return 0.0
         if self._links_have_zero:
             return math.inf
+        if self._inv_strength_sum == 0.0:
+            return 0.0
         return data * self._inv_strength_sum / self._num_links
 
 

@@ -110,6 +110,8 @@ class ProblemInstance:
             s = self.network.strength(u, v)
             inv_strengths.append(0.0 if math.isinf(s) else (math.inf if s == 0 else 1.0 / s))
         mean_inv = sum(inv_strengths) / len(inv_strengths)
+        if mean_inv == 0.0:
+            return 0.0  # all links infinitely strong: free even for infinite data
         return self.task_graph.mean_data_size() * mean_inv
 
     def ccr(self) -> float:

@@ -180,10 +180,12 @@ class Schedule:
             # double cannot represent a 1e-3 duration exactly, but the end
             # timestamp is still the correctly rounded sum.  An undefined
             # expected end (inf/inf) fails the `<=`; equal infinite ends
-            # pass the `!=` first, since inf - inf is NaN too.
+            # pass the `!=` first, since inf - inf is NaN too.  Either side
+            # infinite makes the tolerance infinite, so only a finite one
+            # counts: an infinite end must match exactly.
             expected_end = entry.start + tg.cost(entry.task) / net.speed(entry.node)
             tol = max(_TIME_EPS, 1e-9 * max(abs(entry.end), abs(expected_end)))
-            if entry.end != expected_end and not abs(entry.end - expected_end) <= tol:
+            if entry.end != expected_end and not abs(entry.end - expected_end) <= tol < math.inf:
                 raise InvalidScheduleError(
                     f"task {entry.task!r} on node {entry.node!r} ends at "
                     f"{entry.end}, expected start + c(t)/s(v) = {expected_end}"

@@ -97,8 +97,9 @@ def mean_comm_time(instance: ProblemInstance, src_task: Task, dst_task: Task) ->
     """Average communication time of a dependency over distinct node pairs.
 
     ``c(t,t') * avg_{u != v} 1/s(u,v)``; infinite-strength links contribute
-    zero inverse strength, so a shared-filesystem network yields 0.  A
-    single-node network also yields 0 (no transfer ever happens).
+    zero inverse strength, so a shared-filesystem network yields 0, even
+    for infinite data (``comm_time`` over each link is 0).  A single-node
+    network also yields 0 (no transfer ever happens).
     """
     links = instance.network.links
     if not links:
@@ -113,6 +114,8 @@ def mean_comm_time(instance: ProblemInstance, src_task: Task, dst_task: Task) ->
             return math.inf
         if not math.isinf(s):
             inv += 1.0 / s
+    if inv == 0.0:
+        return 0.0
     return data * inv / len(links)
 
 

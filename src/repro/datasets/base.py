@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import gzip
 import json
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -131,7 +131,3 @@ def generate_dataset(name: str, num_instances: int | None = None, rng=None, **kw
     if num_instances < 0:
         raise DatasetError("num_instances must be non-negative")
     return gen(num_instances=num_instances, rng=rng, **kwargs)
-
-
-def _sequence_equal(a: Sequence, b: Sequence) -> bool:  # pragma: no cover - helper
-    return len(a) == len(b) and all(x == y for x, y in zip(a, b))

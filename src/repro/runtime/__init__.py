@@ -33,7 +33,6 @@ from repro.runtime.distributed import (
     DEFAULT_LEASE_TTL,
     STATUS_SCHEMA_VERSION,
     Lease,
-    LeaseDir,
     RunDirStatus,
     WorkerStats,
     drain_units,
@@ -78,7 +77,6 @@ __all__ = [
     "DEFAULT_LEASE_TTL",
     "STATUS_SCHEMA_VERSION",
     "Lease",
-    "LeaseDir",
     "RunDirStatus",
     "WorkerStats",
     "drain_units",

@@ -311,17 +311,18 @@ class RunCheckpoint:
         holder = self._live_lease_holder()
         if holder is not None:
             raise CheckpointError(
-                f"run directory {self.run_dir} has a live worker lease (held by "
-                f"{holder!r}); a fresh run over it would let that worker record "
-                "results for a different experiment — stop the worker or use "
-                "another directory"
+                f"run directory {self.run_dir} is served by a live coordinator "
+                f"(advisory lease held by {holder!r}); a fresh run over it would "
+                "let its workers record results for a different experiment — "
+                "stop the coordinator or use another directory"
             )
         self._write_manifest(manifest)
         self.units_path.write_text("")
         # A fresh run over a previously-abandoned directory must not
         # inherit its (empty — the refusal above covers non-empty) shards,
-        # its dead lease files, its telemetry shards, or the previous
-        # sweep's coordinator journal chain — replaying another
+        # its ``leases/`` (a dead coordinator's advisory lease, or the
+        # retired backend's per-unit files), its telemetry shards, or the
+        # previous sweep's coordinator journal chain — replaying another
         # experiment's journal segments or snapshot into a fresh
         # coordinator would resurrect its leases and completion set, and
         # stale telemetry would misreport this run's fleet.
@@ -339,18 +340,21 @@ class RunCheckpoint:
             shutil.rmtree(leases, ignore_errors=True)
 
     def _live_lease_holder(self) -> str | None:
-        """Worker id of a seemingly-live lease in this directory, if any.
+        """The holder named by this directory's advisory lease while a
+        coordinator serving it seems live, else ``None``.
 
         Imported lazily: :mod:`repro.runtime.distributed` depends on this
         module, so the dependency must not be circular at import time.
         """
-        from repro.runtime.distributed import LeaseDir, lease_seems_live
+        from repro.runtime.distributed import lease_seems_live, read_advisory_lease
 
-        now = time.time()
-        for path, lease in LeaseDir(self.run_dir).leases():
-            if lease_seems_live(lease, path, now):
-                return lease.worker if lease is not None else "<torn lease>"
-        return None
+        advisory = read_advisory_lease(self.run_dir)
+        if advisory is None:
+            return None
+        path, lease = advisory
+        if not lease_seems_live(lease, path, time.time()):
+            return None
+        return lease.worker if lease is not None else "<torn lease>"
 
     def _validate_stored(self, manifest: dict) -> bool:
         """True if a stored manifest exists and matches; raises on mismatch."""

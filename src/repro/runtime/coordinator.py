@@ -114,7 +114,7 @@ import socket
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from hashlib import sha1
 from pathlib import Path
 from typing import Any
@@ -139,10 +139,14 @@ from repro.runtime.checkpoint import (
     snapshot_path,
 )
 from repro.runtime.distributed import (
+    ADVISORY_LEASE_UNIT,
     DEFAULT_LEASE_TTL,
     STATUS_SCHEMA_VERSION,
-    LeaseDir,
+    Lease,
+    advisory_lease_path,
     lease_seems_live,
+    read_advisory_lease,
+    write_advisory_lease,
 )
 
 __all__ = [
@@ -172,13 +176,6 @@ JOURNAL_NAME = "coordinator.jsonl"
 DEFAULT_SEGMENT_BYTES = 4 * 1024 * 1024
 #: Version tag of the ``snapshot.<seq>.json`` format.
 SNAPSHOT_SCHEMA_VERSION = 1
-#: The advisory lease a serving coordinator holds in its run directory's
-#: ``leases/`` dir.  Coordinator workers leave no lease files (their
-#: leases live in server memory), so without this marker the lease-aware
-#: ``runs gc`` could collect a directory a live coordinator is serving.
-#: Renewed every ttl/4; goes stale when the coordinator dies, so a dead
-#: coordinator does not protect its directory forever.
-ADVISORY_LEASE_UNIT = "__coordinator__"
 
 
 class UnknownUnitError(ValueError):
@@ -1250,11 +1247,14 @@ class CoordinatorHTTPServer:
     ``serve_forever()`` (blocking), ``shutdown()`` (thread-safe),
     ``server_close()``, ``.coordinator``.
 
-    While alive, the server maintains an advisory lease file
-    (:data:`ADVISORY_LEASE_UNIT`) in the run directory so everything
-    that reads ``leases/`` — ``runs gc``, ``sweep status``, a standby,
+    While alive, the server holds the run directory's advisory lease
+    (:func:`~repro.runtime.distributed.write_advisory_lease`), so every
+    reader of it — ``runs gc``, ``sweep status``, a standby, the
     fresh-initialization refusal — sees the directory as actively
     worked, even though coordinator workers themselves never touch it.
+    It publishes the file at start, replacing a SIGKILLed predecessor's,
+    refreshes its heartbeat every ttl/4 and removes it on close, the
+    last two only while the file still names this process.
     """
 
     def __init__(self, address: tuple[str, int], coordinator: Coordinator) -> None:
@@ -1270,11 +1270,16 @@ class CoordinatorHTTPServer:
         self._pool = ThreadPoolExecutor(
             max_workers=_OPERATION_THREADS, thread_name_prefix="coordinator-op"
         )
-        self._advisory_leases = LeaseDir(coordinator.run_dir, ttl=coordinator.ttl)
+        now = time.time()
+        self._advisory_lease = Lease(
+            unit=ADVISORY_LEASE_UNIT,
+            worker=f"coordinator-{os.getpid()}",
+            acquired_at=now,
+            heartbeat=now,
+            ttl=coordinator.ttl,
+        )
         self._advisory_stop = threading.Event()
-        self._advisory_thread: threading.Thread | None = None
-        self._advisory_lease = None
-        self._hold_advisory_lease()
+        self._advisory_thread = self._hold_advisory_lease()
 
     # ------------------------------------------------------------------ #
     # Lifecycle
@@ -1428,49 +1433,51 @@ class CoordinatorHTTPServer:
             return 500, "Internal Server Error", {"error": f"internal error: {exc}"}
         return 200, "OK", reply.to_dict()
 
-    def _hold_advisory_lease(self) -> None:
-        # A SIGKILLed predecessor's stale advisory lease must not block a
-        # restart for a full TTL; exactly one coordinator serves a run
-        # directory at a time (the port is the real mutex on one host).
-        with contextlib.suppress(OSError):
-            os.unlink(self._advisory_leases.lease_path(ADVISORY_LEASE_UNIT))
-        lease = self._advisory_leases.create(
-            ADVISORY_LEASE_UNIT, f"coordinator-{os.getpid()}"
-        )
-        if lease is None:
-            logger.warning(
-                "could not claim the advisory coordinator lease in %s; "
-                "`runs gc` may not see this coordinator as live",
-                self.coordinator.run_dir,
-            )
-            return
-        self._advisory_lease = lease
-        interval = max(self.coordinator.ttl / 4.0, 0.1)
+    def _hold_advisory_lease(self) -> threading.Thread:
+        """Publish the advisory lease and start the thread refreshing it."""
+        # Publishing replaces a SIGKILLed predecessor's stale advisory
+        # lease, which must not block a restart for a full TTL; exactly
+        # one coordinator serves a run directory at a time (the port is
+        # the real mutex on one host).
+        write_advisory_lease(self.coordinator.run_dir, self._advisory_lease)
+        interval = max(self._advisory_lease.ttl / 4.0, 0.1)
 
         def _beat() -> None:
-            current = lease
             while not self._advisory_stop.wait(interval):
-                try:
-                    renewed = self._advisory_leases.renew(current)
-                except OSError:
-                    continue  # transient fs hiccup; retry next beat
-                if renewed is not None:
-                    current = renewed
+                self._refresh_advisory_lease()
 
         thread = threading.Thread(
             target=_beat, daemon=True, name="coordinator-advisory-lease"
         )
         thread.start()
-        self._advisory_thread = thread
+        return thread
+
+    def _refresh_advisory_lease(self) -> None:
+        """Advance the advisory lease's heartbeat if the file still names
+        us.  A removed file stays removed (a straggler refresh must not
+        resurrect a phantom live lease), and a successor's is not ours to
+        overwrite."""
+        if self._owns_advisory_lease():
+            with contextlib.suppress(OSError):  # retried next beat
+                write_advisory_lease(
+                    self.coordinator.run_dir,
+                    replace(self._advisory_lease, heartbeat=time.time()),
+                )
+
+    def _owns_advisory_lease(self) -> bool:
+        """Whether the run directory's advisory lease still names us."""
+        advisory = read_advisory_lease(self.coordinator.run_dir)
+        held = None if advisory is None else advisory[1]
+        return held is not None and held.worker == self._advisory_lease.worker
 
     def server_close(self) -> None:
         self._advisory_stop.set()
-        if self._advisory_thread is not None:
-            self._advisory_thread.join(timeout=5)
-        if self._advisory_lease is not None:
+        self._advisory_thread.join(timeout=5)
+        # A successor's lease must stay: removing it would hide a live
+        # coordinator from gc, status and a standby's primary check.
+        if self._owns_advisory_lease():
             with contextlib.suppress(OSError):
-                self._advisory_leases.release(self._advisory_lease)
-            self._advisory_lease = None
+                os.unlink(advisory_lease_path(self.coordinator.run_dir))
         # The event loop owns the listening socket once serving; closing
         # it out from under a live selector corrupts the loop, so stop
         # the loop (idempotent) and wait for it before touching the fd.
@@ -1551,24 +1558,19 @@ def _primary_alive(run_dir: Path, probe_host: str, port: int) -> bool:
 
     Two independent signals, either one counts: the port accepts a TCP
     connection (the primary's listening socket dies with its process),
-    or its advisory lease in ``leases/`` still seems live (the
-    conservative heartbeat-or-mtime rule every advisory consumer
-    shares).  The lease keeps a standby from stealing the port during a
-    network blip; the port probe keeps a *clean* shutdown (which
-    releases the lease) from waiting out a TTL.
+    or its advisory lease still seems live (the conservative
+    heartbeat-or-mtime rule every advisory reader shares).  The lease
+    keeps a standby from stealing the port during a network blip; the
+    port probe keeps a *clean* shutdown (which removes the lease) from
+    waiting out a TTL.
     """
     try:
         with socket.create_connection((probe_host, port), timeout=0.5):
             return True
     except OSError:
         pass
-    lease_dir = LeaseDir(run_dir)
-    advisory = lease_dir.lease_path(ADVISORY_LEASE_UNIT)
-    now = time.time()
-    for path, lease in lease_dir.leases():
-        if path == advisory and lease_seems_live(lease, path, now):
-            return True
-    return False
+    advisory = read_advisory_lease(run_dir)
+    return advisory is not None and lease_seems_live(advisory[1], advisory[0], time.time())
 
 
 def standby_coordinator(

@@ -22,12 +22,12 @@ views that need no coordinator:
     "coordinator")`` calls it): this process plus ``jobs - 1`` sibling
     processes drain through the coordinator, then fetch the merged
     results over the wire.
-:class:`LeaseDir`
-    The ``leases/`` directory of a run.  Its one writer is a serving
-    coordinator's *advisory* lease (``leases/__coordinator__.json``),
-    which ``repro runs gc``, ``repro sweep status``, ``sweep serve
-    --standby`` and the fresh-initialization refusal read through
-    :func:`lease_seems_live`.
+:func:`read_advisory_lease` / :func:`write_advisory_lease`
+    A serving coordinator's *advisory* lease, the one file under a run's
+    ``leases/`` (``__coordinator__-5ed955a5.json``).  Its holder
+    publishes and refreshes it; ``repro runs gc``, ``repro sweep
+    status``, ``sweep serve --standby`` and the fresh-initialization
+    refusal read it through :func:`lease_seems_live`.
 :func:`inspect_run_dir`
     The read-only progress/shard/lease snapshot behind ``sweep status``
     and ``runs gc``.
@@ -50,7 +50,7 @@ import socket
 import threading
 import time
 from collections.abc import Callable, Iterable
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
@@ -67,9 +67,12 @@ __all__ = [
     "DEFAULT_POLL_INTERVAL",
     "COMPLETION_GRACE",
     "LEASES_DIR",
+    "ADVISORY_LEASE_UNIT",
     "STATUS_SCHEMA_VERSION",
     "Lease",
-    "LeaseDir",
+    "advisory_lease_path",
+    "read_advisory_lease",
+    "write_advisory_lease",
     "lease_seems_live",
     "WorkerStats",
     "RunDirStatus",
@@ -93,6 +96,13 @@ DEFAULT_POLL_INTERVAL = 0.5
 COMPLETION_GRACE = 4 * DEFAULT_POLL_INTERVAL
 #: Lease directory name inside a run directory.
 LEASES_DIR = "leases"
+#: The unit name of the advisory lease a serving coordinator holds in
+#: its run directory's ``leases/`` dir.  Coordinator workers leave no
+#: lease files (their leases live in server memory), so without this
+#: marker ``runs gc`` could collect a directory a live coordinator is
+#: serving.  Refreshed every ttl/4; goes stale when the coordinator
+#: dies, so a dead coordinator does not protect its directory forever.
+ADVISORY_LEASE_UNIT = "__coordinator__"
 #: Version tag of the machine-readable status payload schema
 #: (``RunDirStatus.to_payload`` / coordinator ``GET /status`` /
 #: ``repro sweep status --json``).
@@ -104,10 +114,10 @@ _UNIT_DELAY_ENV = "REPRO_RUNTIME_UNIT_DELAY"
 
 
 def lease_seems_live(lease: "Lease | None", path: Path, now: float) -> bool:
-    """Conservative, stateless liveness guess shared by every consumer of
-    ``leases/`` — ``sweep status``, lease-aware ``runs gc``, the warm
-    standby's primary check, and the fresh-initialization refusal — so
-    their judgements cannot drift apart.
+    """Conservative, stateless liveness guess shared by every reader of
+    the advisory lease — ``sweep status``, lease-aware ``runs gc``, the
+    warm standby's primary check, and the fresh-initialization refusal —
+    so their judgements cannot drift apart.
 
     A lease seems live if either its embedded heartbeat or its file mtime
     is younger than its TTL; a torn file (``lease`` is ``None``) has only
@@ -193,87 +203,39 @@ class Lease:
         )
 
 
-class LeaseDir:
-    """The ``leases/`` directory of one run: create, renew, release, list.
+def advisory_lease_path(run_dir: str | Path) -> Path:
+    """Where ``run_dir``'s advisory lease lives."""
+    return Path(run_dir) / LEASES_DIR / f"{safe_filename(ADVISORY_LEASE_UNIT)}.json"
 
-    Every mutation is one atomic filesystem operation (``O_EXCL`` create,
-    ``replace``, ``unlink``), so racing processes — or hosts sharing the
-    directory — cannot tear a lease.  Nothing here judges staleness or
-    steals: readers guess liveness with :func:`lease_seems_live`, and a
-    coordinator restarting after a SIGKILL removes its predecessor's
-    advisory lease itself before creating its own.
+
+def read_advisory_lease(run_dir: str | Path) -> tuple[Path, Lease | None] | None:
+    """``run_dir``'s advisory lease as ``(path, lease)``, or ``None`` when
+    there is no such file.
+
+    ``lease`` is ``None`` for a torn or unreadable file: a coordinator
+    that wrote it in place (older versions did) may have died
+    mid-write.
     """
+    path = advisory_lease_path(run_dir)
+    try:
+        return path, Lease.from_dict(json.loads(path.read_text()))
+    except FileNotFoundError:
+        return None
+    except (OSError, ValueError):
+        return path, None
 
-    def __init__(self, run_dir: str | Path, ttl: float = DEFAULT_LEASE_TTL) -> None:
-        if ttl <= 0:
-            raise ValueError(f"lease ttl must be positive, got {ttl}")
-        self.path = Path(run_dir) / LEASES_DIR
-        self.ttl = float(ttl)
 
-    def lease_path(self, unit_key: str) -> Path:
-        return self.path / f"{safe_filename(unit_key)}.json"
+def write_advisory_lease(run_dir: str | Path, lease: Lease) -> None:
+    """Publish ``lease`` as ``run_dir``'s advisory lease, replacing any.
 
-    def create(self, unit_key: str, worker: str) -> Lease | None:
-        """Create ``unit_key``'s lease for ``worker``; ``None`` if a lease
-        file for it already exists (exactly one racer wins)."""
-        self.path.mkdir(parents=True, exist_ok=True)
-        now = time.time()
-        flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL
-        try:
-            fd = os.open(self.lease_path(unit_key), flags, 0o644)
-        except FileExistsError:
-            return None
-        lease = Lease(unit=unit_key, worker=worker, acquired_at=now, heartbeat=now, ttl=self.ttl)
-        with os.fdopen(fd, "w") as fh:
-            fh.write(json.dumps(lease.to_dict()) + "\n")
-        return lease
-
-    def renew(self, lease: Lease) -> Lease | None:
-        """Refresh ``lease``'s heartbeat; ``None`` if ownership was lost.
-
-        A lease file that now names another holder (a successor replaced
-        it) is not ours to overwrite, so the renewal is refused and the
-        caller should stop heartbeating.  A *vanished* lease refuses
-        renewal too: recreating it would let a straggler heartbeat — e.g.
-        one blocked in a slow filesystem call while its holder released —
-        resurrect a phantom "live" lease, blocking gc for a full TTL.
-        """
-        path = self.lease_path(lease.unit)
-        current = self.load(path)
-        if current is None or current.worker != lease.worker:
-            return None
-        updated = replace(lease, heartbeat=time.time())
-        tmp = path.with_name(f"{path.name}.tmp.{os.getpid()}.{secrets.token_hex(2)}")
-        tmp.write_text(json.dumps(updated.to_dict()) + "\n")
-        os.replace(tmp, path)
-        return updated
-
-    def release(self, lease: Lease) -> None:
-        """Remove ``lease`` — only if it is still ours.
-
-        A holder whose lease a successor replaced must not unlink the
-        successor's live lease: that would hide it from gc, status and a
-        standby's primary check.
-        """
-        path = self.lease_path(lease.unit)
-        current = self.load(path)
-        if current is not None and current.worker != lease.worker:
-            return  # replaced: the successor's lease is not ours to remove
-        with contextlib.suppress(OSError):
-            os.unlink(path)
-
-    def load(self, path: Path) -> Lease | None:
-        """The lease at ``path``, or ``None`` if torn/unreadable/vanished."""
-        try:
-            return Lease.from_dict(json.loads(path.read_text()))
-        except (OSError, ValueError, json.JSONDecodeError):
-            return None
-
-    def leases(self) -> list[tuple[Path, Lease | None]]:
-        """Every lease file currently present (``None`` payload = torn)."""
-        if not self.path.is_dir():
-            return []
-        return [(p, self.load(p)) for p in sorted(self.path.glob("*.json"))]
+    The file is written aside and renamed over the old one, so a reader
+    never sees it torn.
+    """
+    path = advisory_lease_path(run_dir)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f"{path.name}.tmp.{os.getpid()}.{secrets.token_hex(4)}")
+    tmp.write_text(json.dumps(lease.to_dict()) + "\n")
+    os.replace(tmp, path)
 
 
 @contextlib.contextmanager
@@ -714,9 +676,9 @@ class RunDirStatus:
     completed_units: int
     shard_counts: dict[str, int]  # result file name -> distinct keys in it
     duplicate_records: int
-    active_leases: list[Lease]
-    stale_leases: list[Lease]
-    torn_leases: int  # unparseable lease files (a writer died mid-write)
+    active_leases: list[Lease]  # the advisory lease, if it seems live
+    stale_leases: list[Lease]  # the advisory lease, if it has gone stale
+    torn_leases: int  # 1 if the advisory lease is unparseable (a writer died mid-write)
     torn_live: int  # of those, still fresh by the conservative rule
 
     @property
@@ -725,8 +687,9 @@ class RunDirStatus:
 
     @property
     def live_lease_count(self) -> int:
-        """Leases that may belong to a live worker — fresh parseable ones
-        plus fresh torn ones (their writer may still be mid-write)."""
+        """1 if the advisory lease may belong to a live coordinator — a
+        fresh parseable or fresh torn file (its writer may still be
+        mid-write) — else 0."""
         return len(self.active_leases) + self.torn_live
 
     def to_payload(self, now: float | None = None) -> dict:
@@ -771,7 +734,8 @@ class RunDirStatus:
 
 
 def inspect_run_dir(run_dir: str | Path, now: float | None = None) -> RunDirStatus:
-    """Inspect progress, shards, and leases of ``run_dir`` (read-only)."""
+    """Inspect progress, shards, and the advisory lease of ``run_dir``
+    (read-only)."""
     run_dir = Path(run_dir)
     now = time.time() if now is None else now
     kind = name = None
@@ -803,15 +767,14 @@ def inspect_run_dir(run_dir: str | Path, now: float | None = None) -> RunDirStat
     active: list[Lease] = []
     stale: list[Lease] = []
     torn = torn_live = 0
-    for path, lease in LeaseDir(run_dir).leases():
+    advisory = read_advisory_lease(run_dir)
+    if advisory is not None:
+        path, lease = advisory
+        live = lease_seems_live(lease, path, now)
         if lease is None:
-            torn += 1
-            if lease_seems_live(lease, path, now):
-                torn_live += 1
-        elif lease_seems_live(lease, path, now):
-            active.append(lease)
+            torn, torn_live = 1, int(live)
         else:
-            stale.append(lease)
+            (active if live else stale).append(lease)
 
     return RunDirStatus(
         run_dir=run_dir,

@@ -19,13 +19,16 @@ across ``units.jsonl`` *and* every per-worker shard to decide
 completeness; manifests lacking a unit count are never treated as
 complete (only as stale).
 
-gc is **lease-aware**: a run directory whose ``leases/`` holds a live
-lease (heartbeat younger than the lease's TTL) is being served — a
-coordinator holds an advisory lease there while it runs, and its
-workers may be executing units on other hosts — so such directories are
-never collected, whatever their age or completeness looks like from
-here.  Expired leases (a crashed process's leftovers) do not protect a
-directory, but they do count toward its idle age.
+gc is **lease-aware**: a run directory whose advisory lease
+(``leases/__coordinator__-5ed955a5.json``, which a serving coordinator
+holds and refreshes) seems live by
+:func:`~repro.runtime.distributed.lease_seems_live` is being served —
+its workers may be executing units on other hosts — so such
+directories are never collected, whatever their age or completeness
+looks like from here.  An expired advisory lease (a crashed
+coordinator's leftover) does not protect a directory, but it does count
+toward its idle age.  Any other file under ``leases/`` (the retired
+shared-directory backend's per-unit leases) is ignored.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ from repro.runtime.checkpoint import (
     journal_snapshots,
     result_file_paths,
 )
-from repro.runtime.distributed import LEASES_DIR, inspect_run_dir
+from repro.runtime.distributed import advisory_lease_path, inspect_run_dir
 
 __all__ = ["RunStatus", "scan_runs", "collectable", "gc_runs"]
 
@@ -56,8 +59,8 @@ class RunStatus:
     total_units: int | None  # expected units, when the manifest records it
     completed_units: int  # distinct unit keys across units.jsonl + shards
     age_seconds: float  # since the run directory last changed
-    active_leases: int = 0  # live lease holders (fresh heartbeats)
-    stale_leases: int = 0  # expired/torn leases from dead holders
+    active_leases: int = 0  # 1 while a live coordinator's advisory lease is fresh
+    stale_leases: int = 0  # 1 for a dead coordinator's expired or torn one
     delete_failed: bool = False  # rmtree was attempted but the dir survived
 
     @property
@@ -75,7 +78,7 @@ class RunStatus:
         hours = self.age_seconds / 3600.0
         out = f"{self.path} [{label}] {state}, {progress}, idle {hours:.1f}h"
         if self.active_leases:
-            out += f", {self.active_leases} live worker lease(s)"
+            out += ", served by a live coordinator"
         return out
 
 
@@ -99,7 +102,6 @@ def _status(run_dir: Path, now: float) -> RunStatus | None:
         # directory (or vanished mid-scan) — never to be touched.
         return None
     mtimes = []
-    lease_paths = sorted((run_dir / LEASES_DIR).glob("*.json"))
     # Coordinator journal segments and snapshots are part of the run's
     # resumable state: a coordinator actively rolling its journal keeps
     # the directory's idle age at ~0 even between result-shard flushes,
@@ -109,7 +111,7 @@ def _status(run_dir: Path, now: float) -> RunStatus | None:
     for path in [
         run_dir / RunCheckpoint.MANIFEST_NAME,
         *result_paths,
-        *lease_paths,
+        advisory_lease_path(run_dir),
         *journal_paths,
     ]:
         try:
@@ -160,9 +162,9 @@ def collectable(
     ``completed`` collects finished runs; ``stale_seconds`` additionally
     collects *incomplete* runs idle longer than the threshold (``None``
     never collects incomplete runs — resuming them is the point of the
-    checkpoint layer).  A run with a live lease is never collectable: a
-    coordinator is serving it, and workers — possibly on other hosts —
-    are executing its units right now.
+    checkpoint layer).  A run with a live advisory lease is never
+    collectable: a coordinator is serving it, and workers — possibly on
+    other hosts — are executing its units right now.
     """
     if status.active_leases > 0:
         return False

@@ -46,6 +46,7 @@ from repro.core.simulator import (
 )
 from repro.pisa import PISA, batch_energy, pairwise_comparison
 from repro.schedulers import PAPER_SCHEDULERS
+from repro.schedulers.common import upward_rank
 from tests.equivalence import (
     FIG4_CONFIG,
     FIG4_SCHEDULERS,
@@ -80,41 +81,32 @@ def edge_case_instance() -> ProblemInstance:
     return ProblemInstance(net, tg, name="edge_cases")
 
 
-def _same_float(a: float, b: float) -> bool:
-    """Exact equality, treating a shared NaN as equal.
-
-    The scalar reference itself yields NaN for some degenerate inputs it
-    accepts (``mean_comm_time`` with infinite data over an all-infinite
-    network is ``inf * 0.0``); the compiled kernel must reproduce that
-    NaN, not silently diverge from it.
-    """
-    return a == b or (math.isnan(a) and math.isnan(b))
-
-
 def _assert_tables_match(inst: ProblemInstance) -> None:
+    """Every table entry equals the scalar reference exactly; no entry is
+    NaN, since a NaN equals nothing."""
     compiled = compile_instance(inst)
     tasks, nodes = compiled.tasks, compiled.nodes
     for t in tasks:
         tid = compiled.task_id[t]
-        assert _same_float(compiled.mean_exec(t), mean_exec_time(inst, t))
+        assert compiled.mean_exec(t) == mean_exec_time(inst, t)
         for v in nodes:
             vid = compiled.node_id[v]
             assert compiled.exec_tbl[tid, vid] == exec_time(inst, t, v)
             assert compiled.exec_list[tid][vid] == exec_time(inst, t, v)
     for u, v in inst.task_graph.dependencies:
         uid, vid = compiled.task_id[u], compiled.task_id[v]
-        assert _same_float(compiled.mean_comm(u, v), mean_comm_time(inst, u, v))
+        assert compiled.mean_comm(u, v) == mean_comm_time(inst, u, v)
         for nu in nodes:
             row = compiled.comm_row(compiled.data[(uid, vid)], compiled.node_id[nu])
             for nv in nodes:
                 expected = comm_time(inst, u, v, nu, nv)
-                assert _same_float(
-                    compiled.comm(uid, vid, compiled.node_id[nu], compiled.node_id[nv]),
-                    expected,
+                assert (
+                    compiled.comm(uid, vid, compiled.node_id[nu], compiled.node_id[nv])
+                    == expected
                 )
                 # comm_row's only divergence is the diagonal, where the
                 # infinite self-strength also divides to the exact 0.0.
-                assert _same_float(float(row[compiled.node_id[nv]]), expected)
+                assert float(row[compiled.node_id[nv]]) == expected
 
 
 class TestCompiledTables:
@@ -214,6 +206,30 @@ class TestCompiledTables:
         with use_reference_builder():
             reference_entries = schedule_entries("BIL", inst)
         assert compiled_entries == reference_entries
+
+    def test_infinite_data_over_only_infinite_links_costs_nothing(self):
+        """Infinite data crosses an infinitely strong link in time 0, so
+        when every link is infinitely strong the mean communication time
+        is 0, not ``inf * 0.0`` (NaN), and the ranks built on it stay
+        finite on both builders."""
+        tg = TaskGraph.from_dicts(
+            {"a": 1.0, "b": 2.0, "c": 1.0},
+            {("a", "b"): math.inf, ("a", "c"): 1.0},
+        )
+        net = Network.from_speeds(
+            {"v1": 1.0, "v2": 2.0},
+            strengths={("v1", "v2"): math.inf},
+        )
+        inst = ProblemInstance(net, tg, name="inf_data_free_links")
+        inst.validate()
+        assert mean_comm_time(inst, "a", "b") == 0.0
+        assert compile_instance(inst).mean_comm("a", "b") == 0.0
+        assert inst.mean_communication_time() == 0.0
+        assert inst.ccr() == 0.0
+        ranks = upward_rank(inst)
+        assert all(math.isfinite(rank) for rank in ranks.values())
+        with use_reference_builder():
+            assert upward_rank(inst) == ranks
 
 
 class TestCompileCache:

@@ -1153,7 +1153,7 @@ class TestCoordinatorSweep:
         merged result is bit-identical to a serial run."""
         import numpy as np
 
-        from repro.runtime.distributed import Lease, LeaseDir
+        from repro.runtime.checkpoint import safe_filename
         from repro.runtime.gc import scan_runs
         from repro.sweeps import load_run_plan
 
@@ -1172,13 +1172,22 @@ class TestCoordinatorSweep:
         checkpoint.initialize(plan.manifest())
         for unit in plan.units[:3]:
             checkpoint.record(unit.key, plan.worker(unit), shard="old-w1")
-        leases = LeaseDir(run_dir)
-        leases.path.mkdir(parents=True)
+        (run_dir / "leases").mkdir()
         old = time.time() - 3600
         dead_unit = plan.units[3].key
-        dead = Lease(unit=dead_unit, worker="old-w2", acquired_at=old, heartbeat=old, ttl=120)
-        leases.lease_path(dead_unit).write_text(json.dumps(dead.to_dict()))
-        os.utime(leases.lease_path(dead_unit), (old, old))
+        dead = run_dir / "leases" / f"{safe_filename(dead_unit)}.json"
+        dead.write_text(
+            json.dumps(
+                {
+                    "unit": dead_unit,
+                    "worker": "old-w2",
+                    "acquired_at": old,
+                    "heartbeat": old,
+                    "ttl": 120,
+                }
+            )
+        )
+        os.utime(dead, (old, old))
 
         # What `sweep serve <run_dir>` does: the plan comes from the manifest.
         keys = [u.key for u in load_run_plan(run_dir).units]

@@ -13,9 +13,12 @@ runtime promises around it:
   exception hands its unit back at once; a dead worker's unit is
   re-granted after the coordinator's TTL; ``wait=False`` returns while
   a peer holds a live lease;
-* **advisory leases** — :class:`LeaseDir` create/renew/release/list,
-  the lease file format, and the :func:`lease_seems_live` rule that
-  ``runs gc``, ``sweep status`` and fresh initialization share;
+* **the advisory lease** — the one file under ``leases/`` a serving
+  coordinator publishes, refreshes and removes (only while it names
+  that coordinator), its unchanged path and five-field format, and the
+  :func:`lease_seems_live` rule that ``runs gc``, ``sweep status``, a
+  standby and fresh initialization share; the retired backend's
+  per-unit lease files are ignored;
 * **run-directory robustness** — torn / garbage trailing lines in
   ``units*.jsonl`` (what a killed writer leaves) are tolerated and
   logged, shards merge first-writer-wins, and a fresh initialization
@@ -45,6 +48,7 @@ import tempfile
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -61,18 +65,25 @@ from repro.runtime.checkpoint import (
     iter_result_records,
     safe_filename,
 )
-from repro.runtime.coordinator import ADVISORY_LEASE_UNIT, running_coordinator
+from repro.runtime.coordinator import (
+    ADVISORY_LEASE_UNIT,
+    _primary_alive,
+    running_coordinator,
+)
 from repro.runtime.distributed import (
     DEFAULT_LEASE_TTL,
     Lease,
-    LeaseDir,
+    advisory_lease_path,
     drain_units,
     inspect_run_dir,
     lease_seems_live,
+    read_advisory_lease,
     run_units_coordinator,
     worker_identity,
+    write_advisory_lease,
 )
 from repro.runtime.executor import run_units
+from repro.runtime.gc import collectable, scan_runs
 from repro.sweeps import (
     SourceSpec,
     SweepSpec,
@@ -125,6 +136,16 @@ def serving(run_dir: Path, keys: list[str], ttl: float = 30.0):
             client.close()
 
 
+def _advisory(worker: str, heartbeat: float, ttl: float = 60.0) -> Lease:
+    return Lease(
+        unit=ADVISORY_LEASE_UNIT,
+        worker=worker,
+        acquired_at=heartbeat,
+        heartbeat=heartbeat,
+        ttl=ttl,
+    )
+
+
 def _drain(server, units, worker, **kwargs):
     """``drain_units`` as one worker with its own client."""
     backend = HttpWorkBackend(server.url, retry_timeout=10)
@@ -168,25 +189,43 @@ class TestLeaseFormat:
 
 
 # ---------------------------------------------------------------------- #
-# Mutual exclusion: lease files and the coordinator's expired leases
+# Races: advisory-lease publishes and the coordinator's expired leases
 # ---------------------------------------------------------------------- #
 class TestClaimRace:
     @given(contenders=st.integers(min_value=2, max_value=8))
     @settings(max_examples=15, deadline=None)
     def test_concurrent_claims_have_exactly_one_winner(self, contenders):
+        """Coordinators starting at once over one run directory each
+        publish the advisory lease: a reader racing them sees no file or
+        a whole lease, never a torn one, and afterwards exactly one whole
+        lease of one contender is left, with no temp file beside it."""
         with tempfile.TemporaryDirectory() as td:
-            leases = LeaseDir(td, ttl=60)
-            barrier = threading.Barrier(contenders)
+            leases = [_advisory(f"w{i}", float(i)) for i in range(contenders)]
+            barrier = threading.Barrier(contenders + 1, timeout=30)
+            done = threading.Event()
 
-            def attempt(i: int):
+            def attempt(i: int) -> None:
                 barrier.wait()
-                return leases.create(ADVISORY_LEASE_UNIT, f"w{i}")
+                write_advisory_lease(td, leases[i])
 
-            with ThreadPoolExecutor(max_workers=contenders) as pool:
-                results = list(pool.map(attempt, range(contenders)))
-            winners = [lease for lease in results if lease is not None]
-            assert len(winners) == 1
-            assert leases.load(leases.lease_path(ADVISORY_LEASE_UNIT)) == winners[0]
+            def watch() -> list:
+                barrier.wait()
+                seen = []
+                while not done.is_set():
+                    seen.append(read_advisory_lease(td))
+                return seen
+
+            with ThreadPoolExecutor(max_workers=contenders + 1) as pool:
+                reader = pool.submit(watch)
+                try:
+                    list(pool.map(attempt, range(contenders)))
+                finally:
+                    done.set()
+                seen = reader.result()
+            assert all(found is None or found[1] in leases for found in seen)
+            path, winner = read_advisory_lease(td)
+            assert winner in leases
+            assert [p.name for p in path.parent.iterdir()] == [path.name]
 
     @given(contenders=st.integers(min_value=2, max_value=6))
     @settings(max_examples=5, deadline=None)
@@ -214,14 +253,6 @@ class TestClaimRace:
 
 
 class TestLeaseLifecycle:
-    def test_second_claim_is_refused_until_release(self, tmp_path):
-        leases = LeaseDir(tmp_path, ttl=60)
-        lease = leases.create("u0", "w1")
-        assert lease is not None and lease.worker == "w1"
-        assert leases.create("u0", "w2") is None
-        leases.release(lease)
-        assert leases.create("u0", "w2") is not None
-
     def test_dead_lease_is_reclaimed_after_observed_ttl(self, tmp_path):
         """The coordinator judges a silent holder dead only once its own
         clock has watched a full TTL pass: a contender is refused before
@@ -245,13 +276,13 @@ class TestLeaseLifecycle:
             assert stolen is not None and stolen.reclaimed_units == {"u0"}
 
     def test_torn_lease_is_respected_until_watched_for_a_full_ttl(self, tmp_path):
-        """A torn lease file (its writer died mid-write) has no heartbeat:
-        it counts as live until its mtime is a full default TTL old."""
-        leases = LeaseDir(tmp_path, ttl=60)
-        leases.path.mkdir(parents=True)
-        path = leases.lease_path(ADVISORY_LEASE_UNIT)
+        """A torn advisory lease (an older coordinator wrote it in place
+        and died mid-write) has no heartbeat: it counts as live until its
+        mtime is a full default TTL old."""
+        path = advisory_lease_path(tmp_path)
+        path.parent.mkdir(parents=True)
         path.write_text('{"unit": "__coord')  # torn write
-        assert leases.leases() == [(path, None)]
+        assert read_advisory_lease(tmp_path) == (path, None)
         now = time.time()
         assert lease_seems_live(None, path, now)
         status = inspect_run_dir(tmp_path, now=now)
@@ -263,24 +294,30 @@ class TestLeaseLifecycle:
         assert status.torn_leases == 1 and status.torn_live == 0
 
     def test_renew_refreshes_heartbeat(self, tmp_path):
-        leases = LeaseDir(tmp_path, ttl=60)
-        lease = leases.create("u0", "w1")
-        renewed = leases.renew(lease)
-        assert renewed is not None
-        assert renewed.heartbeat >= lease.heartbeat
-        stored = leases.load(leases.lease_path("u0"))
-        assert stored.heartbeat == renewed.heartbeat
+        """A serving coordinator refreshes its advisory lease every ttl/4
+        (0.1 s here): the heartbeat on disk advances, nothing else
+        changes, and a clean close removes the file."""
+        run_dir = tmp_path / "run"
+        with serving(run_dir, ["u0"], ttl=0.4):
+            _, first = read_advisory_lease(run_dir)
+            assert first == _advisory(f"coordinator-{os.getpid()}", first.heartbeat, 0.4)
+            deadline = time.monotonic() + 5.0
+            while (lease := read_advisory_lease(run_dir)[1]).heartbeat == first.heartbeat:
+                assert time.monotonic() < deadline, "the advisory lease was never refreshed"
+                time.sleep(0.02)
+            assert lease.heartbeat > first.heartbeat
+            assert lease == replace(first, heartbeat=lease.heartbeat)
+        assert read_advisory_lease(run_dir) is None
 
     def test_release_by_a_robbed_worker_keeps_the_thiefs_lease(self, tmp_path):
         """A coordinator restarted after a SIGKILL replaces its dead
         predecessor's advisory lease; a predecessor that was only stalled
-        must not unlink its successor's live lease when it shuts down."""
-        leases = LeaseDir(tmp_path, ttl=60)
-        mine = leases.create(ADVISORY_LEASE_UNIT, "coordinator-1")
-        os.unlink(leases.lease_path(ADVISORY_LEASE_UNIT))
-        assert leases.create(ADVISORY_LEASE_UNIT, "coordinator-2") is not None
-        leases.release(mine)
-        assert leases.load(leases.lease_path(ADVISORY_LEASE_UNIT)).worker == "coordinator-2"
+        must not remove its successor's live lease when it shuts down."""
+        run_dir = tmp_path / "run"
+        successor = _advisory("coordinator-successor", time.time())
+        with serving(run_dir, ["u0"]):
+            write_advisory_lease(run_dir, successor)
+        assert read_advisory_lease(run_dir) == (advisory_lease_path(run_dir), successor)
 
     @pytest.mark.parametrize("claim_batch", [1, 4])
     def test_heartbeat_slower_than_ttl_rejected(self, tmp_path, claim_batch):
@@ -295,23 +332,85 @@ class TestLeaseLifecycle:
             assert client.completed_keys() == set()
 
     def test_renew_after_release_does_not_resurrect_the_lease(self, tmp_path):
-        """A straggler heartbeat (blocked in a slow fs call while its
-        holder released) must not recreate a released lease — that
-        phantom would block gc and fresh initialization for a full TTL."""
-        leases = LeaseDir(tmp_path, ttl=60)
-        lease = leases.create("u0", "w1")
-        leases.release(lease)
-        assert leases.renew(lease) is None
-        assert not leases.lease_path("u0").exists()
+        """A straggler refresh must not recreate a removed advisory lease:
+        that phantom would block gc and fresh initialization for a full
+        TTL.  The refresh is driven by hand; the 30 s TTL keeps the
+        refresh thread out of the way."""
+        run_dir = tmp_path / "run"
+        path = advisory_lease_path(run_dir)
+        with serving(run_dir, ["u0"]) as (server, _):
+            path.unlink()
+            server._refresh_advisory_lease()
+            assert not path.exists()
+        assert not path.exists()
 
     def test_renew_after_steal_reports_lost_ownership(self, tmp_path):
-        leases = LeaseDir(tmp_path, ttl=60)
-        mine = leases.create(ADVISORY_LEASE_UNIT, "coordinator-1")
-        os.unlink(leases.lease_path(ADVISORY_LEASE_UNIT))
-        successor = leases.create(ADVISORY_LEASE_UNIT, "coordinator-2")
-        assert leases.renew(mine) is None
-        # The successor's lease survives untouched.
-        assert leases.load(leases.lease_path(ADVISORY_LEASE_UNIT)) == successor
+        """Once a successor has replaced the advisory lease, the old
+        coordinator sees it no longer owns the file, and its refresh
+        leaves the successor's lease untouched."""
+        run_dir = tmp_path / "run"
+        path = advisory_lease_path(run_dir)
+        successor = _advisory("coordinator-successor", 1.0)
+        with serving(run_dir, ["u0"]) as (server, _):
+            assert server._owns_advisory_lease()
+            write_advisory_lease(run_dir, successor)
+            assert not server._owns_advisory_lease()
+            server._refresh_advisory_lease()
+            assert read_advisory_lease(run_dir) == (path, successor)
+        assert read_advisory_lease(run_dir) == (path, successor)
+
+    def test_advisory_lease_file_format_is_unchanged(self, tmp_path):
+        """The advisory lease keeps its path and its five-field JSON, so
+        older and newer versions read each other's files: a hand-written
+        lease in the older coordinators' exact bytes is honoured by
+        ``sweep status``, ``runs gc``, the fresh-initialization refusal
+        and a standby's primary check, and a serving coordinator writes
+        the same layout."""
+        run_dir = tmp_path / "old"
+        RunCheckpoint(run_dir).initialize({"kind": "sweep", "units": 1})
+        path = run_dir / "leases" / "__coordinator__-5ed955a5.json"
+        path.parent.mkdir()
+        now = time.time()
+        path.write_text(
+            '{"unit": "__coordinator__", "worker": "coordinator-4242", '
+            f'"acquired_at": {now!r}, "heartbeat": {now!r}, "ttl": 120.0}}\n'
+        )
+        status = inspect_run_dir(run_dir)
+        assert status.active_leases == [_advisory("coordinator-4242", now, 120.0)]
+        [scanned] = scan_runs(run_dir)
+        assert scanned.active_leases == 1 and not collectable(scanned)
+        assert _primary_alive(run_dir, "127.0.0.1", _free_port())
+        with pytest.raises(CheckpointError, match="coordinator-4242"):
+            RunCheckpoint(run_dir).initialize({"kind": "other"}, resume=False)
+
+        served = tmp_path / "served"
+        with serving(served, ["u0"]):
+            assert [p.name for p in (served / "leases").iterdir()] == [path.name]
+            written = json.loads((served / "leases" / path.name).read_text())
+        assert list(written) == ["unit", "worker", "acquired_at", "heartbeat", "ttl"]
+        assert written["unit"] == ADVISORY_LEASE_UNIT
+        assert written["worker"] == f"coordinator-{os.getpid()}"
+
+    def test_retired_per_unit_lease_files_are_ignored(self, tmp_path):
+        """Per-unit ``leases/<unit>.json`` files of the retired
+        shared-directory backend protect nothing, even fresh or torn:
+        status and gc do not count them and a fresh initialization
+        proceeds and deletes them."""
+        run_dir = tmp_path / "run"
+        RunCheckpoint(run_dir).initialize({"kind": "sweep", "units": 0})
+        leases = run_dir / "leases"
+        leases.mkdir()
+        fresh = Lease(unit="u0", worker="old-w1", acquired_at=0.0, heartbeat=time.time(), ttl=120)
+        (leases / f"{safe_filename('u0')}.json").write_text(json.dumps(fresh.to_dict()))
+        (leases / f"{safe_filename('u1')}.json").write_text('{"unit": "u')  # torn
+        status = inspect_run_dir(run_dir)
+        assert status.active_leases == status.stale_leases == []
+        assert status.torn_leases == 0
+        [scanned] = scan_runs(run_dir)
+        assert scanned.active_leases == scanned.stale_leases == 0
+        assert collectable(scanned)
+        RunCheckpoint(run_dir).initialize({"kind": "other"}, resume=False)
+        assert not leases.exists()
 
     def test_worker_identity_is_stable_per_process_and_filesystem_safe(self):
         """One process is one worker: repeated calls must agree (its shard
@@ -426,10 +525,13 @@ class TestResultFileRobustness:
             barrier.wait()
             try:
                 checkpoint.initialize(manifest, resume=True)
-                # Immediately behave like a coordinator: lease and record.
-                lease = LeaseDir(checkpoint.run_dir, ttl=30).create("u0", f"w{i}")
-                if lease is not None:
-                    checkpoint.record("u0", i, shard=f"w{i}")
+                # Immediately behave like a coordinator: claim and record.
+                flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL
+                try:
+                    os.close(os.open(tmp_path / "u0.claim", flags))
+                except FileExistsError:
+                    return
+                checkpoint.record("u0", i, shard=f"w{i}")
             except Exception as exc:  # noqa: BLE001 - collected for the assert
                 errors.append(exc)
 
@@ -465,21 +567,17 @@ class TestResultFileRobustness:
         results for a different experiment into this directory."""
         checkpoint = RunCheckpoint(tmp_path)
         checkpoint.initialize({"kind": "t"})
-        LeaseDir(tmp_path, ttl=60).create(ADVISORY_LEASE_UNIT, "coordinator-42")
+        write_advisory_lease(tmp_path, _advisory("coordinator-42", time.time()))
         with pytest.raises(CheckpointError, match="coordinator-42"):
             checkpoint.initialize({"kind": "other"}, resume=False)
         # Once the lease is dead (old heartbeat + old mtime), fresh
         # initialization proceeds and sweeps the husk.
-        leases = LeaseDir(tmp_path, ttl=60)
-        path = leases.lease_path(ADVISORY_LEASE_UNIT)
+        path = advisory_lease_path(tmp_path)
         old = time.time() - 3600
-        dead = Lease(
-            unit=ADVISORY_LEASE_UNIT, worker="dead", acquired_at=old, heartbeat=old, ttl=1.0
-        )
-        path.write_text(json.dumps(dead.to_dict()))
+        write_advisory_lease(tmp_path, _advisory("dead", old, ttl=1.0))
         os.utime(path, (old, old))
         checkpoint.initialize({"kind": "other"}, resume=False)
-        assert not list(leases.path.glob("*.json"))
+        assert not path.parent.exists()
 
 
 # ---------------------------------------------------------------------- #
@@ -1105,13 +1203,12 @@ class TestFaultInjection:
         RunCheckpoint(run_dir).initialize(plan.manifest())
         with running_coordinator(run_dir, unit_keys=[u.key for u in plan.units]) as server:
             work_coordinator(server.url, worker_id="w1", poll_interval=0.05)
-        # Fabricate a dead process's leftover lease on a completed run.
-        leases = LeaseDir(run_dir, ttl=30)
-        leases.path.mkdir(parents=True, exist_ok=True)
-        dead = Lease(unit="ghost", worker="dead", acquired_at=0.0, heartbeat=0.0, ttl=1.0)
-        leases.lease_path("ghost").write_text(json.dumps(dead.to_dict()))
+        # Fabricate a dead coordinator's leftover advisory lease on a
+        # completed run.
+        dead = _advisory("dead", 0.0, ttl=1.0)
+        write_advisory_lease(run_dir, dead)
         old = time.time() - 3600
-        os.utime(leases.lease_path("ghost"), (old, old))
+        os.utime(advisory_lease_path(run_dir), (old, old))
         status = inspect_run_dir(run_dir)
         assert status.complete
         assert status.completed_units == status.total_units == 4
@@ -1120,4 +1217,4 @@ class TestFaultInjection:
             RunCheckpoint(run_dir).shard_path("w1").name: 4,
         }
         assert status.active_leases == []
-        assert [lease.unit for lease in status.stale_leases] == ["ghost"]
+        assert status.stale_leases == [dead]

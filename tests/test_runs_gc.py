@@ -5,21 +5,30 @@ from __future__ import annotations
 import json
 
 from repro.runtime.checkpoint import RunCheckpoint
-from repro.runtime.distributed import LEASES_DIR, Lease
+from repro.runtime.distributed import (
+    ADVISORY_LEASE_UNIT,
+    Lease,
+    advisory_lease_path,
+    write_advisory_lease,
+)
 from repro.runtime.gc import collectable, gc_runs, scan_runs
 
 NOW = 1_000_000.0
 
 
-def _write_lease(run_dir, *, unit="u0", worker="w", heartbeat, ttl=60.0):
+def _write_lease(run_dir, *, worker="coordinator-1", heartbeat, ttl=60.0):
+    """Write the advisory lease a coordinator serving ``run_dir`` holds."""
     import os
 
-    leases = run_dir / LEASES_DIR
-    leases.mkdir(parents=True, exist_ok=True)
-    lease = Lease(unit=unit, worker=worker, acquired_at=heartbeat, heartbeat=heartbeat, ttl=ttl)
-    path = leases / f"{unit}.json"
-    path.write_text(json.dumps(lease.to_dict()))
-    os.utime(path, (heartbeat, heartbeat))
+    lease = Lease(
+        unit=ADVISORY_LEASE_UNIT,
+        worker=worker,
+        acquired_at=heartbeat,
+        heartbeat=heartbeat,
+        ttl=ttl,
+    )
+    write_advisory_lease(run_dir, lease)
+    os.utime(advisory_lease_path(run_dir), (heartbeat, heartbeat))
 
 
 def _make_run(path, *, total=4, completed=4, kind="sweep", name=None, mtime=NOW):
@@ -128,14 +137,15 @@ class TestCollectable:
 
 class TestLeaseAwareGc:
     def test_live_lease_blocks_collection(self, tmp_path):
-        """A worker — possibly on another host — is draining this run."""
+        """A coordinator is serving this run to workers, possibly on
+        other hosts."""
         run = _make_run(tmp_path / "r")  # complete, normally collectable
         _write_lease(run, heartbeat=NOW - 5, ttl=60)
         (status,) = scan_runs(tmp_path, now=NOW)
         assert status.active_leases == 1
         assert not collectable(status)
         assert not collectable(status, stale_seconds=1)
-        assert "live worker lease" in status.describe()
+        assert "served by a live coordinator" in status.describe()
         collect, keep = gc_runs(tmp_path, delete=True, stale_seconds=1, now=NOW)
         assert collect == []
         assert run.exists()

@@ -152,6 +152,22 @@ class TestValidation:
         ok.add("b", "w", math.inf, math.inf)
         ok.validate(inst)
 
+    def test_infinite_end_must_match_exactly(self, instance):
+        """An infinite end or expected end makes the relative tolerance
+        infinite, so neither may differ from the other by any amount."""
+        forever = Schedule()  # a takes 1.0 on u, but never ends
+        forever.add("a", "u", 0.0, math.inf)
+        forever.add("b", "u", math.inf, math.inf)
+        with pytest.raises(InvalidScheduleError, match="'a' on node 'u' ends at inf"):
+            forever.validate(instance)
+        tg = TaskGraph.from_dicts({"a": math.inf, "b": 2.0}, {("a", "b"): 1.0})
+        net = Network.from_speeds({"u": 1.0, "v": 2.0}, default_strength=1.0)
+        finite = Schedule()  # a never finishes, but ends at 5.0
+        finite.add("a", "u", 0.0, 5.0)
+        finite.add("b", "u", 5.0, 7.0)
+        with pytest.raises(InvalidScheduleError, match="'a' on node 'u' ends at 5.0"):
+            finite.validate(ProblemInstance(net, tg))
+
     def test_zero_data_over_dead_link_is_fine(self):
         tg = TaskGraph.from_dicts({"a": 1.0, "b": 1.0}, {("a", "b"): 0.0})
         net = Network.from_speeds({"u": 1.0, "v": 1.0}, default_strength=0.0)

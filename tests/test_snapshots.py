@@ -18,7 +18,8 @@ What makes the O(live) restart trustworthy:
 * **warm standby** — :func:`standby_coordinator` watches a live primary
   without binding, takes over the same port when the primary goes away,
   and serves the replayed state (tokens survive, so a held lease keeps
-  renewing across the handoff);
+  renewing across the handoff); with the port closed, the primary's
+  advisory lease alone keeps it alive until the lease goes stale;
 * **housekeeping** — fresh (non-resume) initialization deletes stale
   segments and snapshots with the shards, and ``runs gc`` counts
   segment/snapshot mtimes toward idle age so an actively-snapshotting
@@ -28,9 +29,11 @@ What makes the O(live) restart trustworthy:
 from __future__ import annotations
 
 import json
+import os
 import tempfile
 import threading
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -45,9 +48,17 @@ from repro.runtime.checkpoint import (
     journal_snapshots,
 )
 from repro.runtime.coordinator import (
+    ADVISORY_LEASE_UNIT,
     Coordinator,
+    _primary_alive,
     serve_coordinator,
     standby_coordinator,
+)
+from repro.runtime.distributed import (
+    DEFAULT_LEASE_TTL,
+    Lease,
+    advisory_lease_path,
+    write_advisory_lease,
 )
 
 UNITS = [f"u{i}" for i in range(8)]
@@ -323,6 +334,37 @@ class TestStandby:
         stop = threading.Event()
         stop.set()
         assert standby_coordinator(tmp_path, port=_free_port(), stop=stop) is None
+
+    def test_primary_alive_follows_the_advisory_lease_while_the_port_is_closed(
+        self, tmp_path
+    ):
+        """With nothing listening on the port, the advisory lease alone
+        decides: a fresh one (or a freshly torn file) keeps the primary
+        alive; a stale or absent one does not."""
+        port = _free_port()
+        path = advisory_lease_path(tmp_path)
+        assert not _primary_alive(tmp_path, "127.0.0.1", port)
+        now = time.time()
+        lease = Lease(
+            unit=ADVISORY_LEASE_UNIT,
+            worker="coordinator-1",
+            acquired_at=now,
+            heartbeat=now,
+            ttl=2.0,
+        )
+        write_advisory_lease(tmp_path, lease)
+        assert _primary_alive(tmp_path, "127.0.0.1", port)
+        old = now - 60
+        write_advisory_lease(tmp_path, replace(lease, heartbeat=old))
+        os.utime(path, (old, old))
+        assert not _primary_alive(tmp_path, "127.0.0.1", port)
+        path.write_text('{"unit": "__coord')  # torn, fresh mtime
+        assert _primary_alive(tmp_path, "127.0.0.1", port)
+        old = now - DEFAULT_LEASE_TTL - 1
+        os.utime(path, (old, old))
+        assert not _primary_alive(tmp_path, "127.0.0.1", port)
+        path.unlink()
+        assert not _primary_alive(tmp_path, "127.0.0.1", port)
 
     def test_takeover_serves_replayed_state_on_the_same_port(self, tmp_path):
         _init_run(tmp_path)
